@@ -191,6 +191,11 @@ def decompress(blob: bytes) -> np.ndarray:
         compressor = get_compressor(codec)
     except (StreamError, KeyError):
         codec = Container.from_bytes(blob).codec
+        if codec == "ARCHIVE":
+            raise ValueError(
+                "stream is a multi-field ARCHIVE; read it with "
+                "repro.archive.decompress_dataset"
+            )
         try:
             compressor = get_compressor(codec)
         except KeyError:

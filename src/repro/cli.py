@@ -51,7 +51,6 @@ import numpy as np
 
 from repro import (
     AbsoluteBound,
-    Container,
     PrecisionBound,
     RelativeBound,
     StreamError,
@@ -314,60 +313,58 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from repro.inspection import inspect_stream
+    from repro.observe.quality import attribute_model, section_kind_map
+
     blob = _read_blob(args.input)
-    box = Container.from_bytes(blob)
-    print(f"codec:  {box.codec}")
-    print(f"shape:  {box.get_shape('shape')}")
-    print(f"dtype:  {box.get_dtype('dtype').name}")
+    model = inspect_stream(blob)
+    model.raise_if_damaged()
+    box = model.box
+    print(f"codec:  {model.codec}")
+    if model.codec != "ARCHIVE":
+        print(f"shape:  {box.get_shape('shape')}")
+        print(f"dtype:  {box.get_dtype('dtype').name}")
     print(f"bytes:  {len(blob)}")
-    print(f"format: v{box.version}" + (" (checksummed)" if box.checksummed else ""))
-    if box.codec == "SAFE":
-        specs = box.get_str("safeguards")
+    print(f"format: v{model.version}" + (" (checksummed)" if model.checksummed else ""))
+    if model.codec == "SAFE":
         print(f"inner:  {box.get_str('inner_codec')}")
-        print(f"safeguards: {specs.replace(';', '; ') if specs else '(none)'}")
+        print(f"safeguards: {'; '.join(model.safeguards) or '(none)'}")
         print(f"patched: {box.get_u64('n_patch')} point(s)")
-    if box.codec == "CHUNKED":
+    if model.codec == "CHUNKED":
         print(f"inner:  {box.get_str('inner_codec')}")
         print(f"chunks: {box.get_u64('n_chunks')}")
-        if "ladder" in box:
-            print(f"ladder: {box.get_str('ladder')}")
-        if "chunk_codecs" in box:
+        chain, codecs, _, degraded = model.ladder
+        if chain is not None:
+            print(f"ladder: {chain}")
+        if codecs is not None:
             from collections import Counter
 
-            codecs = box.get_str("chunk_codecs").split(";")
-            mix = Counter(codecs)
-            primary = (
-                box.get_str("ladder").split(">") if "ladder" in box else codecs
-            )[0]
-            degraded = sum(n for c, n in mix.items() if c != primary)
-            parts = ", ".join(f"{n}x {c}" for c, n in sorted(mix.items()))
+            parts = ", ".join(f"{n}x {c}" for c, n in sorted(Counter(codecs).items()))
             print(f"codec mix: {parts}"
                   + (f" ({degraded} chunk(s) fell back)" if degraded else ""))
-        if "parity_k" in box:
+        if model.parity is not None:
             print(
-                f"parity: k={box.get_u64('parity_k')} per group of "
-                f"{box.get_u64('group_size')} "
+                f"parity: k={model.parity.k} per group of {model.parity.group_size} "
                 f"({len(box.get('parity'))} parity bytes)"
             )
-    kinds: dict[str, str] = {}
-    overhead = None
-    try:
-        from repro.observe.quality import attribute_bytes, section_kind_map
-
-        tree = attribute_bytes(blob)
-        kinds = section_kind_map(tree)
-        totals = tree.kind_totals()
-        overhead = totals.get("framing", 0) + totals.get("checksum", 0)
-    except Exception:  # noqa: BLE001 - attribution is descriptive, never fatal
-        pass
-    for key in box.keys():
-        line = f"  section {key:12s} {len(box.get(key)):10d} B"
-        if key in kinds:
-            line += f"  [{kinds[key]}]"
+    if model.codec == "ARCHIVE":
+        fields = [s for s in model.sections if s.child is not None]
+        print(f"fields: {len(fields)}")
+        for sec in fields:
+            child = sec.child
+            print(f"  field {sec.key[6:]:12s} {child.codec} {child.shape} "
+                  f"{child.dtype.name}")
+    tree = attribute_model(model)
+    kinds = section_kind_map(tree)
+    totals = tree.kind_totals()
+    overhead = totals.get("framing", 0) + totals.get("checksum", 0)
+    for sec in model.sections:
+        line = f"  section {sec.key:12s} {sec.nbytes:10d} B"
+        if sec.key in kinds:
+            line += f"  [{kinds[sec.key]}]"
         print(line)
-    if overhead is not None:
-        print(f"container overhead: {overhead} B framing+CRC "
-              f"({100.0 * overhead / len(blob):.2f}%)")
+    print(f"container overhead: {overhead} B framing+CRC "
+          f"({100.0 * overhead / len(blob):.2f}%)")
     return 0
 
 
@@ -481,17 +478,13 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from repro.report import audit_report
+    from repro.observe.audit import audit_stream
 
     blob = _read_blob(args.input)
     original = None
     if args.original is not None:
         original = load_array(args.original, args.shape, np.dtype(args.dtype))
-    try:
-        report = audit_report(blob, original, check_theorem3=not args.no_theorem3)
-    except ValueError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
+    report = audit_stream(blob, original, check_theorem3=not args.no_theorem3)
     if args.json:
         import json
 

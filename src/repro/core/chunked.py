@@ -36,6 +36,7 @@ from collections.abc import Iterator
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +64,16 @@ from repro.utils.blocking import chunk_spans
 
 __all__ = [
     "ChunkFailure",
+    "ChunkTable",
     "ChunkTimeoutError",
     "ChunkedCompressor",
     "DEFAULT_GROUP_SIZE",
+    "ParityGeometry",
     "RecoveryReport",
     "chunk_patch_total",
     "iter_chunk_blobs",
+    "read_chunk_table",
+    "read_parity_geometry",
     "recover_array",
 ]
 
@@ -797,31 +802,6 @@ class ChunkedCompressor(Compressor):
 
     # -- decompression -------------------------------------------------------
 
-    @staticmethod
-    def _read_chunk_table(
-        box: Container, shape: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated (offs, lens, elems) of a CHUNKED container.
-
-        Raises :class:`ContainerError` on any internal inconsistency;
-        ``payload`` length is *not* checked here so the partial-recovery
-        path can work on truncated payloads.
-        """
-        n = box.get_u64("n_chunks")
-        offs = box.get_array("offs").astype(np.int64)
-        lens = box.get_array("lens").astype(np.int64)
-        elems = box.get_array("elems").astype(np.int64)
-        if not (offs.size == lens.size == elems.size == n):
-            raise ContainerError("corrupt CHUNKED stream: chunk table size mismatch")
-        if n and (
-            (lens < 0).any()
-            or (offs != np.concatenate([[0], np.cumsum(lens)[:-1]])).any()
-        ):
-            raise ContainerError("corrupt CHUNKED stream: offsets not cumulative")
-        if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
-            raise ContainerError("corrupt CHUNKED stream: element count mismatch")
-        return offs, lens, elems
-
     def decompress(self, blob: bytes) -> np.ndarray:
         self._job_started = time.perf_counter()
         codec = Container.from_bytes(blob).codec
@@ -829,12 +809,9 @@ class ChunkedCompressor(Compressor):
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
         box, shape, dtype = self._open_container(blob, self.name)
-        n = box.get_u64("n_chunks")
-        if n == 0:
-            if math.prod(shape) != 0:
-                raise ContainerError("corrupt CHUNKED stream: no chunks for non-empty shape")
+        offs, lens, elems = read_chunk_table(box)
+        if not lens.size:
             return np.zeros(shape, dtype=dtype)
-        offs, lens, elems = self._read_chunk_table(box, shape)
         payload = box.get("payload")
         if offs[-1] + lens[-1] != len(payload):
             raise ContainerError("corrupt CHUNKED stream: payload length mismatch")
@@ -878,12 +855,10 @@ class ChunkedCompressor(Compressor):
         shape = box.get_shape("shape")
         dtype = box.get_dtype("dtype")
         total = math.prod(shape)
-        n = box.get_u64("n_chunks")
+        offs, lens, elems = read_chunk_table(box)
+        n = lens.size
         if n == 0:
-            if total != 0:
-                raise ContainerError("corrupt CHUNKED stream: no chunks for non-empty shape")
             return np.zeros(shape, dtype=dtype), RecoveryReport(0, 0, fill_mode=fill_mode)
-        offs, lens, elems = self._read_chunk_table(box, shape)
         repaired: tuple[int, ...] = ()
         if repair and "parity_k" in box:
             from repro.integrity import repair_stream
@@ -921,6 +896,87 @@ class ChunkedCompressor(Compressor):
         )
 
 
+# -- stream geometry ---------------------------------------------------------
+
+
+class ChunkTable(NamedTuple):
+    """Validated chunk table of a CHUNKED container (int64 arrays)."""
+
+    offs: np.ndarray
+    lens: np.ndarray
+    elems: np.ndarray
+
+
+class ParityGeometry(NamedTuple):
+    """Validated v3 parity geometry: ``k`` blocks per group of ``group_size``."""
+
+    k: int
+    group_size: int
+    #: Parity block length of every group.
+    lens: np.ndarray
+
+
+def read_chunk_table(box: Container) -> ChunkTable:
+    """The chunk table of a CHUNKED container, checked for consistency.
+
+    The one validator behind decompress, partial decompress, repair and
+    verify.  Raises :class:`ContainerError` when the table does not
+    describe ``shape``: entry counts, cumulative offsets, positive element
+    counts.  Whether the payload holds every byte the table spans is left
+    to the caller, so recovery can still read a truncated payload.
+    """
+    shape = box.get_shape("shape")
+    n = box.get_u64("n_chunks")
+    offs = box.get_array("offs").astype(np.int64)
+    lens = box.get_array("lens").astype(np.int64)
+    elems = box.get_array("elems").astype(np.int64)
+    if not (offs.size == lens.size == elems.size == n):
+        raise ContainerError(
+            f"corrupt CHUNKED chunk table: n_chunks={n} but "
+            f"{offs.size}/{lens.size}/{elems.size} table entries"
+        )
+    if n and (
+        (lens < 0).any() or (offs != np.concatenate([[0], np.cumsum(lens)[:-1]])).any()
+    ):
+        raise ContainerError(
+            "corrupt CHUNKED chunk table: offsets are not the cumulative sum of lengths"
+        )
+    if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
+        raise ContainerError(
+            f"corrupt CHUNKED chunk table: element counts sum to "
+            f"{int(elems.sum())}, shape needs {math.prod(shape)}"
+        )
+    return ChunkTable(offs, lens, elems)
+
+
+def read_parity_geometry(box: Container, table: ChunkTable) -> ParityGeometry:
+    """The v3 parity geometry of a CHUNKED container, checked against its table.
+
+    Raises :class:`ContainerError` on an impossible ``k``/group size, a
+    group count that disagrees with the table, or a parity block length
+    other than the group's longest chunk.  The ``parity`` bytes themselves
+    are not read: damage there is what the geometry lets repair heal.
+    """
+    k = int(box.get_u64("parity_k"))
+    m = int(box.get_u64("group_size"))
+    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
+        raise ContainerError(f"impossible parity geometry: k={k} per group of {m}")
+    plens = box.get_array("parity_lens").astype(np.int64)
+    n_groups = -(-table.lens.size // m)
+    if plens.size != n_groups or (plens < 0).any():
+        raise ContainerError(
+            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
+        )
+    for g in range(n_groups):
+        want = int(table.lens[g * m : (g + 1) * m].max())
+        if int(plens[g]) != want:
+            raise ContainerError(
+                f"parity group {g}: block length {int(plens[g])}, "
+                f"longest member chunk is {want}"
+            )
+    return ParityGeometry(k, m, plens)
+
+
 # -- stream introspection ----------------------------------------------------
 
 
@@ -929,10 +985,9 @@ def iter_chunk_blobs(blob: bytes) -> Iterator[bytes]:
     box = Container.from_bytes(blob)
     if box.codec != ChunkedCompressor.name:
         raise ValueError(f"stream was produced by {box.codec!r}, expected 'CHUNKED'")
-    offs = box.get_array("offs").astype(np.int64)
-    lens = box.get_array("lens").astype(np.int64)
+    offs, lens, _ = read_chunk_table(box)
     payload = box.get("payload")
-    for o, ln in zip(offs, lens):
+    for o, ln in zip(offs.tolist(), lens.tolist()):
         yield payload[o : o + ln]
 
 

@@ -112,9 +112,23 @@ class Container:
         #: CRCs recorded while parsing a v2 stream, for per-section
         #: re-verification (see :meth:`check_section`).
         self._section_crcs: dict[str, int] = {}
-        #: Key of the section whose payload was cut short during a
-        #: ``partial=True`` parse, if any.
+        #: Key of the section whose payload (or CRC) was cut short during
+        #: a ``partial=True`` parse, if any.
         self.truncated_key: str | None = None
+        #: Where each parsed section sits in the parsed bytes: ``key ->
+        #: (frame start, payload start, payload stop)``.  The section's CRC
+        #: (v2+) follows at ``payload stop``; a cut section's stop may lie
+        #: beyond the bytes.
+        self.spans: dict[str, tuple[int, int, int]] = {}
+        #: Offset just past the header (codec name and section count).
+        self.header_end = 0
+        #: Offset where the section walk ended.
+        self.end = 0
+        #: ``partial=True`` only: the defect a strict parse raises on
+        #: (None when there is none) and, when the walk stopped inside a
+        #: section's framing, why.
+        self.error: StreamError | None = None
+        self.cut: str | None = None
 
     # -- raw sections ------------------------------------------------------
 
@@ -162,7 +176,7 @@ class Container:
         self.put(key, value.encode("utf-8"))
 
     def get_str(self, key: str) -> str:
-        return self.get(key).decode("utf-8")
+        return str(self.get(key), "utf-8")
 
     def put_shape(self, key: str, shape: tuple[int, ...]) -> None:
         self.put(key, b"".join(write_varint(d) for d in (len(shape), *shape)))
@@ -183,7 +197,7 @@ class Container:
         self.put(key, _DTYPE_TOKENS[name])
 
     def get_dtype(self, key: str) -> np.dtype:
-        token = self.get(key)
+        token = bytes(self.get(key))
         if token not in _TOKEN_DTYPES:
             raise ContainerError(f"unknown dtype token {token!r}")
         return _TOKEN_DTYPES[token]
@@ -199,9 +213,9 @@ class Container:
 
     def get_array(self, key: str) -> np.ndarray:
         data = self.get(key)
-        dtype = _TOKEN_DTYPES.get(data[:2])
+        dtype = _TOKEN_DTYPES.get(bytes(data[:2]))
         if dtype is None:
-            raise ContainerError(f"unknown dtype token {data[:2]!r}")
+            raise ContainerError(f"unknown dtype token {bytes(data[:2])!r}")
         if (len(data) - 2) % dtype.itemsize:
             raise ContainerError(f"section {key!r} is not a whole number of {dtype.name}s")
         return np.frombuffer(data[2:], dtype=dtype.newbyteorder("<")).astype(dtype)
@@ -296,9 +310,11 @@ class Container:
         streams before anything else, so any single corrupted bit raises
         :class:`ChecksumError` instead of decoding wrong data; v1 streams
         have no checksums and skip the check.  ``partial=True`` is the
-        damage-tolerant mode used for recovery: checksums are not enforced,
-        parsing keeps whatever sections (or section prefix) the bytes still
-        contain, and the cut section is flagged in ``truncated_key``.
+        damage-tolerant mode used for recovery and inspection: checksums
+        are not enforced, a structural defect is recorded in ``error``
+        rather than raised, parsing keeps whatever sections (or section
+        prefix) the bytes still contain, and a cut section is flagged in
+        ``truncated_key``.  Only an unreadable header still raises.
         """
         if len(data) < 5:
             if data[: len(data)] == _MAGIC[: len(data)]:
@@ -333,77 +349,113 @@ class Container:
                     f"stream checksum mismatch (corrupted or truncated bytes): "
                     f"stored {stored:#010x}, computed {actual:#010x}"
                 )
-        # In partial mode the cut can fall anywhere, so no byte is assumed
-        # to be the trailer; complete v2 streams end in a 4-byte stream CRC.
-        body_end = len(data) - _CRC_BYTES if version >= 2 and not partial else len(data)
         t0 = time.perf_counter()
-        box = cls._parse_body(data, version, body_end, partial)
+        box = cls._parse_body(data, version, partial)
         reg = _metrics()
         reg.counter("container.decode_s").inc(time.perf_counter() - t0)
         reg.counter("container.decode_bytes").inc(len(data))
         return box
 
     @classmethod
-    def _parse_body(
-        cls, data: bytes, version: int, body_end: int, partial: bool
-    ) -> "Container":
-        def varint(pos: int) -> tuple[int, int]:
+    def _parse_body(cls, data: bytes, version: int, partial: bool) -> "Container":
+        """Walk the framing after the 5-byte header, recording offsets.
+
+        Complete v2+ streams end in a 4-byte stream CRC, so reads first stop
+        there and a strict parse raises on the first defect.  ``partial``
+        parses record that defect in ``error`` instead and re-read from the
+        failing part against the whole buffer (the cut may fall anywhere),
+        keeping every section -- or the prefix of a cut one -- the bytes
+        still hold.
+        """
+        n = len(data)
+        view = memoryview(data)
+        trailer = _CRC_BYTES if version >= 2 else 0
+        limit = n - trailer
+
+        def varint(pos: int, end: int) -> tuple[int, int]:
             try:
-                return read_varint(data[:body_end], pos)
+                return read_varint(view[:end], pos)
             except ValueError as exc:
                 raise TruncatedStreamError(str(exc)) from None
 
-        def text(raw: bytes, what: str) -> str:
+        def text(start: int, stop: int, what: str) -> str:
             try:
-                return raw.decode("utf-8")
+                return str(view[start:stop], "utf-8")
             except UnicodeDecodeError as exc:
                 raise ContainerError(f"corrupt {what}: {exc}") from None
 
-        pos = 5
-        n, pos = varint(pos)
-        if pos + n > body_end:
-            raise TruncatedStreamError("truncated codec name")
-        codec = text(data[pos : pos + n], "codec name")
-        pos += n
-        nsec, pos = varint(pos)
+        def header(end: int) -> tuple[str, int, int]:
+            size, pos = varint(5, end)
+            if pos + size > end:
+                raise TruncatedStreamError("truncated codec name")
+            codec = text(pos, pos + size, "codec name")
+            nsec, pos = varint(pos + size, end)
+            return codec, nsec, pos
+
+        def section(pos: int, end: int) -> int:
+            start = pos
+            size, pos = varint(pos, end)
+            if pos + size > end:
+                raise TruncatedStreamError("truncated section key")
+            key = text(pos, pos + size, "section key")
+            size, pos = varint(pos + size, end)
+            stop = pos + size
+            if key in out._sections:
+                raise ContainerError(f"duplicate section {key!r}")
+            cut = stop > end or stop + trailer > n
+            if cut:
+                exc = TruncatedStreamError(
+                    f"truncated section {key!r}" if stop > end
+                    else f"truncated checksum of {key!r}"
+                )
+                if not (partial and end == n):
+                    raise exc
+                out.error = out.error or exc
+            out._sections[key] = data[pos:stop]
+            out.spans[key] = (start, pos, stop)
+            if cut:
+                # Mid-write cut: keep the readable payload (prefix) so
+                # chunk-level recovery can salvage what is intact.
+                out.truncated_key = key
+                return min(stop, n)
+            if trailer:
+                (out._section_crcs[key],) = struct.unpack_from("<I", view, stop)
+            return stop + trailer
+
+        error: StreamError | None = None
+        try:
+            codec, nsec, pos = header(limit)
+        except StreamError as exc:
+            if not partial:
+                raise
+            error, limit = exc, n
+            codec, nsec, pos = header(limit)
         out = cls(codec)
         out.version = version
-        try:
-            for _ in range(nsec):
-                n, pos = varint(pos)
-                if pos + n > body_end:
-                    raise TruncatedStreamError("truncated section key")
-                key = text(data[pos : pos + n], "section key")
-                pos += n
-                n, pos = varint(pos)
-                if pos + n > body_end:
-                    if partial and version >= 2:
-                        # Mid-write cut: keep the readable payload prefix so
-                        # chunk-level recovery can salvage what is intact.
-                        out.put(key, data[pos:])
-                        out.truncated_key = key
-                        return out
-                    raise TruncatedStreamError(f"truncated section {key!r}")
-                out.put(key, data[pos : pos + n])
-                pos += n
-                if version >= 2:
-                    if pos + _CRC_BYTES > len(data):
-                        if partial:
-                            out.truncated_key = key
-                            return out
-                        raise TruncatedStreamError(f"truncated checksum of {key!r}")
-                    (out._section_crcs[key],) = struct.unpack(
-                        "<I", data[pos : pos + _CRC_BYTES]
-                    )
-                    pos += _CRC_BYTES
-        except TruncatedStreamError:
-            if partial:
-                return out
-            raise
-        if not partial and pos != body_end:
-            raise ContainerError(
-                f"{body_end - pos} trailing bytes after the last section"
-            )
+        out.error = error
+        out.header_end = pos
+        done = 0
+        while done < nsec and out.truncated_key is None:
+            try:
+                pos = section(pos, limit)
+                done += 1
+            except StreamError as exc:
+                if not partial:
+                    raise
+                out.error = out.error or exc
+                if limit == n:
+                    out.cut = str(exc)
+                    break
+                limit = n  # re-read this section against the whole buffer
+        else:
+            if out.truncated_key is None and pos != n - trailer:
+                exc = ContainerError(
+                    f"{n - trailer - pos} trailing bytes after the last section"
+                )
+                if not partial:
+                    raise exc
+                out.error = out.error or exc
+        out.end = pos
         return out
 
     @property
@@ -435,7 +487,7 @@ def peek_codec(data: bytes) -> str:
     if pos + n > len(data):
         raise TruncatedStreamError("truncated codec name")
     try:
-        return data[pos : pos + n].decode("utf-8")
+        return str(data[pos : pos + n], "utf-8")
     except UnicodeDecodeError as exc:
         raise ContainerError(f"corrupt codec name: {exc}") from None
 
@@ -444,21 +496,7 @@ def section_byte_ranges(data: bytes) -> dict[str, tuple[int, int]]:
     """Byte range ``[start, stop)`` of every section payload in ``data``.
 
     Fault injectors use this to aim corruption at a named section of a
-    serialized stream; ``repro.integrity`` uses it to localize damage.
+    serialized stream.
     """
     box = Container.from_bytes(data, verify_checksums=False)
-    ranges: dict[str, tuple[int, int]] = {}
-    pos = 5
-    n, pos = read_varint(data, pos)
-    pos += n  # codec
-    nsec, pos = read_varint(data, pos)
-    for _ in range(nsec):
-        n, pos = read_varint(data, pos)
-        key = data[pos : pos + n].decode("utf-8")
-        pos += n
-        n, pos = read_varint(data, pos)
-        ranges[key] = (pos, pos + n)
-        pos += n
-        if box.version >= 2:
-            pos += _CRC_BYTES
-    return ranges
+    return {key: (start, stop) for key, (_, start, stop) in box.spans.items()}

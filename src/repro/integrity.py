@@ -21,13 +21,9 @@ itself unreadable -- without it there is nothing to repair against.
 
 from __future__ import annotations
 
-import math
-import struct
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
 
 from repro.encoding.container import (
     ChecksumError,
@@ -35,13 +31,8 @@ from repro.encoding.container import (
     ContainerError,
     StreamError,
 )
-from repro.encoding.crc import crc32c
-from repro.encoding.rs import (
-    MAX_GROUP_BLOCKS,
-    InsufficientParityError,
-    decode_blocks,
-    encode_parity,
-)
+from repro.encoding.rs import InsufficientParityError, decode_blocks, encode_parity
+from repro.inspection import inspect_stream
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -53,8 +44,6 @@ __all__ = [
     "repair_stream",
     "verify_stream",
 ]
-
-_CRC_BYTES = 4
 
 #: CHUNKED metadata sections whose per-section CRCs must hold before any
 #: recovery or repair can be attempted.
@@ -102,184 +91,25 @@ class VerifyReport:
         )
 
 
-def _verify_chunk_table(box: Container, blob: bytes, problems: list[str]) -> int | None:
-    """Check CHUNKED geometry + every per-chunk sub-stream. Returns n_chunks."""
-    try:
-        n = box.get_u64("n_chunks")
-        offs = box.get_array("offs").astype(np.int64)
-        lens = box.get_array("lens").astype(np.int64)
-        elems = box.get_array("elems").astype(np.int64)
-        shape = box.get_shape("shape")
-        payload = box.get("payload")
-    except StreamError as exc:
-        problems.append(f"chunk table unreadable: {exc}")
-        return None
-    if not (offs.size == lens.size == elems.size == n):
-        problems.append(
-            f"chunk table size mismatch: n_chunks={n} but "
-            f"{offs.size}/{lens.size}/{elems.size} table entries"
-        )
-        return int(n)
-    if n:
-        if (lens < 0).any() or (
-            offs != np.concatenate([[0], np.cumsum(lens)[:-1]])
-        ).any():
-            problems.append("chunk offsets are not the cumulative sum of lengths")
-        elif int(offs[-1] + lens[-1]) != len(payload):
-            problems.append(
-                f"payload holds {len(payload)} bytes but the chunk table "
-                f"spans {int(offs[-1] + lens[-1])}"
-            )
-    if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
-        problems.append(
-            f"chunk element counts sum to {int(elems.sum())}, "
-            f"shape needs {math.prod(shape)}"
-        )
-    before = len(problems)
-    for i, (o, ln) in enumerate(zip(offs, lens)):
-        if o + ln > len(payload):
-            problems.append(f"chunk {i}: bytes missing from payload")
-            continue
-        sub = verify_stream(payload[o : o + ln])
-        problems.extend(f"chunk {i}: {p}" for p in sub.problems)
-    if "parity_k" in box:
-        _verify_parity(
-            box, int(n), lens, payload, problems, chunks_ok=len(problems) == before
-        )
-    return int(n)
-
-
-def _verify_parity(
-    box: Container,
-    n: int,
-    lens: np.ndarray,
-    payload: bytes,
-    problems: list[str],
-    chunks_ok: bool,
-) -> None:
-    """Check v3 parity geometry; recompute parity when the chunks are intact."""
-    try:
-        k = box.get_u64("parity_k")
-        m = box.get_u64("group_size")
-        plens = box.get_array("parity_lens").astype(np.int64)
-        parity = box.get("parity")
-    except StreamError as exc:
-        problems.append(f"parity sections unreadable: {exc}")
-        return
-    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
-        problems.append(f"impossible parity geometry: k={k} per group of {m}")
-        return
-    n_groups = math.ceil(n / m) if n else 0
-    if plens.size != n_groups or (plens < 0).any():
-        problems.append(
-            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
-        )
-        return
-    for g in range(n_groups):
-        want = int(lens[g * m : (g + 1) * m].max(initial=0))
-        if int(plens[g]) != want:
-            problems.append(
-                f"parity group {g}: block length {int(plens[g])}, "
-                f"longest member chunk is {want}"
-            )
-    expect = int(k * plens.sum())
-    if len(parity) != expect:
-        problems.append(
-            f"parity section holds {len(parity)} bytes, geometry needs {expect}"
-        )
-    elif chunks_ok and not any(p.startswith("parity") for p in problems):
-        # Chunks and geometry are intact: the parity bytes must equal a
-        # deterministic re-encode (this is the same check repair relies on).
-        offset = 0
-        for g in range(n_groups):
-            blobs = [
-                bytes(payload[int(o) : int(o) + int(ln)])
-                for o, ln in zip(
-                    np.concatenate([[0], np.cumsum(lens)])[g * m : (g + 1) * m],
-                    lens[g * m : (g + 1) * m],
-                )
-            ]
-            size = int(k * plens[g])
-            if encode_parity(blobs, int(k)) != _split_blocks(
-                parity[offset : offset + size], int(k)
-            ):
-                problems.append(f"parity group {g}: bytes do not match recomputed parity")
-            offset += size
-
-
-def _split_blocks(raw: bytes, k: int) -> list[bytes]:
-    """Cut one group's parity bytes into its ``k`` equal-length blocks."""
-    if k <= 0 or len(raw) % k:
-        return []
-    size = len(raw) // k
-    return [raw[j * size : (j + 1) * size] for j in range(k)]
-
-
 def verify_stream(blob: bytes) -> VerifyReport:
     """Verify structure and checksums of ``blob`` without decompressing.
 
     Checks, in order: container framing parses; the v2 whole-stream CRC
     matches; every per-section CRC matches; for ``CHUNKED`` streams the
-    chunk table is self-consistent and every per-chunk sub-stream verifies
-    in turn; for ``ARCHIVE`` streams every field's sub-stream verifies.
+    chunk table is self-consistent, every per-chunk sub-stream verifies in
+    turn and the parity matches a re-encode; for ``ARCHIVE`` streams every
+    field's sub-stream verifies.  A rendering of
+    :func:`repro.inspection.inspect_stream`.
     """
-    report = VerifyReport(nbytes=len(blob))
-    problems: list[str] = []
-    notes: list[str] = []
-
-    try:
-        box = Container.from_bytes(blob, verify_checksums=False)
-    except StreamError as exc:
-        report.problems = (f"structure: {type(exc).__name__}: {exc}",)
-        return report
-    report.codec = box.codec
-    report.version = box.version
-    report.checksummed = box.checksummed
-    report.n_sections = len(box.keys())
-
-    if box.checksummed:
-        (stored,) = struct.unpack("<I", blob[-_CRC_BYTES:])
-        actual = crc32c(blob[:-_CRC_BYTES])
-        if stored != actual:
-            problems.append(
-                f"stream checksum mismatch: stored {stored:#010x}, "
-                f"computed {actual:#010x}"
-            )
-        for key in box.keys():
-            if not box.check_section(key):
-                problems.append(f"section {key!r}: payload checksum mismatch")
-    else:
-        notes.append("v1 stream: carries no checksums, integrity not verifiable")
-
-    if box.codec == "CHUNKED":
-        report.n_chunks = _verify_chunk_table(box, blob, problems)
-        if "chunk_codecs" in box and box.check_section("chunk_codecs"):
-            codecs = [c for c in box.get_str("chunk_codecs").split(";") if c]
-            primary = (
-                box.get_str("ladder").split(">")
-                if "ladder" in box and box.check_section("ladder")
-                else codecs
-            )[0] if codecs else None
-            degraded = sum(1 for c in codecs if c != primary)
-            if degraded:
-                notes.append(
-                    f"{degraded} of {len(codecs)} chunk(s) were compressed by "
-                    f"a fallback rung of the codec ladder (primary {primary}); "
-                    f"bytes are intact, but see 'repro-compress explain'"
-                )
-        if "parity_k" in box and box.check_section("parity_k"):
-            notes.append(
-                f"carries Reed-Solomon parity: k={box.get_u64('parity_k')} "
-                f"per group of {box.get_u64('group_size')}"
-            )
-    elif box.codec == "ARCHIVE":
-        for key in box.keys():
-            if key.startswith("field:"):
-                sub = verify_stream(box.get(key))
-                problems.extend(f"field {key[6:]!r}: {p}" for p in sub.problems)
-
-    report.problems = tuple(problems)
-    report.notes = tuple(notes)
+    model = inspect_stream(blob)
+    report = VerifyReport(nbytes=len(blob), problems=model.problems, notes=model.notes)
+    if model.error is None:
+        report.codec = model.codec
+        report.version = model.version
+        report.checksummed = model.checksummed
+        report.n_sections = len(model.sections)
+        if model.codec == "CHUNKED":
+            report.n_chunks = model.n_chunks
     return report
 
 
@@ -428,31 +258,27 @@ def repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
 
 def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     t0 = time.perf_counter()
-    box = Container.from_bytes(blob, verify_checksums=False, partial=True)
+    model = inspect_stream(blob)
+    box = model.box
+    if box is None:
+        raise model.header_error
     if box.codec != "CHUNKED":
         raise ContainerError(
             f"stream was produced by {box.codec!r}; only CHUNKED streams carry parity"
         )
     for key in _CHUNKED_META + _PARITY_META:
-        if key in box and not box.check_section(key):
+        if key in box and not model.crc_ok(key):
             raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
     if "parity_k" not in box:
         raise ContainerError("stream carries no parity sections (not a v3 record)")
-    from repro.core.chunked import ChunkedCompressor
-
-    shape = box.get_shape("shape")
-    offs, lens, elems = ChunkedCompressor._read_chunk_table(box, shape)
-    n = int(box.get_u64("n_chunks"))
-    k = int(box.get_u64("parity_k"))
-    m = int(box.get_u64("group_size"))
-    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
-        raise ContainerError(f"impossible parity geometry: k={k} per group of {m}")
-    plens = box.get_array("parity_lens").astype(np.int64)
-    n_groups = math.ceil(n / m) if n else 0
-    if plens.size != n_groups or (plens < 0).any():
-        raise ContainerError(
-            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
-        )
+    if model.table is None:
+        raise model.table_error
+    if model.parity is None:
+        raise model.parity_error
+    offs, lens, _ = model.table
+    k, m, plens = model.parity
+    n = int(lens.size)
+    n_groups = int(plens.size)
     payload = box.get("payload") if "payload" in box else b""
     pbytes = box.get("parity") if "parity" in box else b""
 
@@ -468,7 +294,7 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
         if len(piece) < ln:
             damage[i] = "chunk bytes missing (truncated payload)"
             chunks.append(None)
-        elif _chunk_intact(piece):
+        elif i < len(model.chunks) and model.chunks[i] is not None and model.chunks[i].intact:
             chunks.append(piece)
         else:
             damage[i] = "chunk stream failed verification"

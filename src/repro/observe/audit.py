@@ -20,9 +20,8 @@ This module continuously *watches* that guarantee:
   the stream vs Lemma 2's formula recomputed from the decoded data,
   sentinel/sign/patch statistics, and Theorem 3's cross-base
   quantization-index deviation on the original.  Surfaced as
-  :class:`AuditReport` (also reachable as ``repro.report.audit_report``);
-  the CLI's ``repro-compress audit`` prints it and exits non-zero on any
-  violation.
+  :class:`AuditReport`; the CLI's ``repro-compress audit`` prints it and
+  exits non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -565,40 +564,30 @@ def _recheck_safeguards(
 
 
 def _audit_one(
-    chunk_blob: bytes, original: np.ndarray | None, index: int | None
+    model, blob: bytes, original: np.ndarray | None, index: int | None
 ) -> ChunkAudit:
-    """Audit one self-contained (non-CHUNKED) stream."""
+    """Audit one self-contained (non-CHUNKED) stream: ``model`` of ``blob``."""
     from repro import decompress
-    from repro.encoding.container import Container
-    from repro.report import stream_bound
 
-    box = Container.from_bytes(chunk_blob)
-    recon = decompress(chunk_blob)
-    kind, value = stream_bound(box)
+    recon = decompress(blob)
+    kind, value = model.bound
     flat = recon.ravel()
     zeros = int((flat == 0).sum())
     negatives = int((flat < 0).sum())
 
     effective_ba = theorem2_ba = lemma2_ba = None
     lemma2_ok = None
-    patched = int(box.get_u64("n_patch")) if "n_patch" in box else None
-    if kind == "rel" and "ba" in box and "base" in box and value is not None:
-        effective_ba = box.get_f64("ba")
-        theorem2_ba, lemma2_ba = lemma2_recomputed(
-            recon, value, box.get_f64("base"), recon.dtype
-        )
+    patched = model.patched
+    ba, base = model._read("get_f64", "ba"), model._read("get_f64", "base")
+    if kind == "rel" and ba is not None and base is not None and value is not None:
+        effective_ba = ba
+        theorem2_ba, lemma2_ba = lemma2_recomputed(recon, value, base, recon.dtype)
         lemma2_ok = bool(effective_ba <= lemma2_ba)
 
-    safeguards = None
+    safeguards = model.safeguards
     safeguard_violations = None
-    if box.codec == "SAFE" and "safeguards" in box:
-        safeguards = tuple(
-            s for s in box.get_str("safeguards").split(";") if s.strip()
-        )
-        if original is not None:
-            safeguard_violations = _recheck_safeguards(
-                safeguards, original, recon
-            )
+    if safeguards is not None and original is not None:
+        safeguard_violations = _recheck_safeguards(safeguards, original, recon)
 
     max_rel = max_abs = bf = None
     violations = None
@@ -630,7 +619,7 @@ def _audit_one(
 
     return ChunkAudit(
         index=index,
-        codec=box.codec,
+        codec=model.codec,
         n=int(flat.size),
         bound_kind=kind,
         bound_value=value,
@@ -664,18 +653,31 @@ def audit_stream(
     sentinel/sign/patch statistics).  Theorem 3's cross-base index
     deviation runs when the original is strictly positive (the analysis
     is stated on positive data) and the stream carries a relative bound.
+    Raises :class:`StreamError` on a damaged stream.
     """
-    from repro.core.chunked import ChunkedCompressor, iter_chunk_blobs
-    from repro.encoding.container import Container
+    from repro.inspection import inspect_stream
 
-    box = Container.from_bytes(blob)
+    return audit_model(inspect_stream(blob), blob, original, check_theorem3)
+
+
+def audit_model(
+    model, blob: bytes, original: np.ndarray | None, check_theorem3: bool
+) -> AuditReport:
+    """:func:`audit_stream` of ``blob`` already read into ``model``."""
+    from repro.encoding.container import ContainerError
+
+    model.raise_if_damaged()
     notes: list[str] = []
     if original is not None:
         original = np.asarray(original)
 
     chunks: list[ChunkAudit] = []
-    if box.codec == ChunkedCompressor.name:
-        elems = box.get_array("elems").astype(np.int64)
+    if model.codec == "CHUNKED":
+        if model.table is None or None in model.chunks:
+            raise model.table_error or ContainerError(
+                "corrupt CHUNKED stream: payload length mismatch"
+            )
+        elems = model.table.elems
         starts = np.concatenate([[0], np.cumsum(elems)])
         flat = original.ravel() if original is not None else None
         if flat is not None and flat.size != int(starts[-1]):
@@ -683,11 +685,11 @@ def audit_stream(
                 f"original has {flat.size} elements, stream reconstructs "
                 f"{int(starts[-1])}"
             )
-        for i, chunk_blob in enumerate(iter_chunk_blobs(blob)):
+        for i, chunk in enumerate(model.chunks):
             part = flat[starts[i] : starts[i + 1]] if flat is not None else None
-            chunks.append(_audit_one(chunk_blob, part, i))
+            chunks.append(_audit_one(chunk, blob[chunk.start : chunk.stop], part, i))
     else:
-        chunks.append(_audit_one(blob, original, None))
+        chunks.append(_audit_one(model, blob, original, None))
 
     rel_chunks = [c for c in chunks if c.bound_kind == "rel"]
     theorem3 = None
@@ -706,10 +708,7 @@ def audit_stream(
         notes.append("stream carries no recoverable native bound")
 
     return AuditReport.from_chunks(
-        chunks, codec=box.codec, theorem3=theorem3, notes=tuple(notes)
+        chunks, codec=model.codec, theorem3=theorem3, notes=tuple(notes)
     )
 
 
-# Keep the dataclass import from being flagged as unused when only
-# asdict is exercised at runtime.
-_ = field

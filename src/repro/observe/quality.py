@@ -696,17 +696,16 @@ _KEY_KINDS = {
 }
 
 
-def _attr_entropy(blob: bytes, s: int, t: int, off: int, name: str, deflated: bool) -> ByteNode:
+def _attr_entropy(pay, a: int, name: str, deflated: bool) -> ByteNode:
     """Split a Huffman blob into code-length table, chunk offsets, packed bits.
 
-    ``s``/``t`` index ``blob``; nodes are emitted at ``off + local``.
+    ``pay`` is the section payload, which starts at absolute offset ``a``.
     """
     from repro.encoding.codecs import read_varint
 
+    b = a + len(pay)
     if deflated:
-        return _leaf(name, "entropy", off + s, off + t,
-                     "whole-stream deflated (stage-3 recompression)")
-    pay = blob[s:t]
+        return _leaf(name, "entropy", a, b, "whole-stream deflated (stage-3 recompression)")
     try:
         _nsym, p = read_varint(pay)
         _cs, p = read_varint(pay, p)
@@ -715,8 +714,7 @@ def _attr_entropy(blob: bytes, s: int, t: int, off: int, name: str, deflated: bo
         if table_end > len(pay):
             raise ValueError("truncated code-length table")
     except ValueError as exc:
-        return _leaf(name, "entropy", off + s, off + t, f"unparsed entropy stream: {exc}")
-    a = off + s
+        return _leaf(name, "entropy", a, b, f"unparsed entropy stream: {exc}")
     kids = [_leaf(f"{name}.table", "entropy-table", a, a + table_end)]
     if table_end < len(pay):
         try:
@@ -725,39 +723,19 @@ def _attr_entropy(blob: bytes, s: int, t: int, off: int, name: str, deflated: bo
             if offs_end > len(pay):
                 raise ValueError("truncated chunk offsets")
             kids.append(_leaf(f"{name}.offsets", "chunk-table", a + table_end, a + offs_end))
-            kids.append(_leaf(f"{name}.bits", "entropy-payload", a + offs_end, off + t))
+            kids.append(_leaf(f"{name}.bits", "entropy-payload", a + offs_end, b))
         except ValueError as exc:
-            kids.append(
-                _leaf(f"{name}.bits", "entropy-payload", a + table_end, off + t, str(exc))
-            )
-    return ByteNode(name, "entropy", a, off + t, _tile(a, off + t, kids))
+            kids.append(_leaf(f"{name}.bits", "entropy-payload", a + table_end, b, str(exc)))
+    return ByteNode(name, "entropy", a, b, _tile(a, b, kids))
 
 
-def _attr_chunked_payload(blob: bytes, s: int, t: int, off: int, box) -> ByteNode:
-    """Recurse into each chunk container of a CHUNKED payload section."""
-    a, b = off + s, off + t
-    try:
-        offs = box.get_array("offs").tolist()
-        lens = box.get_array("lens").tolist()
-    except Exception:  # noqa: BLE001 - corrupt geometry degrades, never raises
-        return _leaf("payload", "payload", a, b, "chunk table unreadable")
-    kids = []
-    for i, (coff, ln) in enumerate(zip(offs, lens)):
-        cs, ct = s + int(coff), s + int(coff) + int(ln)
-        if cs < s or ct > t or ct < cs:
-            break
-        kids.append(attribute_bytes(blob[cs:ct], offset=off + cs, name=f"chunk[{i}]"))
-    return ByteNode("payload", "chunks", a, b, _tile(a, b, kids))
-
-
-def _attr_parity(blob: bytes, s: int, t: int, off: int, box) -> ByteNode:
+def _attr_parity(model, a: int, b: int) -> ByteNode:
     """Split the RS parity section into per-group blocks."""
-    a, b = off + s, off + t
     try:
-        plens = [int(v) for v in box.get_array("parity_lens")]
-    except Exception:  # noqa: BLE001
+        plens = [int(v) for v in model.box.get_array("parity_lens")]
+    except Exception:  # noqa: BLE001 - corrupt geometry degrades, never raises
         return _leaf("parity", "parity", a, b)
-    if sum(plens) != t - s:
+    if sum(plens) != b - a:
         return _leaf("parity", "parity", a, b, "parity_lens disagrees with section size")
     kids, cursor = [], a
     for g, ln in enumerate(plens):
@@ -766,146 +744,103 @@ def _attr_parity(blob: bytes, s: int, t: int, off: int, box) -> ByteNode:
     return ByteNode("parity", "parity", a, b, _tile(a, b, kids))
 
 
-def _classify_payload(
-    codec: str, key: str, blob: bytes, s: int, t: int, off: int, box
-) -> ByteNode:
-    """Attribute one section payload at ``blob[s:t]``; nodes at ``off + local``."""
-    from repro.encoding.container import _MAGIC
+def _attr_payload(model, sec, off: int) -> ByteNode:
+    """Attribute one complete section payload of ``model``."""
+    a, b = off + sec.payload_start, off + sec.payload_stop
+    if sec.child is not None:
+        return attribute_model(sec.child, off)
+    if sec.key == "codes":
+        deflated = model._read("get_u64", "stage3") == 1
+        return _attr_entropy(model.box.get("codes"), a, "codes", deflated)
+    if model.codec == "CHUNKED" and sec.key == "payload":
+        if model.table is None:
+            return _leaf("payload", "payload", a, b, "chunk table unreadable")
+        kids = []
+        for chunk in model.chunks:
+            if chunk is None:
+                break
+            kids.append(attribute_model(chunk, off))
+        return ByteNode("payload", "chunks", a, b, _tile(a, b, kids))
+    if model.codec == "CHUNKED" and sec.key == "parity":
+        return _attr_parity(model, a, b)
+    return _leaf(sec.key, _KEY_KINDS.get(sec.key, "metadata"), a, b)
 
-    if key == "inner" and t - s >= 4 and blob[s : s + 4] == _MAGIC:
-        return attribute_bytes(blob[s:t], offset=off + s, name="inner")
-    if key == "codes":
-        deflated = False
-        if box is not None and "stage3" in box:
-            try:
-                deflated = box.get_u64("stage3") == 1
-            except Exception:  # noqa: BLE001
-                deflated = False
-        return _attr_entropy(blob, s, t, off, key, deflated)
-    if codec == "CHUNKED" and key == "payload" and box is not None:
-        return _attr_chunked_payload(blob, s, t, off, box)
-    if codec == "CHUNKED" and key == "parity" and box is not None:
-        return _attr_parity(blob, s, t, off, box)
-    return _leaf(key, _KEY_KINDS.get(key, "metadata"), off + s, off + t)
+
+def attribute_model(model, offset: int = 0, name: str | None = None) -> ByteNode:
+    """Byte-attribution tree of an inspected stream (see :func:`attribute_bytes`).
+
+    ``model`` is a :class:`repro.inspection.StreamModel`; ``offset``
+    shifts all coordinates and ``name`` renames the root.
+    """
+    name = name or model.name
+    start, end = offset + model.start, offset + model.stop
+    n = model.nbytes
+    if n == 0:
+        return ByteNode(name, "damaged", start, end, (), "empty stream")
+    if model.version is None:  # magic or version rejected
+        return ByteNode(name, "damaged", start, end, (), str(model.header_error))
+    children: list[ByteNode] = []
+
+    def finish(note: str | None = None) -> ByteNode:
+        return ByteNode(name, "container", start, end, _tile(start, end, children), note)
+
+    def bail(pos: int, why: str) -> ByteNode:
+        children.append(_leaf("unparsed", "damaged", pos, end, why))
+        return finish()
+
+    box = model.box
+    if box is None:
+        children.append(_leaf("header", "framing", start, start + 5))
+        return bail(start + 5, f"truncated header: {model.header_error}")
+    children.append(
+        _leaf("header", "framing", start, start + box.header_end,
+              f"magic+version+codec({model.codec})+nsec")
+    )
+    crc = 4 if model.checksummed else 0
+    for sec in model.sections:
+        s, ps, pe = offset + sec.start, offset + sec.payload_start, offset + sec.payload_stop
+        frame = _leaf(f"{sec.key}.frame", "framing", s, ps)
+        if sec.declared_stop > sec.payload_stop:
+            children.append(frame)
+            return bail(ps, f"truncated section {sec.key!r} payload")
+        kids = [frame, _attr_payload(model, sec, offset)]
+        if sec.key == box.truncated_key:
+            children.append(ByteNode(sec.key, "section", s, pe, _tile(s, pe, kids)))
+            return bail(pe, f"truncated checksum of section {sec.key!r}")
+        if crc:
+            kids.append(_leaf(f"{sec.key}.crc", "checksum", pe, pe + crc))
+        children.append(ByteNode(sec.key, "section", s, pe + crc, _tile(s, pe + crc, kids)))
+    pos = start + box.end
+    if box.cut is not None:
+        return bail(pos, f"truncated section header: {box.cut}")
+    note = None
+    if crc:
+        if end - pos == crc:
+            children.append(_leaf("stream.crc", "checksum", pos, end))
+            pos = end
+        elif pos == end:
+            note = "missing stream CRC trailer (truncated)"
+        elif end - pos < crc:
+            children.append(_leaf("stream.crc", "damaged", pos, end, "truncated stream CRC trailer"))
+            pos = end
+    if pos != end:
+        children.append(
+            _leaf("trailing", "damaged", pos, end, f"{end - pos} unexpected trailing bytes")
+        )
+    return finish(note)
 
 
 def attribute_bytes(blob: bytes, offset: int = 0, name: str = "stream") -> ByteNode:
     """Decompose container bytes into an exhaustive byte-attribution tree.
 
-    Walks the v1--v4 framing by hand (same layout the header-peek parsers
-    in ``repro.decompress`` rely on) without verifying checksums, so it
-    works on streams :class:`Container` would reject.  Never raises:
-    structurally unreadable regions become ``damaged`` leaves and the tree
-    still tiles ``[0, len(blob))`` exactly.  ``offset`` shifts all
-    coordinates (used when recursing into nested containers).
+    Renders :func:`repro.inspection.inspect_stream`, so it works on streams
+    :class:`Container` would reject.  Never raises: structurally unreadable
+    regions become ``damaged`` leaves and the tree still tiles ``[0,
+    len(blob))`` exactly.  ``offset`` shifts all coordinates.
     """
-    from repro.encoding.codecs import read_varint
-    from repro.encoding.container import _CRC_BYTES, _KNOWN_VERSIONS, _MAGIC, Container, StreamError
+    from repro.inspection import inspect_stream
 
-    blob = bytes(blob)
-    n = len(blob)
-    end = offset + n
-
-    def leaf(nm, kind, s, t, note=None):
-        return _leaf(nm, kind, offset + s, offset + t, note)
-
-    if n == 0:
-        return ByteNode(name, "damaged", offset, end, (), "empty stream")
-    if n < 5 or blob[:4] != _MAGIC:
-        return ByteNode(name, "damaged", offset, end, (), "bad magic: not a repro container")
-    version = blob[4]
-    if version not in _KNOWN_VERSIONS:
-        return ByteNode(
-            name, "damaged", offset, end, (), f"unsupported container version {version}"
-        )
-    crc = _CRC_BYTES if version >= 2 else 0
-    children: list[ByteNode] = []
-
-    def finish(note: str | None = None) -> ByteNode:
-        return ByteNode(name, "container", offset, end, _tile(offset, end, children), note)
-
-    def bail(pos: int, why: str) -> ByteNode:
-        children.append(leaf("unparsed", "damaged", pos, n, why))
-        return finish()
-
-    try:
-        k, pos = read_varint(blob, 5)
-        if pos + k > n:
-            raise ValueError("truncated codec name")
-        codec = blob[pos : pos + k].decode("utf-8", "replace")
-        pos += k
-        nsec, pos = read_varint(blob, pos)
-    except ValueError as exc:
-        children.append(leaf("header", "framing", 0, min(5, n)))
-        return bail(min(5, n), f"truncated header: {exc}")
-    children.append(leaf("header", "framing", 0, pos, f"magic+version+codec({codec})+nsec"))
-
-    # The typed accessors (chunk geometry, stage-3 flag) come from a
-    # damage-tolerant parse; attribution itself never needs it to succeed.
-    try:
-        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-    except StreamError:
-        box = None
-
-    for _ in range(nsec):
-        sec_start = pos
-        try:
-            klen, p = read_varint(blob, pos)
-            if p + klen > n:
-                raise ValueError("truncated section key")
-            key = blob[p : p + klen].decode("utf-8", "replace")
-            p += klen
-            plen, p = read_varint(blob, p)
-        except ValueError as exc:
-            return bail(sec_start, f"truncated section header: {exc}")
-        pay_start, pay_end = p, p + plen
-        if pay_end > n:
-            children.append(leaf(f"{key}.frame", "framing", sec_start, pay_start))
-            return bail(pay_start, f"truncated section {key!r} payload")
-        sec_children = [
-            leaf(f"{key}.frame", "framing", sec_start, pay_start),
-            _classify_payload(codec, key, blob, pay_start, pay_end, offset, box),
-        ]
-        pos = pay_end
-        if crc:
-            if pos + crc > n:
-                children.append(
-                    ByteNode(
-                        key,
-                        "section",
-                        offset + sec_start,
-                        offset + pos,
-                        _tile(offset + sec_start, offset + pos, sec_children),
-                    )
-                )
-                return bail(pos, f"truncated checksum of section {key!r}")
-            sec_children.append(leaf(f"{key}.crc", "checksum", pos, pos + crc))
-            pos += crc
-        children.append(
-            ByteNode(
-                key,
-                "section",
-                offset + sec_start,
-                offset + pos,
-                _tile(offset + sec_start, offset + pos, sec_children),
-            )
-        )
-
-    note = None
-    if crc:
-        if n - pos == crc:
-            children.append(leaf("stream.crc", "checksum", pos, n))
-            pos = n
-        elif pos == n:
-            note = "missing stream CRC trailer (truncated)"
-        elif n - pos < crc:
-            children.append(leaf("stream.crc", "damaged", pos, n, "truncated stream CRC trailer"))
-            pos = n
-    if pos != n:
-        children.append(
-            leaf("trailing", "damaged", pos, n, f"{n - pos} unexpected trailing bytes")
-        )
-    return finish(note)
+    return attribute_model(inspect_stream(blob), offset, name)
 
 
 def section_kind_map(tree: ByteNode) -> dict[str, str]:
@@ -1086,48 +1021,36 @@ def explain_stream(
     ``StreamError`` notes.  With ``original`` supplied, the stream is
     decompressed and audited (:func:`repro.observe.audit.audit_stream`)
     so the report carries the per-chunk max-error anomalies and the
-    point-wise quality summary.
+    point-wise quality summary.  A rendering of
+    :func:`repro.inspection.inspect_stream`.
     """
-    from repro.encoding.container import Container, StreamError, peek_codec
+    from repro.inspection import inspect_stream
 
     blob = bytes(blob)
-    tree = attribute_bytes(blob)
+    model = inspect_stream(blob)
+    tree = attribute_model(model)
     notes = [f"StreamError: {note}" for note in tree.damage_notes()]
 
-    codec: str | None = None
-    version: int | None = None
-    try:
-        codec = peek_codec(blob)
-        version = blob[4]
-    except StreamError as exc:
-        note = f"StreamError: {exc}"
+    def add(note: str) -> None:
         if note not in notes:
             notes.append(note)
 
-    box = None
-    if codec is not None:
-        try:
-            box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-        except StreamError as exc:
-            notes.append(f"StreamError: {exc}")
-
-    if codec is not None:
-        # Attribution walks structure with checksums off so damaged
-        # streams still tile; a corrupt payload behind intact framing
-        # would then read as "OK".  Run the integrity pass (structure +
-        # stream/section/chunk CRCs, no decompression) and surface its
-        # problems as StreamError notes so ``ok`` means what `repro
-        # verify` means.
-        from repro.integrity import verify_stream
-
-        for problem in verify_stream(blob).problems:
-            note = f"StreamError: {problem}"
-            if note not in notes:
-                notes.append(note)
+    if model.codec is None:
+        add(f"StreamError: {model.header_error}")
+    else:
+        if model.box is None:
+            notes.append(f"StreamError: {model.header_error}")
+        # Attribution reads structure with checksums off so damaged streams
+        # still tile; a corrupt payload behind intact framing would then
+        # read as "OK".  The integrity verdict (structure + stream/section/
+        # chunk CRCs + parity, no decompression) lands here as StreamError
+        # notes so ``ok`` means what `repro verify` means.
+        for problem in model.problems:
+            add(f"StreamError: {problem}")
 
     report = ExplainReport(
-        codec=codec,
-        version=version,
+        codec=model.codec,
+        version=model.version if model.codec is not None else None,
         nbytes=len(blob),
         tree=tree,
         kind_totals=tree.kind_totals(),
@@ -1136,24 +1059,15 @@ def explain_stream(
     )
 
     itemsize = None
-    if box is not None:
-        try:
-            if "dtype" in box and "shape" in box:
-                dtype = box.get_dtype("dtype")
-                shape = box.get_shape("shape")
-                itemsize = dtype.itemsize
-                report.decoded_nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
-                if len(blob):
-                    report.ratio = report.decoded_nbytes / len(blob)
-        except StreamError:
-            pass
-        try:
-            from repro.report import stream_bound
-
-            kind, value = stream_bound(box)
-            report.rel_bound = value if kind == "rel" else None
-        except Exception:  # noqa: BLE001 - bound recovery is best-effort here
-            report.rel_bound = None
+    if model.box is not None:
+        shape, dtype = model.shape, model.dtype
+        if shape is not None and dtype is not None:
+            itemsize = dtype.itemsize
+            report.decoded_nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
+            if len(blob):
+                report.ratio = report.decoded_nbytes / len(blob)
+        kind, value = model.bound
+        report.rel_bound = value if kind == "rel" else None
 
     # Per-chunk geometry (CHUNKED streams): size + ratio per chunk, plus
     # the codec that actually compressed each chunk when the stream was
@@ -1161,25 +1075,15 @@ def explain_stream(
     # to handle is flagged as a "fallback" anomaly: the bytes are valid
     # and the bound holds, but the operator should know the primary codec
     # failed there.
-    if box is not None and codec == "CHUNKED":
-        chunk_codecs: list[str] = []
-        primary = None
-        try:
-            if "chunk_codecs" in box:
-                chunk_codecs = [
-                    c for c in box.get_str("chunk_codecs").split(";") if c
-                ]
-            if "ladder" in box:
-                report.ladder = box.get_str("ladder")
-                primary = report.ladder.split(">")[0]
-            elif chunk_codecs:
-                primary = chunk_codecs[0]
-        except StreamError:
-            pass
-        try:
-            lens = [int(v) for v in box.get_array("lens")]
-            elems = [int(v) for v in box.get_array("elems")]
-            for i, (ln, ne) in enumerate(zip(lens, elems)):
+    if model.box is not None and model.codec == "CHUNKED":
+        report.ladder, chunk_codecs, primary, _ = model.ladder
+        chunk_codecs = chunk_codecs or []
+        if model.table is None:
+            notes.append("StreamError: chunk table unreadable")
+        else:
+            for i, (ln, ne) in enumerate(
+                zip(model.table.lens.tolist(), model.table.elems.tolist())
+            ):
                 rec = {"index": i, "nbytes": ln, "elems": ne}
                 if itemsize and ln:
                     rec["ratio"] = ne * itemsize / ln
@@ -1195,26 +1099,19 @@ def explain_stream(
                             }
                         )
                 report.chunks.append(rec)
-        except StreamError:
-            notes.append("StreamError: chunk table unreadable")
 
     # Offline audit + quality when the original field is available.
-    audit = None
     if original is not None:
-        from repro.observe.audit import audit_stream
+        from repro.observe.audit import audit_model
 
         try:
-            audit = audit_stream(blob, np.asarray(original), check_theorem3=check_theorem3)
+            audit = audit_model(model, blob, np.asarray(original), check_theorem3)
             report.audit_ok = audit.ok
-            summary = getattr(audit, "error_summary", None)
-            if summary:
-                report.quality = dict(summary)
-            for i, chunk in enumerate(audit.chunks):
-                if i < len(report.chunks):
-                    report.chunks[i]["max_rel_err"] = chunk.max_rel
-                elif not report.chunks and len(audit.chunks) == 1:
-                    break
-        except (StreamError, ValueError) as exc:
+            if audit.error_summary:
+                report.quality = dict(audit.error_summary)
+            for rec, chunk in zip(report.chunks, audit.chunks):
+                rec["max_rel_err"] = chunk.max_rel
+        except ValueError as exc:  # StreamError included
             notes.append(f"StreamError: audit failed: {exc}")
 
     # Anomaly flags: ratio and (when audited) max relative error per chunk.

@@ -31,12 +31,10 @@ from repro.observe.metrics import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.chunked import RecoveryReport
-    from repro.observe.audit import AuditReport
 
 __all__ = [
     "QualityReport",
     "StreamStats",
-    "audit_report",
     "build_report",
     "quality_report",
     "stream_bound",
@@ -298,55 +296,36 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
     decode_s = time.perf_counter() - t0
     delta = reg.diff(before)
 
-    box = Container.from_bytes(
-        blob, verify_checksums=False, partial=tolerate_corruption
-    )
+    from repro.inspection import inspect_stream
+    from repro.observe.quality import attribute_model, section_kind_map
+
+    model = inspect_stream(blob)
     n_chunks = inner_codec = parity = None
-    safeguards = patched = None
     ladder = codec_mix = degraded = None
-    if box.codec == "CHUNKED" and "n_chunks" in box:
-        n_chunks = box.get_u64("n_chunks")
-        if "inner_codec" in box:
-            inner_codec = box.get_str("inner_codec")
-        if "parity_k" in box and "group_size" in box:
-            parity = (box.get_u64("parity_k"), box.get_u64("group_size"))
-        if "ladder" in box:
-            ladder = box.get_str("ladder")
-        if "chunk_codecs" in box:
-            codecs = [c for c in box.get_str("chunk_codecs").split(";") if c]
+    if model.codec in ("CHUNKED", "SAFE"):
+        inner_codec = model.inner_codec
+    if model.codec == "CHUNKED" and "n_chunks" in model.box:
+        n_chunks = model.n_chunks
+        if model.parity is not None:
+            parity = (model.parity.k, model.parity.group_size)
+        ladder, codecs, _, degraded = model.ladder
+        if codecs is not None:
             codec_mix = {}
             for c in codecs:
                 codec_mix[c] = codec_mix.get(c, 0) + 1
-            primary = (ladder.split(">") if ladder else codecs)[0] if codecs else None
-            degraded = sum(n for c, n in codec_mix.items() if c != primary)
-    if box.codec == "SAFE":
-        if "safeguards" in box:
-            safeguards = tuple(
-                s for s in box.get_str("safeguards").split(";") if s.strip()
-            )
-        if "inner_codec" in box:
-            inner_codec = box.get_str("inner_codec")
-        if "n_patch" in box:
-            patched = int(box.get_u64("n_patch"))
+        else:
+            degraded = None
     crc = delta.get("crc.verify_s")
-    kind_totals = section_kinds = None
-    try:
-        from repro.observe.quality import attribute_bytes, section_kind_map
-
-        tree = attribute_bytes(blob)
-        kind_totals = tree.kind_totals()
-        section_kinds = section_kind_map(tree)
-    except Exception:  # noqa: BLE001 - attribution is descriptive, never fatal
-        pass
+    tree = attribute_model(model)
     return StreamStats(
-        codec=box.codec,
-        version=box.version,
+        codec=model.codec,
+        version=model.version,
         nbytes=len(blob),
         shape=recon.shape,
         dtype=recon.dtype.name,
         decoded_nbytes=recon.nbytes,
         ratio=compression_ratio(recon.nbytes, len(blob)),
-        sections={key: len(box.get(key)) for key in box.keys()},
+        sections={s.key: s.nbytes for s in model.sections},
         n_chunks=n_chunks,
         inner_codec=inner_codec,
         parity=parity,
@@ -354,30 +333,14 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
         crc_verify_s=float(crc["value"]) if crc else 0.0,
         metrics=delta,
         recovery=recovery,
-        safeguards=safeguards,
-        patched=patched,
-        kind_totals=kind_totals,
-        section_kinds=section_kinds,
+        safeguards=model.safeguards,
+        patched=model.patched if model.codec == "SAFE" else None,
+        kind_totals=tree.kind_totals(),
+        section_kinds=section_kind_map(tree),
         ladder=ladder,
         codec_mix=codec_mix,
         degraded_chunks=degraded,
     )
-
-
-def audit_report(
-    blob: bytes,
-    original: np.ndarray | None = None,
-    check_theorem3: bool = True,
-) -> "AuditReport":
-    """Bound-conformance audit of a stream (see :mod:`repro.observe.audit`).
-
-    Convenience re-export so callers holding a stream and (optionally) its
-    original can get the full Theorem 1 / Lemma 2 / Theorem 3 audit from
-    the same module that builds the other reports.
-    """
-    from repro.observe.audit import audit_stream
-
-    return audit_stream(blob, original, check_theorem3=check_theorem3)
 
 
 def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:

@@ -115,6 +115,29 @@ class TestCorruption:
         with pytest.raises(TruncatedStreamError):
             Container.from_bytes(blob, verify_checksums=False)
 
+    def test_varint_running_into_crc_trailer_is_truncation(self):
+        # One section announced, but its key-length varint's continuation
+        # byte is the last body byte: the read must stop at the 4-byte
+        # stream CRC instead of borrowing trailer bytes.
+        head = Container("T").to_bytes()[:7]  # magic, version, codec "T"
+        blob = head + b"\x01" + b"\x80" + b"\x01\x02\x03\x04"
+        with pytest.raises(TruncatedStreamError, match="truncated varint"):
+            Container.from_bytes(blob, verify_checksums=False)
+        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
+        assert isinstance(box.error, TruncatedStreamError)
+
+    def test_partial_parse_records_offsets_and_keeps_prefix(self):
+        box = Container("T")
+        box.put("a", b"0123456789")
+        box.put("b", b"abcdefghij")
+        blob = box.to_bytes()
+        ranges = section_byte_ranges(blob)
+        assert blob[slice(*ranges["b"])] == b"abcdefghij"
+        cut = Container.from_bytes(blob[: ranges["b"][0] + 4], partial=True)
+        assert cut.truncated_key == "b" and cut.get("b") == b"abcd"
+        assert isinstance(cut.error, TruncatedStreamError)
+        assert not cut.check_section("b") and cut.check_section("a")
+
     def test_nbytes_matches_serialization(self):
         box = Container("T")
         box.put("a", b"abc")

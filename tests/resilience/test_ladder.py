@@ -128,7 +128,8 @@ class TestVisibility:
     def test_stats_explain_verify_audit_surface_fallbacks(self, brittle, field_2d):
         from repro.integrity import verify_stream
         from repro.observe.quality import explain_stream
-        from repro.report import audit_report, build_report
+        from repro.observe.audit import audit_stream
+        from repro.report import build_report
 
         brittle.fail_on = frozenset({2})
         ck = ChunkedCompressor("BRITTLE", chunk_bytes=1024, executor="serial",
@@ -153,5 +154,5 @@ class TestVisibility:
         assert any("fallback rung" in note for note in verify.notes)
 
         # The point-wise bound survives degradation: audit exits clean.
-        audit = audit_report(blob, field_2d)
+        audit = audit_stream(blob, field_2d)
         assert audit.ok

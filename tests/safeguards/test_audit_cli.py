@@ -16,7 +16,8 @@ import pytest
 from repro import AbsoluteBound, Container, PrecisionBound, decompress
 from repro.cli import main
 from repro.compressors.base import get_compressor
-from repro.report import audit_report, stream_bound
+from repro.observe.audit import audit_stream
+from repro.report import stream_bound
 from repro.safeguards import SafeguardedCompressor
 
 from .conftest import EvilCodec
@@ -65,7 +66,7 @@ class TestZfpAcceptance:
         safe = SafeguardedCompressor("ZFP_P", ["rel:1e-3"])
         blob = safe.compress(data, PrecisionBound(14))
         assert stream_bound(Container.from_bytes(blob)) == ("rel", 1e-3)
-        report = audit_report(blob, data)
+        report = audit_stream(blob, data)
         assert report.ok
         assert report.max_rel is not None and report.max_rel <= 1e-3
         assert "rel:0.001" in report.safeguards
@@ -117,7 +118,7 @@ class TestViolationNaming:
         blob = SafeguardedCompressor(EvilCodec("negate"), ["sign"]).compress(
             data, AbsoluteBound(1e30)
         )
-        report = audit_report(blob, data)
+        report = audit_stream(blob, data)
         assert report.ok
         assert report.safeguard_violations.get("sign", 0) == 0
 

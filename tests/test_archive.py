@@ -56,3 +56,53 @@ class TestArchive:
             decompress_dataset(plain)
         with pytest.raises(ValueError, match="archive"):
             archive_manifest(plain)
+
+
+class TestArchiveCommands:
+    """Inspection commands read ARCHIVE streams through their fields."""
+
+    @pytest.fixture()
+    def archive(self, fields, tmp_path):
+        path = tmp_path / "a.rpz"
+        path.write_bytes(
+            compress_dataset(
+                fields, RelativeBound(1e-2),
+                {"density": "SZ_T", "velocity": "ZFP_T"},
+            )
+        )
+        return str(path)
+
+    def test_info_lists_fields(self, archive, capsys):
+        from repro.cli import main
+
+        assert main(["info", archive]) == 0
+        out = capsys.readouterr().out
+        assert "fields: 2" in out
+        assert "field density" in out and "SZ_T" in out
+        assert "field velocity" in out and "ZFP_T" in out
+
+    def test_explain_attributes_field_bytes_to_inner_kinds(self, archive):
+        from pathlib import Path
+
+        from repro.observe.quality import explain_stream
+
+        report = explain_stream(Path(archive).read_bytes())
+        assert report.ok
+        totals = report.kind_totals
+        assert any(kind.startswith("entropy") for kind in totals)
+        assert totals.get("metadata", 0) < 0.05 * report.nbytes
+
+    @pytest.mark.parametrize("command", ["stats", "audit", "decompress"])
+    def test_decoding_commands_point_to_decompress_dataset(
+        self, archive, command, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        argv = [command, archive]
+        if command == "decompress":
+            argv.append(str(tmp_path / "out.npy"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "repro.archive.decompress_dataset" in err
+        assert "unknown codec" not in err

@@ -164,6 +164,14 @@ def test_golden_covers_every_fixture():
     assert all(sorted(cmds) == sorted(COMMANDS) for cmds in _GOLDEN_DATA.values())
 
 
+def test_explain_ok_means_verify_ok():
+    from repro.integrity import verify_stream
+    from repro.observe.quality import explain_stream
+
+    for label, blob in fixtures().items():
+        assert explain_stream(blob).ok == verify_stream(blob).ok, label
+
+
 @pytest.mark.parametrize("label", sorted(_GOLDEN_DATA))
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_output_matches_golden(command, label, captured):
