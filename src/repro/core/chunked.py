@@ -87,6 +87,10 @@ DEFAULT_GROUP_SIZE = 8
 
 _EXECUTORS = ("auto", "serial", "thread", "process")
 
+#: CHUNKED metadata sections whose per-section CRCs must hold before any
+#: recovery or repair can be attempted.
+_CHUNKED_META = ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems")
+
 #: Named fill policies for unrecoverable chunk spans (a float is also
 #: accepted anywhere a fill is).
 _FILL_MODES = ("nan", "zero", "nearest")
@@ -849,7 +853,7 @@ class ChunkedCompressor(Compressor):
             )
         # The metadata sections must be individually intact; their CRCs
         # are still trustworthy even when the stream CRC is not.
-        for key in ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems"):
+        for key in _CHUNKED_META:
             if key in box and not box.check_section(key):
                 raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
         shape = box.get_shape("shape")
@@ -915,15 +919,26 @@ class ParityGeometry(NamedTuple):
     #: Parity block length of every group.
     lens: np.ndarray
 
+    def blocks(self, parity: bytes) -> list[list[bytes | None]]:
+        """Each group's ``k`` blocks cut from ``parity`` (None where bytes are missing)."""
+        out, base = [], 0
+        for size in self.lens.tolist():
+            group: list[bytes | None] = []
+            for _ in range(self.k):
+                end = base + size
+                group.append(bytes(parity[base:end]) if end <= len(parity) else None)
+                base = end
+            out.append(group)
+        return out
+
 
 def read_chunk_table(box: Container) -> ChunkTable:
-    """The chunk table of a CHUNKED container, checked for consistency.
+    """The chunk table of a CHUNKED container; the one validator behind
+    decompress, partial decompress, repair and verify.
 
-    The one validator behind decompress, partial decompress, repair and
-    verify.  Raises :class:`ContainerError` when the table does not
-    describe ``shape``: entry counts, cumulative offsets, positive element
-    counts.  Whether the payload holds every byte the table spans is left
-    to the caller, so recovery can still read a truncated payload.
+    Raises :class:`ContainerError` unless entry counts, cumulative offsets
+    and element counts describe ``shape``.  Whether the payload holds every
+    byte the table spans is left to the caller (recovery reads cut ones).
     """
     shape = box.get_shape("shape")
     n = box.get_u64("n_chunks")
@@ -953,9 +968,8 @@ def read_parity_geometry(box: Container, table: ChunkTable) -> ParityGeometry:
     """The v3 parity geometry of a CHUNKED container, checked against its table.
 
     Raises :class:`ContainerError` on an impossible ``k``/group size, a
-    group count that disagrees with the table, or a parity block length
-    other than the group's longest chunk.  The ``parity`` bytes themselves
-    are not read: damage there is what the geometry lets repair heal.
+    group count the table disagrees with, or a block length other than the
+    group's longest chunk.  The ``parity`` bytes themselves are not read.
     """
     k = int(box.get_u64("parity_k"))
     m = int(box.get_u64("group_size"))

@@ -51,16 +51,10 @@ __all__ = [
 
 _MAGIC = b"RPRC"
 _VERSION = 2
-#: Version written for parity-bearing records (chunk-level erasure
-#: coding, see ``docs/formats.md``).  Same framing as v2 -- the bump is a
-#: format signal so pre-parity readers fail loudly instead of silently
-#: ignoring the parity sections they cannot honour.
-_VERSION_PARITY = 3
-#: Version written for safeguard-bearing records (codec ``SAFE``, see
-#: ``docs/safeguards.md``).  Same framing as v2/v3 -- the bump signals that
-#: honouring the stream's guarantees requires applying the patch sections,
-#: so pre-safeguard readers fail loudly rather than dropping them.
-_VERSION_SAFEGUARDS = 4
+#: v3 marks parity-bearing records (chunk-level erasure coding) and v4
+#: safeguard-bearing ones (codec ``SAFE``); both keep the v2 framing.  The
+#: bumps make older readers fail loudly instead of silently ignoring
+#: sections they cannot honour (see ``docs/formats.md``).
 _KNOWN_VERSIONS = (1, 2, 3, 4)
 _CRC_BYTES = 4
 
@@ -112,22 +106,17 @@ class Container:
         #: CRCs recorded while parsing a v2 stream, for per-section
         #: re-verification (see :meth:`check_section`).
         self._section_crcs: dict[str, int] = {}
-        #: Key of the section whose payload (or CRC) was cut short during
-        #: a ``partial=True`` parse, if any.
-        self.truncated_key: str | None = None
-        #: Where each parsed section sits in the parsed bytes: ``key ->
-        #: (frame start, payload start, payload stop)``.  The section's CRC
-        #: (v2+) follows at ``payload stop``; a cut section's stop may lie
-        #: beyond the bytes.
+        #: Parse bookkeeping.  ``spans``: ``key -> (frame start, payload
+        #: start, payload stop)`` (the v2+ CRC follows at payload stop; a
+        #: cut payload's stop lies beyond the bytes); ``header_end``/``end``:
+        #: where the header and the section walk ended.  ``partial=True``
+        #: only: ``error`` is the defect a strict parse raises on,
+        #: ``truncated_key`` the section cut short and ``cut`` why the walk
+        #: stopped inside a section's framing.
         self.spans: dict[str, tuple[int, int, int]] = {}
-        #: Offset just past the header (codec name and section count).
-        self.header_end = 0
-        #: Offset where the section walk ended.
-        self.end = 0
-        #: ``partial=True`` only: the defect a strict parse raises on
-        #: (None when there is none) and, when the walk stopped inside a
-        #: section's framing, why.
+        self.header_end = self.end = 0
         self.error: StreamError | None = None
+        self.truncated_key: str | None = None
         self.cut: str | None = None
 
     # -- raw sections ------------------------------------------------------
@@ -316,15 +305,7 @@ class Container:
         prefix) the bytes still contain, and a cut section is flagged in
         ``truncated_key``.  Only an unreadable header still raises.
         """
-        if len(data) < 5:
-            if data[: len(data)] == _MAGIC[: len(data)]:
-                raise TruncatedStreamError("stream shorter than the 5-byte header")
-            raise ContainerError("bad magic: not a repro compressed stream")
-        if data[:4] != _MAGIC:
-            raise ContainerError("bad magic: not a repro compressed stream")
-        version = data[4]
-        if version not in _KNOWN_VERSIONS:
-            raise ContainerError(f"unsupported container version {version}")
+        version = _header_version(data)
         if version >= 2 and verify_checksums and not partial:
             if len(data) < 5 + _CRC_BYTES:
                 raise TruncatedStreamError("v2 stream shorter than its CRC trailer")
@@ -372,33 +353,18 @@ class Container:
         trailer = _CRC_BYTES if version >= 2 else 0
         limit = n - trailer
 
-        def varint(pos: int, end: int) -> tuple[int, int]:
-            try:
-                return read_varint(view[:end], pos)
-            except ValueError as exc:
-                raise TruncatedStreamError(str(exc)) from None
-
-        def text(start: int, stop: int, what: str) -> str:
-            try:
-                return str(view[start:stop], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise ContainerError(f"corrupt {what}: {exc}") from None
-
         def header(end: int) -> tuple[str, int, int]:
-            size, pos = varint(5, end)
-            if pos + size > end:
-                raise TruncatedStreamError("truncated codec name")
-            codec = text(pos, pos + size, "codec name")
-            nsec, pos = varint(pos + size, end)
+            codec, pos = _read_codec(view, end)
+            nsec, pos = _read_varint(view, pos, end)
             return codec, nsec, pos
 
         def section(pos: int, end: int) -> int:
             start = pos
-            size, pos = varint(pos, end)
+            size, pos = _read_varint(view, pos, end)
             if pos + size > end:
                 raise TruncatedStreamError("truncated section key")
-            key = text(pos, pos + size, "section key")
-            size, pos = varint(pos + size, end)
+            key = _read_text(view, pos, pos + size, "section key")
+            size, pos = _read_varint(view, pos + size, end)
             stop = pos + size
             if key in out._sections:
                 raise ContainerError(f"duplicate section {key!r}")
@@ -464,14 +430,8 @@ class Container:
         return len(self.to_bytes())
 
 
-def peek_codec(data: bytes) -> str:
-    """Codec name from a container header, without parsing the body.
-
-    Dispatchers use this to route a blob to its compressor; the
-    compressor's own parse then does the full (checksummed) read, so
-    peeking never skips verification -- it just avoids paying for the
-    whole-stream CRC twice.
-    """
+def _header_version(data) -> int:
+    """Version byte of a container; raises on a bad magic or version."""
     if len(data) < 5:
         if data[: len(data)] == _MAGIC[: len(data)]:
             raise TruncatedStreamError("stream shorter than the 5-byte header")
@@ -480,16 +440,42 @@ def peek_codec(data: bytes) -> str:
         raise ContainerError("bad magic: not a repro compressed stream")
     if data[4] not in _KNOWN_VERSIONS:
         raise ContainerError(f"unsupported container version {data[4]}")
+    return data[4]
+
+
+def _read_varint(view: memoryview, pos: int, end: int) -> tuple[int, int]:
+    """A framing varint at ``pos`` that must end by ``end`` (no copying)."""
     try:
-        n, pos = read_varint(data, 5)
+        return read_varint(view[:end], pos)
     except ValueError as exc:
         raise TruncatedStreamError(str(exc)) from None
-    if pos + n > len(data):
-        raise TruncatedStreamError("truncated codec name")
+
+
+def _read_text(view: memoryview, start: int, stop: int, what: str) -> str:
     try:
-        return str(data[pos : pos + n], "utf-8")
+        return str(view[start:stop], "utf-8")
     except UnicodeDecodeError as exc:
-        raise ContainerError(f"corrupt codec name: {exc}") from None
+        raise ContainerError(f"corrupt {what}: {exc}") from None
+
+
+def _read_codec(view: memoryview, end: int) -> tuple[str, int]:
+    """Codec name after the 5-byte header, and the offset past it."""
+    size, pos = _read_varint(view, 5, end)
+    if pos + size > end:
+        raise TruncatedStreamError("truncated codec name")
+    return _read_text(view, pos, pos + size, "codec name"), pos + size
+
+
+def peek_codec(data: bytes) -> str:
+    """Codec name from a container header, without parsing the body.
+
+    Dispatchers use this to route a blob to its compressor; the
+    compressor's own parse then does the full (checksummed) read, so
+    peeking never skips verification -- it just avoids paying for the
+    whole-stream CRC twice.
+    """
+    _header_version(data)
+    return _read_codec(memoryview(data), len(data))[0]
 
 
 def section_byte_ranges(data: bytes) -> dict[str, tuple[int, int]]:

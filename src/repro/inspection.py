@@ -40,6 +40,7 @@ from repro.encoding.container import (
     Container,
     StreamError,
     TruncatedStreamError,
+    _header_version,
     peek_codec,
 )
 from repro.encoding.crc import crc32c, crc32c_combine
@@ -119,16 +120,10 @@ class StreamModel:
     def stream_crc_ok(self) -> bool:
         return self.stored_crc == self.actual_crc
 
-    @property
-    def intact(self) -> bool:
-        """True exactly when ``Container.from_bytes`` would accept the bytes."""
-        return self.damage() is None
-
     def damage(self) -> StreamError | None:
         """The error a verifying ``Container.from_bytes`` raises, or None.
 
-        Same order as the parser: header, then the v2+ stream CRC, then
-        structure.
+        Same order as the parser: header, the v2+ stream CRC, structure.
         """
         if self.version is None:
             return self.error
@@ -155,48 +150,34 @@ class StreamModel:
         sec = self.section(key)
         return sec is not None and sec.crc_ok is not False
 
-    @property
-    def children(self) -> list["StreamModel"]:
-        """Every nested container: section children, then chunks."""
-        out = [s.child for s in self.sections if s.child is not None]
-        return out + [c for c in self.chunks if c is not None]
-
     # -- typed metadata --------------------------------------------------------
 
-    def _read(self, getter: str, key: str):
+    def meta(self, key: str, kind: str = "u64"):
+        """Metadata section ``key`` read with ``Container.get_<kind>``.
+
+        None when the section is absent or does not decode.
+        """
         if self.box is None or key not in self.box:
             return None
         try:
-            return getattr(self.box, getter)(key)
+            return getattr(self.box, f"get_{kind}")(key)
         except (ValueError, struct.error):  # damaged metadata reads as absent
             return None
 
     @property
     def shape(self) -> tuple[int, ...] | None:
-        return self._read("get_shape", "shape")
+        return self.meta("shape", "shape")
 
     @property
     def dtype(self):
-        return self._read("get_dtype", "dtype")
-
-    @property
-    def inner_codec(self) -> str | None:
-        return self._read("get_str", "inner_codec")
-
-    @property
-    def n_chunks(self) -> int | None:
-        return self._read("get_u64", "n_chunks")
-
-    @property
-    def patched(self) -> int | None:
-        return self._read("get_u64", "n_patch")
+        return self.meta("dtype", "dtype")
 
     @property
     def safeguards(self) -> tuple[str, ...] | None:
         """Declared safeguard specs of a SAFE stream."""
         if self.codec != "SAFE":
             return None
-        specs = self._read("get_str", "safeguards")
+        specs = self.meta("safeguards", "str")
         if specs is None:
             return None
         return tuple(s for s in specs.split(";") if s.strip())
@@ -222,8 +203,8 @@ class StreamModel:
         primary rung (first of the chain, else the first chunk's codec) and
         how many chunks a fallback rung compressed.
         """
-        chain = self._read("get_str", "ladder")
-        raw = self._read("get_str", "chunk_codecs")
+        chain = self.meta("ladder", "str")
+        raw = self.meta("chunk_codecs", "str")
         codecs = [c for c in raw.split(";") if c] if raw is not None else None
         primary = chain.split(">")[0] if chain else (codecs[0] if codecs else None)
         degraded = sum(1 for c in codecs or () if c != primary)
@@ -300,8 +281,8 @@ class StreamModel:
             return []
         # Chunks and geometry are intact: the parity bytes must equal a
         # deterministic re-encode (the same check repair relies on).
-        out, base, m = [], 0, geo.group_size
-        for g, glen in enumerate(geo.lens.tolist()):
+        out, m = [], geo.group_size
+        for g, stored in enumerate(geo.blocks(parity)):
             blobs = [
                 bytes(payload[o : o + ln])
                 for o, ln in zip(
@@ -309,13 +290,8 @@ class StreamModel:
                     table.lens[g * m : (g + 1) * m].tolist(),
                 )
             ]
-            stored = [
-                bytes(parity[base + j * glen : base + (j + 1) * glen])
-                for j in range(geo.k)
-            ]
             if encode_parity(blobs, geo.k) != stored:
                 out.append(f"parity group {g}: bytes do not match recomputed parity")
-            base += geo.k * glen
         return out
 
     @property
@@ -354,9 +330,8 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
     data = view[start:stop]
     model = StreamModel(name, start, stop)
     n = len(data)
-    if n >= 5 and data[:4] == _MAGIC and data[4] in (1, 2, 3, 4):
-        model.version = data[4]
     try:
+        model.version = _header_version(data)
         model.codec = peek_codec(data)
         model.box = Container.from_bytes(data, verify_checksums=False, partial=True)
     except StreamError as exc:

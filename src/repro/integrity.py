@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from repro.core.chunked import _CHUNKED_META
 from repro.encoding.container import (
     ChecksumError,
     Container,
@@ -44,10 +45,6 @@ __all__ = [
     "repair_stream",
     "verify_stream",
 ]
-
-#: CHUNKED metadata sections whose per-section CRCs must hold before any
-#: recovery or repair can be attempted.
-_CHUNKED_META = ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems")
 
 #: v3 parity metadata (the ``parity`` payload itself may be damaged --
 #: rebuilt chunks are validated by their own stream CRCs instead).
@@ -109,7 +106,7 @@ def verify_stream(blob: bytes) -> VerifyReport:
         report.checksummed = model.checksummed
         report.n_sections = len(model.sections)
         if model.codec == "CHUNKED":
-            report.n_chunks = model.n_chunks
+            report.n_chunks = model.meta("n_chunks")
     return report
 
 
@@ -294,23 +291,15 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
         if len(piece) < ln:
             damage[i] = "chunk bytes missing (truncated payload)"
             chunks.append(None)
-        elif i < len(model.chunks) and model.chunks[i] is not None and model.chunks[i].intact:
+        elif model.chunks[i] is not None and model.chunks[i].damage() is None:
             chunks.append(piece)
         else:
             damage[i] = "chunk stream failed verification"
             chunks.append(None)
 
-    # Slice the parity payload into per-group blocks; anything not fully
-    # present counts as one more erasure.
-    group_parity: list[list[bytes | None]] = []
-    base = 0
-    for g in range(n_groups):
-        size = int(plens[g])
-        blocks: list[bytes | None] = []
-        for _ in range(k):
-            blocks.append(bytes(pbytes[base : base + size]) if base + size <= len(pbytes) else None)
-            base += size
-        group_parity.append(blocks)
+    # Per-group parity blocks; anything not fully present counts as one
+    # more erasure.
+    group_parity = model.parity.blocks(pbytes)
 
     repairs: list[ChunkRepair] = []
     for g in range(n_groups):

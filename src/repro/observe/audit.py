@@ -577,8 +577,8 @@ def _audit_one(
 
     effective_ba = theorem2_ba = lemma2_ba = None
     lemma2_ok = None
-    patched = model.patched
-    ba, base = model._read("get_f64", "ba"), model._read("get_f64", "base")
+    patched = model.meta("n_patch")
+    ba, base = model.meta("ba", "f64"), model.meta("base", "f64")
     if kind == "rel" and ba is not None and base is not None and value is not None:
         effective_ba = ba
         theorem2_ba, lemma2_ba = lemma2_recomputed(recon, value, base, recon.dtype)

@@ -282,10 +282,6 @@ class _Digest:
     def percentile(self, q: float) -> float:
         return percentile_from_snapshot(self.snapshot(), q)
 
-    @property
-    def bias(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
 
 class ErrorHistogram:
     """Streaming, mergeable digest of point-wise compression errors.
@@ -294,8 +290,9 @@ class ErrorHistogram:
     ``x != 0`` and absolute error over every finite point -- plus counts
     of exact zeros (which have no relative error; the paper's transform
     preserves them bit-exactly) and non-finite points.  ``total`` in each
-    digest is the *signed* error sum, so ``bias_rel``/``bias_abs`` expose
-    systematic over/under-shoot, which single max-error scalars hide.
+    digest is the *signed* error sum, so the ``rel_bias``/``abs_bias`` of
+    :meth:`summary` expose systematic over/under-shoot, which single
+    max-error scalars hide.
 
     Not thread-safe: build one per chunk and :meth:`merge`, or go through
     :func:`record_quality_metrics` and the (thread-safe) registry.
@@ -750,7 +747,7 @@ def _attr_payload(model, sec, off: int) -> ByteNode:
     if sec.child is not None:
         return attribute_model(sec.child, off)
     if sec.key == "codes":
-        deflated = model._read("get_u64", "stage3") == 1
+        deflated = model.meta("stage3") == 1
         return _attr_entropy(model.box.get("codes"), a, "codes", deflated)
     if model.codec == "CHUNKED" and sec.key == "payload":
         if model.table is None:
@@ -1059,15 +1056,13 @@ def explain_stream(
     )
 
     itemsize = None
-    if model.box is not None:
-        shape, dtype = model.shape, model.dtype
-        if shape is not None and dtype is not None:
-            itemsize = dtype.itemsize
-            report.decoded_nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
-            if len(blob):
-                report.ratio = report.decoded_nbytes / len(blob)
-        kind, value = model.bound
-        report.rel_bound = value if kind == "rel" else None
+    shape, dtype = model.shape, model.dtype
+    if shape is not None and dtype is not None:
+        itemsize = dtype.itemsize
+        report.decoded_nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
+        report.ratio = report.decoded_nbytes / len(blob)
+    kind, value = model.bound
+    report.rel_bound = value if kind == "rel" else None
 
     # Per-chunk geometry (CHUNKED streams): size + ratio per chunk, plus
     # the codec that actually compressed each chunk when the stream was

@@ -18,6 +18,7 @@ and the experiment scripts share this code path.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -300,21 +301,9 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
     from repro.observe.quality import attribute_model, section_kind_map
 
     model = inspect_stream(blob)
-    n_chunks = inner_codec = parity = None
-    ladder = codec_mix = degraded = None
-    if model.codec in ("CHUNKED", "SAFE"):
-        inner_codec = model.inner_codec
-    if model.codec == "CHUNKED" and "n_chunks" in model.box:
-        n_chunks = model.n_chunks
-        if model.parity is not None:
-            parity = (model.parity.k, model.parity.group_size)
-        ladder, codecs, _, degraded = model.ladder
-        if codecs is not None:
-            codec_mix = {}
-            for c in codecs:
-                codec_mix[c] = codec_mix.get(c, 0) + 1
-        else:
-            degraded = None
+    parity = (model.parity.k, model.parity.group_size) if model.parity else None
+    ladder, codecs, _, degraded = model.ladder
+    codec_mix = dict(Counter(codecs)) if codecs is not None else None
     crc = delta.get("crc.verify_s")
     tree = attribute_model(model)
     return StreamStats(
@@ -326,20 +315,20 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
         decoded_nbytes=recon.nbytes,
         ratio=compression_ratio(recon.nbytes, len(blob)),
         sections={s.key: s.nbytes for s in model.sections},
-        n_chunks=n_chunks,
-        inner_codec=inner_codec,
+        n_chunks=model.meta("n_chunks"),
+        inner_codec=model.meta("inner_codec", "str"),
         parity=parity,
         decode_s=decode_s,
         crc_verify_s=float(crc["value"]) if crc else 0.0,
         metrics=delta,
         recovery=recovery,
         safeguards=model.safeguards,
-        patched=model.patched if model.codec == "SAFE" else None,
+        patched=model.meta("n_patch") if model.codec == "SAFE" else None,
         kind_totals=tree.kind_totals(),
         section_kinds=section_kind_map(tree),
         ladder=ladder,
         codec_mix=codec_mix,
-        degraded_chunks=degraded,
+        degraded_chunks=degraded if codecs is not None else None,
     )
 
 

@@ -130,8 +130,7 @@ def corrupt_chunk(blob: bytes, index: int, n_bits: int = 1, seed: int = 0) -> by
     lens = box.get_array("lens").astype(np.int64)
     if not 0 <= index < offs.size:
         raise ValueError(f"chunk index {index} outside table of {offs.size} chunks")
-    pstart, _ = section_byte_ranges(blob)["payload"]
-    start = pstart + int(offs[index])
+    start = box.spans["payload"][1] + int(offs[index])
     return flip_random_bits(
         blob, n=n_bits, seed=seed, start=start, stop=start + int(lens[index])
     )
