@@ -844,9 +844,14 @@ class ChunkedCompressor(Compressor):
         the stream's *geometry* (shape, dtype, chunk table) is itself
         unreadable -- without it there is nothing to recover into.
         """
+        from repro.inspection import inspect_stream
+
         fill_value = _fill_scalar(fill)
         fill_mode = fill if isinstance(fill, str) else repr(float(fill))
-        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
+        model = inspect_stream(blob)
+        box = model.box
+        if box is None:
+            raise model.header_error
         if box.codec != self.name:
             raise ContainerError(
                 f"stream was produced by {box.codec!r}, expected {self.name!r}"
@@ -854,12 +859,14 @@ class ChunkedCompressor(Compressor):
         # The metadata sections must be individually intact; their CRCs
         # are still trustworthy even when the stream CRC is not.
         for key in _CHUNKED_META:
-            if key in box and not box.check_section(key):
+            if key in box and not model.crc_ok(key):
                 raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
         shape = box.get_shape("shape")
         dtype = box.get_dtype("dtype")
         total = math.prod(shape)
-        offs, lens, elems = read_chunk_table(box)
+        if model.table is None:
+            raise model.table_error
+        offs, lens, elems = model.table
         n = lens.size
         if n == 0:
             return np.zeros(shape, dtype=dtype), RecoveryReport(0, 0, fill_mode=fill_mode)

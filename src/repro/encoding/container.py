@@ -103,9 +103,6 @@ class Container:
         #: Format version this container was parsed from (or will be
         #: written as).  Version 1 streams carry no checksums.
         self.version = _VERSION
-        #: CRCs recorded while parsing a v2 stream, for per-section
-        #: re-verification (see :meth:`check_section`).
-        self._section_crcs: dict[str, int] = {}
         #: Parse bookkeeping.  ``spans``: ``key -> (frame start, payload
         #: start, payload stop)`` (the v2+ CRC follows at payload stop; a
         #: cut payload's stop lies beyond the bytes); ``header_end``/``end``:
@@ -215,20 +212,6 @@ class Container:
     def checksummed(self) -> bool:
         """True when this container carries (or will be written with) CRCs."""
         return self.version >= 2
-
-    def check_section(self, key: str) -> bool:
-        """Re-verify one section against the CRC recorded at parse time.
-
-        Returns True for sections of v1 streams (no checksum to check) and
-        for sections added locally after parsing.  Used by partial-recovery
-        paths to localize damage without trusting the whole-stream CRC.
-        """
-        if key == self.truncated_key:
-            return False
-        recorded = self._section_crcs.get(key)
-        if recorded is None:
-            return True
-        return crc32c(self.get(key)) == recorded
 
     # -- serialization -----------------------------------------------------
 
@@ -384,8 +367,6 @@ class Container:
                 # chunk-level recovery can salvage what is intact.
                 out.truncated_key = key
                 return min(stop, n)
-            if trailer:
-                (out._section_crcs[key],) = struct.unpack_from("<I", view, stop)
             return stop + trailer
 
         error: StreamError | None = None

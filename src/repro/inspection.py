@@ -191,7 +191,7 @@ class StreamModel:
 
         try:
             return stream_bound(self.box)
-        except Exception:  # noqa: BLE001 - a damaged bound section reads as none
+        except (ValueError, struct.error):  # a damaged bound section reads as none
             return None, None
 
     @cached_property
@@ -353,7 +353,7 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
             model.table = read_chunk_table(box)
             if "parity_k" in box:
                 model.parity = read_parity_geometry(box, model.table)
-        except StreamError as exc:
+        except (ValueError, struct.error) as exc:  # StreamError included
             if model.table is None:
                 model.table_error = exc
             else:

@@ -21,8 +21,10 @@ pieces:
 * :func:`attribute_bytes` -- a byte-attribution tree decomposing any
   v1--v4 container into who-owns-each-byte: framing, CRCs, Huffman table
   vs packed bits, quantizer escape/outlier streams, safeguard patches, RS
-  parity, chunk tables -- per section, per chunk (nested containers and
-  CHUNKED payloads recurse), per stage.  Attribution is *exhaustive by
+  parity, chunk tables -- per section, per chunk (nested containers,
+  CHUNKED payloads and ARCHIVE fields recurse), per stage, rendered from
+  the stream model of :func:`repro.inspection.inspect_stream`
+  (:func:`attribute_model`).  Attribution is *exhaustive by
   construction*: the leaves of the returned tree partition
   ``[0, len(blob))`` exactly, with damage or unknown regions attributed
   to explicit ``damaged``/``unattributed`` leaves instead of being
@@ -59,6 +61,7 @@ __all__ = [
     "ErrorHistogram",
     "ExplainReport",
     "attribute_bytes",
+    "attribute_model",
     "explain_stream",
     "mad_outliers",
     "quality_enabled",
@@ -730,7 +733,7 @@ def _attr_parity(model, a: int, b: int) -> ByteNode:
     """Split the RS parity section into per-group blocks."""
     try:
         plens = [int(v) for v in model.box.get_array("parity_lens")]
-    except Exception:  # noqa: BLE001 - corrupt geometry degrades, never raises
+    except ValueError:  # corrupt geometry degrades, never raises
         return _leaf("parity", "parity", a, b)
     if sum(plens) != b - a:
         return _leaf("parity", "parity", a, b, "parity_lens disagrees with section size")
