@@ -926,17 +926,20 @@ class ParityGeometry(NamedTuple):
     #: Parity block length of every group.
     lens: np.ndarray
 
-    def blocks(self, parity: bytes) -> list[list[bytes | None]]:
-        """Each group's ``k`` blocks cut from ``parity`` (None where bytes are missing)."""
+    def spans(self) -> list[list[tuple[int, int]]]:
+        """Each group's ``k`` block byte ranges within the parity section."""
         out, base = [], 0
         for size in self.lens.tolist():
-            group: list[bytes | None] = []
-            for _ in range(self.k):
-                end = base + size
-                group.append(bytes(parity[base:end]) if end <= len(parity) else None)
-                base = end
-            out.append(group)
+            out.append([(base + j * size, base + (j + 1) * size) for j in range(self.k)])
+            base += self.k * size
         return out
+
+    def blocks(self, parity: bytes) -> list[list[bytes | None]]:
+        """Each group's ``k`` blocks cut from ``parity`` (None where bytes are missing)."""
+        return [
+            [bytes(parity[a:b]) if b <= len(parity) else None for a, b in group]
+            for group in self.spans()
+        ]
 
 
 def read_chunk_table(box: Container) -> ChunkTable:

@@ -108,9 +108,18 @@ class LogTransform:
         of ``+b_a`` would otherwise push ``exp2`` past the exponent range
         and decode to ``inf``.  The clip keeps the result at ``finfo.max``,
         still within the relative bound of any in-range original.
+
+        Zero sentinels never reach ``exp2``: their results would underflow,
+        and numpy's SIMD ``exp2`` drops to a far slower path for results
+        that are subnormal or underflow.  The exponential runs on a copy
+        holding 0 at those positions instead; every other element keeps its
+        array position, hence its SIMD lane, so no output bit moves.
         """
         d = np.asarray(logs)
-        threshold = self.zero_threshold(abs_bound, dtype)
+        zero = d <= self.zero_threshold(abs_bound, dtype)
+        any_zero = zero.any()
+        if any_zero:
+            d = np.where(zero, np.asarray(0, dtype=d.dtype), d)
         with np.errstate(over="ignore"):
             if self.base == 2.0:
                 x = np.exp2(d)
@@ -121,8 +130,10 @@ class LogTransform:
             else:
                 x = np.exp2(d * np.asarray(math.log2(self.base), dtype=d.dtype))
         cap = np.asarray(np.finfo(np.dtype(dtype)).max, dtype=x.dtype)
-        x = np.minimum(x, cap)
-        return np.where(d <= threshold, np.asarray(0, dtype=dtype), x.astype(dtype))
+        x = np.asarray(np.minimum(x, cap), dtype=dtype)
+        if any_zero:
+            np.copyto(x, 0, where=zero)
+        return x
 
     def max_log_magnitude(self, logs: np.ndarray) -> float:
         """``max |log_base x|`` over the mapped data (input to Lemma 2).

@@ -19,10 +19,11 @@ removes every per-symbol Python loop:
 * decoding walks all chunks in parallel, one table-driven step per
   symbol slot: each step gathers a 32-bit window at every chunk's
   cursor, resolves symbol + length from a fused first-level prefix
-  table (with a canonical ``searchsorted`` over the per-length code
-  boundaries for the rare longer codes), and advances all cursors at
-  once -- the per-symbol work is a handful of numpy ops over the chunk
-  vector, never a Python loop over symbols.
+  table, and advances all cursors at once -- the per-symbol work is a
+  handful of numpy ops over the chunk vector, never a Python loop over
+  symbols.  The table is as wide as the stream's longest code, up to 20
+  bits, so every step is one lookup; only codes past that cap take a
+  canonical ``searchsorted`` over the per-length code boundaries.
 
 Blobs remain self-contained and byte-identical to the reference encoder;
 the decoder delegates to the reference chunk state machine only for
@@ -43,11 +44,12 @@ __all__ = ["HuffmanCodec", "huffman_code_lengths", "CODEC_PATH"]
 # compares this path against baselines from a different implementation.
 CODEC_PATH = "vectorized"
 
-# First-level decode table width.  16 bits covers every code the
-# length-limited trees produce for realistic quantizer outputs (the
-# table costs 2**16 * 4 bytes, built per decode in ~0.1 ms), so the
-# slow canonical-search fixup for longer codes almost never runs.
-_TABLE_BITS = 16
+# Cap on the first-level decode table width.  The table is as wide as
+# the stream's longest code up to this cap (2**20 uint32 entries, 4 MiB);
+# quantizer codes on dense fields reach 17-19 bits, so they all resolve
+# in one lookup.  Only codes past the cap -- each rarer than 2**-20 --
+# take the canonical searchsorted fixup.
+_TABLE_BITS = 20
 
 # Chunk cursors are uint32 bit positions; beyond this payload size (in
 # bits) delegate to the reference chunk state machine instead.
@@ -210,8 +212,9 @@ class _Canon:
         self.first_code = first_code
         # Symbols sorted by (length, symbol); offsets[l] = index of the
         # first symbol of length l within sym_sorted.  ``nzi`` is already
-        # symbol-ordered, so a stable sort by length alone suffices.
-        order = np.argsort(key, kind="stable")
+        # symbol-ordered, so a stable sort by length alone suffices (on
+        # the stored uint8 lengths it is a radix sort).
+        order = np.argsort(lengths[nzi], kind="stable")
         self.sym_sorted = nzi[order].astype(np.int64)
         self._sorted_lens = key[order]
         self.offsets = np.zeros(L + 2, dtype=np.int64)
@@ -234,27 +237,29 @@ class _Canon:
             self._code_of = code_of
         return self._code_of
 
-    def build_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """First-level decode table over ``k`` peek bits.
+    def fused_table(self, k: int, dtype=np.uint32) -> np.ndarray:
+        """First-level decode table over ``k`` peek bits, ``(symbol << 6) | length``.
 
-        Returns ``(symbols, lens)`` arrays of size ``2**k``; ``lens == 0``
-        marks prefixes of codes longer than ``k``.  Canonical intervals of
-        codes no longer than ``k`` bits tile ``[0, E)`` contiguously in
-        (length, symbol) order, so the table is two ``np.repeat`` calls.
+        Entry ``p`` resolves every window whose top ``k`` bits are ``p``;
+        0 marks prefixes of codes longer than ``k``.  Canonical intervals
+        of codes no longer than ``k`` bits tile ``[0, E)`` contiguously in
+        (length, symbol) order, so the whole table -- the zero tail
+        included -- is one ``np.repeat``.
         """
-        size = 1 << k
-        table_sym = np.zeros(size, dtype=np.int64)
-        table_len = np.zeros(size, dtype=np.uint8)
         lens = self._sorted_lens
         short = lens <= k
-        syms = self.sym_sorted[short]
         lens = lens[short]
-        if syms.size:
-            spans = np.int64(1) << (k - lens)
-            covered = int(spans.sum())
-            table_sym[:covered] = np.repeat(syms, spans)
-            table_len[:covered] = np.repeat(lens, spans)
-        return table_sym, table_len
+        spans = np.int64(1) << (k - lens)
+        tail = (1 << k) - int(spans.sum())
+        if tail < 0:
+            raise ValueError("corrupt Huffman blob: code lengths overfill the code space")
+        vals = np.append((self.sym_sorted[short] << 6) | lens, 0).astype(dtype)
+        return np.repeat(vals, np.append(spans, tail))
+
+    def build_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`fused_table` split into ``(symbols, lens)`` arrays."""
+        fused = self.fused_table(k, np.int64)
+        return fused >> 6, (fused & 63).astype(np.uint8)
 
 
 class HuffmanCodec:
@@ -378,24 +383,19 @@ class HuffmanCodec:
 
         L = canon.max_len
         k = min(_TABLE_BITS, L)
-        table_sym, table_len = canon.build_table(k)
         # Fused first-level table: one gather yields (symbol << 6) | length,
         # so each walk step needs a single lookup.  Length 0 marks prefixes
         # of codes longer than k bits (resolved canonically below).
-        fused = ((table_sym << 6) | table_len).astype(np.uint32)
+        fused = canon.fused_table(k)
 
-        # window(byte) = payload bits 8*byte..8*byte+31, built from
-        # byte-aligned 32-bit reads; shifting by `pos & 7` left-aligns the
-        # code at any bit cursor (uint32 arithmetic wraps, standing in for
-        # the & 0xFFFFFFFF).
-        pad = np.zeros(raw.size + 8, dtype=np.uint32)
+        # window(byte) = payload bits 8*byte..8*byte+31: an unaligned
+        # big-endian uint32 view at every byte offset of the zero-padded
+        # payload, converted in one pass.  Shifting by `pos & 7` left-aligns
+        # the code at any bit cursor (uint32 arithmetic wraps, standing in
+        # for the & 0xFFFFFFFF).
+        pad = np.zeros(raw.size + 4, dtype=np.uint8)
         pad[: raw.size] = raw
-        W = (
-            (pad[:-7] << np.uint32(24))
-            | (pad[1:-6] << np.uint32(16))
-            | (pad[2:-5] << np.uint32(8))
-            | pad[3:-4]
-        )
+        W = np.ndarray((raw.size + 1,), ">u4", pad, strides=(1,)).astype(np.uint32)
 
         # Canonical boundaries for codes longer than k bits: with Kraft
         # equality the intervals B[l] partition [0, 2**L), so searchsorted
@@ -481,9 +481,11 @@ class HuffmanCodec:
             raise ValueError("corrupt Huffman stream: ran past end of payload")
 
         # Chunks are contiguous and only the last may be short, so the
-        # fused values in output order are the first n of the
-        # (step, chunk) matrix transposed.
-        return (out.T.reshape(-1)[:n] >> np.uint32(6)).astype(np.int64)
+        # symbols in output order are the first n of the (step, chunk)
+        # matrix transposed: one shift writes them transposed into int64.
+        syms = np.empty((nchunks, iters), dtype=np.int64)
+        np.right_shift(out.T, np.uint32(6), out=syms)
+        return syms.reshape(-1)[:n]
 
 
 def _pack_codes(

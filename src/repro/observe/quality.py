@@ -730,18 +730,25 @@ def _attr_entropy(pay, a: int, name: str, deflated: bool) -> ByteNode:
 
 
 def _attr_parity(model, a: int, b: int) -> ByteNode:
-    """Split the RS parity section into per-group blocks."""
-    try:
-        plens = [int(v) for v in model.box.get_array("parity_lens")]
-    except ValueError:  # corrupt geometry degrades, never raises
-        return _leaf("parity", "parity", a, b)
-    if sum(plens) != b - a:
-        return _leaf("parity", "parity", a, b, "parity_lens disagrees with section size")
-    kids, cursor = [], a
-    for g, ln in enumerate(plens):
-        kids.append(_leaf(f"parity[{g}]", "parity", cursor, cursor + ln))
-        cursor += ln
-    return ByteNode("parity", "parity", a, b, _tile(a, b, kids))
+    """Split the RS parity section into per-group, per-block leaves."""
+    geo = model.parity
+    if geo is None:  # corrupt geometry degrades, never raises
+        return _leaf("parity", "parity", a, b, "parity geometry unreadable")
+    expect = int(geo.k * geo.lens.sum())
+    if expect != b - a:
+        return _leaf(
+            "parity", "parity", a, b,
+            f"parity section holds {b - a} bytes, geometry needs {expect}",
+        )
+    groups = []
+    for g, blocks in enumerate(geo.spans()):
+        ga, gb = a + blocks[0][0], a + blocks[-1][1]
+        kids = [
+            _leaf(f"parity[{g}].block[{j}]", "parity", a + s, a + e)
+            for j, (s, e) in enumerate(blocks)
+        ]
+        groups.append(ByteNode(f"parity[{g}]", "parity", ga, gb, _tile(ga, gb, kids)))
+    return ByteNode("parity", "parity", a, b, _tile(a, b, groups))
 
 
 def _attr_payload(model, sec, off: int) -> ByteNode:

@@ -111,3 +111,78 @@ class TestExponentRangeClip:
         x = np.array([1e-3, 1.0, 1e30], dtype=np.float64)
         back = tf.inverse(tf.forward(x, 1e-3), 1e-3, np.float64)
         np.testing.assert_allclose(back, x, rtol=1e-12)
+
+
+def _plain_inverse(tf: LogTransform, d: np.ndarray, ba: float, dtype) -> np.ndarray:
+    """The inverse as one unmasked formula: exp, clip, then zero sentinels."""
+    with np.errstate(over="ignore", under="ignore"):
+        if tf.base == 2.0:
+            x = np.exp2(d)
+        elif tf.base == math.e:
+            x = np.exp(d)
+        elif tf.base == 10.0:
+            x = np.power(np.asarray(10.0, dtype=d.dtype), d)
+        else:
+            x = np.exp2(d * np.asarray(math.log2(tf.base), dtype=d.dtype))
+    x = np.minimum(x, np.asarray(np.finfo(np.dtype(dtype)).max, dtype=x.dtype))
+    zero = d <= tf.zero_threshold(ba, dtype)
+    return np.where(zero, np.asarray(0, dtype=dtype), x.astype(dtype))
+
+
+def _sentinel_heavy(tf: LogTransform, ba: float, dtype, n: int = 4099) -> np.ndarray:
+    """Log values as a sparse field decodes: ~85% perturbed zero sentinels
+    among normal magnitudes, genuine subnormals, the zero threshold with
+    its neighbours, and the overflow clip."""
+    rng = np.random.default_rng(5)
+    dt = np.dtype(dtype)
+    fi = np.finfo(dt)
+    d = (rng.uniform(-40, 40, n) / math.log2(tf.base)).astype(dt)
+    d[rng.random(n) < 0.85] = tf.zero_sentinel(ba, dt) + rng.uniform(-ba, ba)
+    # genuine subnormal magnitudes, between the denormal and normal floors
+    sub = rng.choice(n, 64, replace=False)
+    d[sub] = rng.uniform(tf.floor_log(dt), math.log2(fi.tiny) / math.log2(tf.base), 64)
+    threshold = np.asarray(tf.zero_threshold(ba, dt), dtype=dt)
+    top = np.asarray(tf.max_finite_log(dt), dtype=dt)
+    special = [
+        threshold,
+        np.nextafter(threshold, dt.type(-np.inf)),
+        np.nextafter(threshold, dt.type(np.inf)),
+        top,
+        top + dt.type(ba),
+        tf.floor_log(dt),
+    ]
+    d[rng.choice(n, len(special) * 8, replace=False)] = np.repeat(special, 8)
+    return d
+
+
+class TestSentinelMaskedInverse:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sentinels_never_reach_exp2(self, dtype):
+        # An exp2 of a sentinel underflows; the masked inverse never
+        # computes one, so a strict underflow setting stays silent.
+        tf = LogTransform(2.0)
+        ba = 0.01
+        x = np.zeros(10_000, dtype=dtype)
+        x[::7] = 1.5
+        x[3::11] = 1e-3
+        d = tf.forward(x, ba)
+        with np.errstate(under="raise"):
+            back = tf.inverse(d, ba, dtype)
+        np.testing.assert_allclose(back, x, rtol=1e-6)
+        assert (back[x == 0] == 0).all() and not np.signbit(back).any()
+
+    @pytest.mark.parametrize("base", [2.0, math.e, 10.0, 3.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_plain_formula(self, base, dtype):
+        tf = LogTransform(base)
+        ba = 0.05
+        d = _sentinel_heavy(tf, ba, dtype)
+        got = tf.inverse(d, ba, dtype)
+        want = _plain_inverse(tf, d, ba, dtype)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        bits = np.uint32 if np.dtype(dtype) == np.float32 else np.uint64
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+        # the mix reaches every branch: zeros, subnormals, the clip
+        assert (got == 0).mean() > 0.8
+        assert ((got > 0) & (got < np.finfo(dtype).tiny)).any()
+        assert (got == np.finfo(dtype).max).any()

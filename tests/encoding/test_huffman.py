@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.encoding import HuffmanCodec
-from repro.encoding.huffman import huffman_code_lengths
+from repro.encoding.codecs import deflate, inflate, read_varint, write_varint
+from repro.encoding.huffman import _TABLE_BITS, huffman_code_lengths
 from repro.encoding.huffman_ref import ReferenceHuffmanCodec, reference_code_lengths
 
 
@@ -79,8 +80,10 @@ class TestRoundtrip:
         np.testing.assert_array_equal(codec.decode(codec.encode(syms)), syms)
 
     def test_long_code_fallback_path(self):
-        # Force codes longer than the 14-bit first-level table: a huge
-        # alphabet of equally-rare symbols plus one dominant one.
+        # A huge alphabet of equally-rare symbols plus one dominant one
+        # gives 16- and 17-bit codes: longer than the reference decoder's
+        # 14-bit table, inside the fast decoder's table (as wide as the
+        # longest code up to its cap).
         syms = np.concatenate([
             np.zeros(1 << 18, dtype=np.int64),
             np.arange(1, 40_000, dtype=np.int64),
@@ -139,6 +142,100 @@ class TestRoundtrip:
         assert bits_per_symbol < entropy * 1.1 + 0.1  # dyadic probs: ~optimal
 
 
+def _fibonacci_symbols(m: int, seed: int) -> np.ndarray:
+    """Shuffled symbols with Fibonacci counts: code lengths up to ``m - 1``."""
+    counts = [1, 1]
+    while len(counts) < m:
+        counts.append(counts[-1] + counts[-2])
+    syms = np.repeat(np.arange(m), counts)
+    np.random.default_rng(seed).shuffle(syms)
+    return syms
+
+
+def _regime_symbols(regime: str) -> np.ndarray:
+    """Symbols whose longest code puts the fast decoder in ``regime``."""
+    if regime == "short":  # every code within 16 bits
+        syms = np.arange(64).repeat(np.arange(1, 65))
+        np.random.default_rng(20).shuffle(syms)
+        return syms
+    if regime == "table":  # longer than 16 bits, within the table cap
+        return _fibonacci_symbols(19, seed=21)
+    return _fibonacci_symbols(23, seed=22)  # "fixup": past the cap
+
+
+def _split(blob: bytes) -> dict:
+    """The fields of a Huffman blob, its two tables inflated."""
+    n, pos = read_varint(blob)
+    chunk, pos = read_varint(blob, pos)
+    sz, pos = read_varint(blob, pos)
+    lengths = np.frombuffer(inflate(blob[pos : pos + sz]), dtype=np.uint8).copy()
+    pos += sz
+    sz, pos = read_varint(blob, pos)
+    deltas = np.frombuffer(inflate(blob[pos : pos + sz]), dtype=np.uint32).copy()
+    pos += sz
+    total_bits, pos = read_varint(blob, pos)
+    return {"n": n, "chunk": chunk, "lengths": lengths, "deltas": deltas,
+            "total_bits": total_bits, "payload": blob[pos:]}
+
+
+def _join(f: dict) -> bytes:
+    len_table, offs = deflate(f["lengths"].tobytes()), deflate(f["deltas"].tobytes())
+    return b"".join([
+        write_varint(f["n"]), write_varint(f["chunk"]),
+        write_varint(len(len_table)), len_table, write_varint(len(offs)), offs,
+        write_varint(f["total_bits"]), f["payload"],
+    ])
+
+
+class TestCorruptionPerTableRegime:
+    """Every corruption check, with the first-level table covering all
+    codes (max length <= 16, or between 16 and the cap) and with the
+    canonical fixup for codes past the cap."""
+
+    @pytest.fixture(params=["short", "table", "fixup"])
+    def blob(self, request) -> bytes:
+        syms = _regime_symbols(request.param)
+        longest = int(huffman_code_lengths(np.bincount(syms)).max())
+        bounds = {"short": (1, 16), "table": (17, _TABLE_BITS),
+                  "fixup": (_TABLE_BITS + 1, 25)}[request.param]
+        assert bounds[0] <= longest <= bounds[1]  # the premise of the regime
+        blob = HuffmanCodec().encode(syms)
+        np.testing.assert_array_equal(HuffmanCodec().decode(blob), syms)
+        return blob
+
+    def test_payload_bit_flips(self, blob):
+        # A flip that only swaps codewords of equal length is undetectable
+        # without a checksum; one damaged byte per ~chunk makes some chunk
+        # overrun its successor.
+        f = _split(blob)
+        payload = bytearray(f["payload"])
+        for i in range(32, len(payload), 64):
+            payload[i] ^= 0xFF
+        f["payload"] = bytes(payload)
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+    def test_truncation(self, blob):
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(blob[:-4])
+
+    def test_kraft_gap_length_table(self, blob):
+        # One symbol of the shortest length moved a bit longer: the code
+        # space keeps a gap that the payload's prefixes run into.
+        f = _split(blob)
+        lengths = f["lengths"]
+        used = np.flatnonzero(lengths)
+        lengths[used[np.argmin(lengths[used])]] += 1
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+    def test_chunk_offset_past_total_bits(self, blob):
+        f = _split(blob)
+        f["deltas"][-1] += np.uint32(f["total_bits"])
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+
 class TestReferenceEquivalence:
     """The vectorized codec against the retained pre-vectorization one.
 
@@ -187,7 +284,7 @@ class TestReferenceEquivalence:
             counts.append(counts[-1] + counts[-2])
         syms = np.repeat(np.arange(len(counts)), counts)
         lengths = huffman_code_lengths(np.bincount(syms))
-        assert lengths.max() > 16  # the premise of this test
+        assert lengths.max() > _TABLE_BITS  # the premise of this test
         self.assert_equivalent(syms)
 
     def test_code_lengths_match_reference(self):

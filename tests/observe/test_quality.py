@@ -197,6 +197,26 @@ class TestByteAttribution:
         totals = attribute_bytes(comp.compress(field, RelativeBound(BOUND))).kind_totals()
         assert totals.get("parity", 0) > 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_parity_split_per_group_and_block(self, field, k):
+        comp = ChunkedCompressor(
+            "SZ_T", chunk_bytes=1 << 14, executor="serial", parity=k, group_size=2
+        )
+        blob = comp.compress(field, RelativeBound(BOUND))
+        lens = Container.from_bytes(blob).get_array("parity_lens").tolist()
+        assert len(lens) >= 2  # several groups, each of k blocks
+        tree = attribute_bytes(blob)
+        tree.check_exhaustive()
+        node = next(n for n in tree.walk() if n.name == "parity" and n.kind == "parity")
+        assert node.note is None and node.nbytes == k * sum(lens)
+        assert [g.name for g in node.children] == [f"parity[{g}]" for g in range(len(lens))]
+        for g, (group, ln) in enumerate(zip(node.children, lens)):
+            assert [b.name for b in group.children] == [
+                f"parity[{g}].block[{j}]" for j in range(k)
+            ]
+            assert [b.nbytes for b in group.children] == [ln] * k
+            assert all(b.kind == "parity" for b in group.children)
+
     def test_section_kind_map_names_payload_kinds(self, field):
         blob = compress(field, RelativeBound(BOUND), "SZ_T")
         kinds = section_kind_map(attribute_bytes(blob))

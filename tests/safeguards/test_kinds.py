@@ -107,14 +107,33 @@ class TestMasks:
         xd[::31] = x[::31]  # bit-identical stretches
         xd[3::101] = np.nan
         xd[5::103] = np.inf
+        # Zero-heavy input, as a sparse field decodes: mostly exact zeros,
+        # a few zeros decoded nonzero (tiny, subnormal and large), +-0
+        # pairs in both orders, NaN on either side, and exact matches of
+        # tiny nonzero values.
+        z = np.zeros(n, dtype=np.float32)
+        zd = np.zeros(n, dtype=np.float32)
+        z[::9] = x[::9]
+        zd[::9] = xd[::9]
+        zd[1::211] = np.float32(1e-40)
+        zd[2::223] = np.float32(1e-30)
+        zd[4::227] = np.float32(1.0)
+        zd[6::229] = -0.0
+        z[8::233] = -0.0
+        z[10::239] = np.nan
+        zd[12::241] = np.nan
+        z[14::251] = zd[14::251] = np.float32(1e-38)
+        z[16::257] = zd[16::257] = np.float32(-1e-44)
         sg = RelErrorSafeguard(br)
-        got = sg.violation_mask(x, xd)
-        with np.errstate(invalid="ignore"):
-            x64 = x.astype(np.float64)
-            err = np.abs(xd.astype(np.float64) - x64)
-            want = ~(err <= br * np.abs(x64)) & np.isfinite(x64)
-        assert got.dtype == bool and got.shape == x.shape
-        assert (got == want).all()
+        for a, b in ((x, xd), (z, zd)):
+            got = sg.violation_mask(a, b)
+            with np.errstate(invalid="ignore"):
+                a64 = a.astype(np.float64)
+                err = np.abs(b.astype(np.float64) - a64)
+                want = ~(err <= br * np.abs(a64)) & np.isfinite(a64)
+            assert got.dtype == bool and got.shape == a.shape
+            assert (got == want).all()
+        assert want.any() and not want.all()
 
     def test_ulp_zero_signs_are_one_apart(self):
         x = np.array([0.0, 0.0])
