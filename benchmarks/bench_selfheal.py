@@ -98,7 +98,7 @@ def test_repair_two_losses_per_group(benchmark, field):
 def test_armed_watchdog_is_free(benchmark, field):
     """A generous never-firing timeout must not slow compression down."""
     plain = ChunkedCompressor("SZ_T", executor="serial")
-    armed = ChunkedCompressor("SZ_T", executor="serial", timeout=600.0)
+    armed = ChunkedCompressor("SZ_T", executor="serial", policy="chunk-timeout=600")
 
     t0 = time.perf_counter()
     want = plain.compress(field, RelativeBound(BOUND))

@@ -8,7 +8,9 @@ Usage::
 Walks every public module of :mod:`repro`, collects module docstrings and
 the signatures + first docstring paragraph of public classes/functions,
 and emits a single markdown reference.  Deliberately dependency-free (no
-sphinx); re-run after API changes and commit the output.
+sphinx); re-run after API changes and commit the output.  The output is
+deterministic, so CI regenerates it and fails on any difference from the
+committed file.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 
 import repro
@@ -47,6 +50,16 @@ def signature_of(obj) -> str:
         return "(...)"
 
 
+#: A function's ``repr``, whose address changes from run to run.
+_FUNCTION_REPR = re.compile(r"<function (\S+) at 0x[0-9a-f]+>")
+
+
+def render_value(obj) -> str:
+    """``repr`` of a data value, with the functions inside it shown by
+    qualified name so the output is the same on every run."""
+    return _FUNCTION_REPR.sub(r"\1", repr(obj))
+
+
 def document_module(name: str, module) -> list[str]:
     lines = [f"## `{name}`", ""]
     head = first_paragraph(module.__doc__)
@@ -76,7 +89,7 @@ def document_module(name: str, module) -> list[str]:
             lines.append(f"### `{symbol}{signature_of(obj)}`")
             lines += ["", first_paragraph(obj.__doc__), ""]
         else:
-            lines.append(f"### data `{symbol}` = `{obj!r}`")
+            lines.append(f"### data `{symbol}` = `{render_value(obj)}`")
             lines.append("")
     return lines
 

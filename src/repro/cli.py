@@ -199,7 +199,6 @@ def _journaled_compress(args, bound) -> int:
         workers=args.workers,
         parity=args.parity,
         group_size=args.group_size if args.parity is not None else None,
-        chunk_timeout=args.chunk_timeout,
     )
     print(f"{args.input}: {result.summary()}")
     return 0
@@ -222,9 +221,7 @@ def _cmd_compress(args) -> int:
 
         compressor = DegradationLadder.with_fallbacks(compressor, args.ladder)
         label = ">".join([label, *compressor.rung_names[1:]])
-    chunked_opts = (
-        args.chunk_size, args.workers, args.parity, args.chunk_timeout, args.policy,
-    )
+    chunked_opts = (args.chunk_size, args.workers, args.parity, args.policy)
     if any(v is not None for v in chunked_opts):
         from repro.core.chunked import ChunkedCompressor
 
@@ -236,8 +233,6 @@ def _cmd_compress(args) -> int:
         if args.parity is not None:
             kwargs["parity"] = args.parity
             kwargs["group_size"] = args.group_size
-        if args.chunk_timeout is not None:
-            kwargs["timeout"] = args.chunk_timeout
         if args.policy is not None:
             kwargs["policy"] = args.policy
         chunked = ChunkedCompressor(compressor, **kwargs)
@@ -608,9 +603,6 @@ def main(argv: list[str] | None = None) -> int:
                            "(writes a v3 stream; implies chunking)")
     comp.add_argument("--group-size", type=_positive_int, default=8, metavar="M",
                       help="data chunks per parity group (default 8)")
-    comp.add_argument("--chunk-timeout", type=float, default=None, metavar="SEC",
-                      help="per-chunk watchdog deadline: hung workers are "
-                           "cancelled and retried (implies chunking)")
     comp.add_argument("--policy", type=_parse_policy_spec, default=None,
                       metavar="SPEC",
                       help="resilience policy spec, e.g. 'retries=3;backoff=0.1;"
@@ -619,8 +611,8 @@ def main(argv: list[str] | None = None) -> int:
                            "see docs/resilience.md)")
     comp.add_argument("--ladder", type=_parse_ladder, default=None, metavar="A>B",
                       help="graceful-degradation fallback chain tried in order "
-                           "when the compressor fails, hangs or breaks the "
-                           "bound, e.g. SZ_T>GZIP")
+                           "when the compressor fails or breaks the bound, "
+                           "e.g. SZ_T>GZIP")
     comp.add_argument("--journal", default=None, metavar="DIR",
                       help="write-ahead journal directory: the job can be "
                            "killed at any point and finished with "

@@ -55,7 +55,7 @@ from repro.resilience.policy import (
     JobDeadlineError,
     ResiliencePolicy,
     ResilienceReport,
-    parse_policy,
+    as_policy,
 )
 from repro.observe.metrics import metrics
 from repro.observe.propagate import absorb, run_traced
@@ -267,20 +267,19 @@ class ChunkedCompressor(Compressor):
     group_size:
         Data chunks per parity group (default 8; ``group_size + parity``
         is capped at 255 by GF(256)).
-    timeout:
-        Per-chunk watchdog deadline in seconds (None = no watchdog).  A
-        chunk whose worker has not delivered within ``timeout`` of being
-        submitted is cancelled and retried on a fresh worker -- up to
-        ``timeout_retries`` times with exponential backoff starting at
-        ``timeout_backoff_s`` -- before :class:`ChunkTimeoutError` is
-        raised.  With a timeout set, even ``serial`` runs go through a
-        single-slot pool so the deadline is enforceable.
     policy:
-        A :class:`repro.resilience.ResiliencePolicy` (or its spec string,
-        e.g. ``"retries=3;chunk-timeout=2;breaker=0.5/8;ladder=GZIP"``)
-        that supersedes the individual retry/backoff/timeout knobs above,
-        adds a whole-job deadline and memory-budgeted worker cap, arms a
-        failure-rate circuit breaker, and may wrap ``inner`` in a
+        A :class:`repro.resilience.ResiliencePolicy`, its spec string
+        (e.g. ``"retries=3;chunk-timeout=2;breaker=0.5/8;ladder=GZIP"``),
+        or None for the defaults.  ``chunk-timeout`` arms the per-chunk
+        watchdog: a chunk whose worker has not delivered within that many
+        seconds of being submitted is cancelled and retried on a fresh
+        worker -- up to ``retries`` times, pausing
+        :meth:`~repro.resilience.ResiliencePolicy.backoff_for` between
+        attempts -- before :class:`ChunkTimeoutError` is raised; even
+        ``serial`` runs then go through a single-slot pool so the
+        deadline is enforceable.  The policy also sets the whole-job
+        deadline and memory-budgeted worker cap, arms the failure-rate
+        circuit breaker, and may wrap ``inner`` in a
         :class:`~repro.resilience.DegradationLadder` of fallback codecs.
         See ``docs/resilience.md``.
 
@@ -301,10 +300,7 @@ class ChunkedCompressor(Compressor):
         executor: str = "auto",
         parity: int = 0,
         group_size: int = DEFAULT_GROUP_SIZE,
-        timeout: float | None = None,
-        timeout_retries: int = 2,
-        timeout_backoff_s: float = 0.05,
-        policy: "ResiliencePolicy | str | None" = None,
+        policy: ResiliencePolicy | str | None = None,
     ) -> None:
         if chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
@@ -321,40 +317,21 @@ class ChunkedCompressor(Compressor):
                 f"group_size + parity must not exceed {MAX_GROUP_BLOCKS} "
                 f"(GF(256)), got {group_size} + {parity}"
             )
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if timeout_retries < 0:
-            raise ValueError(f"timeout_retries must be >= 0, got {timeout_retries}")
-        if timeout_backoff_s < 0:
-            raise ValueError(f"timeout_backoff_s must be >= 0, got {timeout_backoff_s}")
         self._inner = inner
         self.chunk_bytes = int(chunk_bytes)
         self.workers = int(workers) if workers is not None else _available_workers()
         self.executor = executor
         self.parity = int(parity)
         self.group_size = int(group_size)
-        self.timeout = float(timeout) if timeout is not None else None
-        self.timeout_retries = int(timeout_retries)
-        self.timeout_backoff_s = float(timeout_backoff_s)
-        self.policy = parse_policy(policy) if isinstance(policy, str) else policy
-        if self.policy is not None:
-            # A policy is the single source of truth for the knobs it
-            # covers: its retry/backoff/deadline fields supersede the
-            # legacy per-knob arguments, its memory budget caps workers,
-            # and its ladder wraps the inner codec in fallback rungs.
-            pol = self.policy
-            if pol.chunk_timeout_s is not None:
-                self.timeout = pol.chunk_timeout_s
-            self.timeout_retries = pol.retries
-            self.timeout_backoff_s = pol.backoff_s
-            self.workers = pol.max_workers(self.workers, self.chunk_bytes)
-            if pol.ladder:
-                from repro.resilience.ladder import DegradationLadder
+        self.policy = as_policy(policy)
+        self.workers = self.policy.max_workers(self.workers, self.chunk_bytes)
+        if self.policy.ladder:
+            from repro.resilience.ladder import DegradationLadder
 
-                if not isinstance(self._inner, DegradationLadder):
-                    self._inner = DegradationLadder.with_fallbacks(
-                        self._inner, pol.ladder
-                    )
+            if not isinstance(self._inner, DegradationLadder):
+                self._inner = DegradationLadder.with_fallbacks(
+                    self._inner, self.policy.ladder
+                )
         self._job_started: float | None = None
         self._incidents: list[ChunkIncident] = []
         #: Resilience outcome of the most recent compress() call (None
@@ -399,7 +376,7 @@ class ChunkedCompressor(Compressor):
         if mode == "auto":
             mode = "process" if nworkers > 1 else "serial"
         if mode == "serial" or nworkers < 2:
-            if self.timeout is not None:
+            if self.policy.chunk_timeout_s is not None:
                 # A deadline is only enforceable on work we can abandon:
                 # run nominally-serial jobs through one pool thread.
                 return ThreadPoolExecutor(max_workers=1)
@@ -412,9 +389,9 @@ class ChunkedCompressor(Compressor):
         """A disposable single-slot pool for retrying a timed-out chunk.
 
         Process mode gets a brand-new process (the hung one may be
-        wedged beyond recovery); every other mode -- thread, serial-with-
-        timeout, injected test executors -- gets a fresh thread, which
-        insulates the retry from whatever stalled the original pool.
+        wedged beyond recovery); every other mode -- thread, serial with a
+        chunk timeout, injected test executors -- gets a fresh thread,
+        which insulates the retry from whatever stalled the original pool.
         """
         if not callable(self.executor) and (
             self.executor == "process"
@@ -443,11 +420,7 @@ class ChunkedCompressor(Compressor):
 
     def _job_deadline_at(self) -> float | None:
         """Absolute perf-counter time the whole job must finish by."""
-        if (
-            self.policy is None
-            or self.policy.job_timeout_s is None
-            or self._job_started is None
-        ):
+        if self.policy.job_timeout_s is None or self._job_started is None:
             return None
         return self._job_started + self.policy.job_timeout_s
 
@@ -464,8 +437,8 @@ class ChunkedCompressor(Compressor):
     def _wait(self, fut: Future, submitted_at: float):
         """``fut.result()`` honouring the chunk watchdog and job deadline."""
         deadlines = []
-        if self.timeout is not None:
-            deadlines.append(submitted_at + self.timeout)
+        if self.policy.chunk_timeout_s is not None:
+            deadlines.append(submitted_at + self.policy.chunk_timeout_s)
         job_deadline = self._job_deadline_at()
         if job_deadline is not None:
             deadlines.append(job_deadline)
@@ -482,22 +455,18 @@ class ChunkedCompressor(Compressor):
     def _retry_timed_out(self, fn, job, index: int, parent) -> object:
         """Bounded fresh-worker retry of a chunk whose worker hung.
 
-        Each attempt gets its own single-slot pool and the full
-        ``timeout`` budget, after an exponential-backoff pause; the hung
-        attempt's pool is abandoned, never joined.  Exhausting
-        ``timeout_retries`` raises :class:`ChunkTimeoutError`.
+        Each attempt gets its own single-slot pool and the full chunk
+        timeout, after the policy's backoff pause; the hung attempt's pool
+        is abandoned, never joined.  Exhausting the policy's ``retries``
+        raises :class:`ChunkTimeoutError`.
         """
         reg = metrics()
-        delay = self.timeout_backoff_s
-        for attempt in range(1, self.timeout_retries + 1):
+        timeout, retries = self.policy.chunk_timeout_s, self.policy.retries
+        for attempt in range(1, retries + 1):
             self._check_job_deadline()
-            if self.policy is not None:
-                pause = self.policy.backoff_for(attempt, index)
-            else:
-                pause = delay
+            pause = self.policy.backoff_for(attempt, index)
             if pause:
                 time.sleep(pause)
-            delay *= 2
             emit_event(
                 "chunk-retry", index=index, codec=self.name,
                 reason="timeout", attempt=attempt,
@@ -513,7 +482,7 @@ class ChunkedCompressor(Compressor):
                 reg.counter("chunks.timed_out").inc()
                 emit_event(
                     "chunk-timeout", index=index, codec=self.name,
-                    timeout_s=self.timeout, attempt=attempt,
+                    timeout_s=timeout, attempt=attempt,
                 )
                 continue
             except StreamError:
@@ -531,9 +500,8 @@ class ChunkedCompressor(Compressor):
             reg.histogram("chunk.exec_s").observe(telem.wall_s)
             return result
         raise ChunkTimeoutError(
-            f"chunk {index} exceeded its {self.timeout}s deadline on "
-            f"{self.timeout_retries + 1} worker(s) (initial + "
-            f"{self.timeout_retries} retries)"
+            f"chunk {index} exceeded its {timeout}s deadline on "
+            f"{retries + 1} worker(s) (initial + {retries} retries)"
         )
 
     def _map(self, fn, jobs: list) -> list:
@@ -553,7 +521,7 @@ class ChunkedCompressor(Compressor):
         self.last_retried_chunks = 0
         self.last_timed_out_chunks = 0
         self._incidents = []
-        breaker = self.policy.breaker() if self.policy is not None else None
+        breaker = self.policy.breaker()
         reg = metrics()
         pool = self._make_pool(len(jobs))
         if pool is None:
@@ -589,7 +557,7 @@ class ChunkedCompressor(Compressor):
                     reg.counter("chunks.timed_out").inc()
                     emit_event(
                         "chunk-timeout", index=i, codec=self.name,
-                        timeout_s=self.timeout, attempt=0,
+                        timeout_s=self.policy.chunk_timeout_s, attempt=0,
                     )
                     continue
                 except StreamError:
@@ -629,7 +597,7 @@ class ChunkedCompressor(Compressor):
                 raise CircuitOpenError(breaker.describe())
         for i in timed_out:
             self._incidents.append(ChunkIncident(
-                i, "timeout", f"worker hung past {self.timeout}s"
+                i, "timeout", f"worker hung past {self.policy.chunk_timeout_s}s"
             ))
             self._check_job_deadline()
             results[i] = self._retry_timed_out(fn, jobs[i], i, parent)
@@ -695,6 +663,9 @@ class ChunkedCompressor(Compressor):
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
         inner = self.inner
         inner._check_bound(bound)
+        # Cleared first, so a compress that raises (breaker, watchdog, job
+        # deadline) never leaves the previous call's report behind.
+        self.last_resilience = None
         self._job_started = time.perf_counter()
         data = np.asarray(data)
         if data.size == 0:

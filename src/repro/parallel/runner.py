@@ -25,9 +25,9 @@ from repro.observe.metrics import metrics
 from repro.observe.propagate import run_traced
 from repro.observe.tracer import span, spans_from_dicts
 from repro.parallel.comm import FakeComm, run_spmd
+from repro.resilience.policy import JobDeadlineError, ResiliencePolicy, as_policy
 
 __all__ = [
-    "RankDeadlineError",
     "RankTiming",
     "DumpSummary",
     "atomic_write_bytes",
@@ -36,19 +36,10 @@ __all__ = [
 ]
 
 
-class RankDeadlineError(TimeoutError):
-    """A rank blew through its dump/load deadline.
-
-    Like :class:`repro.core.chunked.ChunkTimeoutError` this is an
-    environment fault, not stream damage -- deliberately outside the
-    ``StreamError`` hierarchy.
-    """
-
-
 def _check_deadline(
     rank: int, phase: str, started: float, deadline_s: float | None
 ) -> None:
-    """Raise :class:`RankDeadlineError` when ``rank`` is over budget.
+    """Raise :class:`JobDeadlineError` when ``rank`` is over its ``job-timeout``.
 
     Checked at phase boundaries (after compress/decompress and after
     I/O): a rank cannot be killed mid-syscall from its own thread, but a
@@ -65,7 +56,7 @@ def _check_deadline(
         "rank-deadline", rank=rank, phase=phase,
         elapsed_s=round(elapsed, 6), deadline_s=deadline_s,
     )
-    raise RankDeadlineError(
+    raise JobDeadlineError(
         f"rank {rank} exceeded its {deadline_s}s deadline after {phase} "
         f"({elapsed:.3f}s elapsed)"
     )
@@ -137,8 +128,7 @@ def _fsync_parent_dir(path: str) -> None:
 def atomic_write_bytes(
     path: str,
     blob: bytes,
-    retries: int = 3,
-    backoff_s: float = 0.05,
+    policy: ResiliencePolicy | str | None = None,
     _sleep=time.sleep,
 ) -> None:
     """Write ``blob`` to ``path`` atomically, retrying transient failures.
@@ -148,7 +138,9 @@ def atomic_write_bytes(
     rename itself is durable -- a mid-write crash (or power loss) can
     leave a stale temp file but never a truncated or vanished ``path``.
     Transient ``OSError``s (full/flaky filesystem, NFS hiccups) are
-    retried with exponential backoff before the last error propagates.
+    retried up to ``policy.retries`` times, pausing
+    :meth:`~repro.resilience.ResiliencePolicy.backoff_for` between
+    attempts, before the last error propagates.
 
     The named crash points (:func:`repro.resilience.crashpoints.reach`)
     let the chaos harness kill this function at every boundary and assert
@@ -156,8 +148,9 @@ def atomic_write_bytes(
     """
     from repro.resilience.crashpoints import reach
 
+    policy = as_policy(policy)
     tmp = path + ".tmp"
-    for attempt in range(retries + 1):
+    for attempt in range(policy.retries + 1):
         try:
             t0 = time.perf_counter()
             with open(tmp, "wb") as fh:
@@ -174,10 +167,10 @@ def atomic_write_bytes(
             reg.counter("io.bytes_written").inc(len(blob))
             return
         except OSError:
-            if attempt == retries:
+            if attempt == policy.retries:
                 raise
             metrics().counter("io.write_retries").inc()
-            _sleep(backoff_s * 2**attempt)
+            _sleep(policy.backoff_for(attempt + 1))
 
 
 def dump_file_per_process(
@@ -187,12 +180,9 @@ def dump_file_per_process(
     out_dir: str,
     chunk_bytes: int | None = None,
     workers: int | None = None,
-    io_retries: int = 3,
-    io_backoff_s: float = 0.05,
     parity: int = 0,
     group_size: int | None = None,
-    chunk_timeout: float | None = None,
-    deadline_s: float | None = None,
+    policy: ResiliencePolicy | str | None = None,
 ) -> DumpSummary:
     """Compress and write one file per rank (rank count = ``len(shards)``).
 
@@ -200,21 +190,22 @@ def dump_file_per_process(
     through a :class:`ChunkedCompressor` wrapping ``compressor``, with
     ``workers`` thread-pool jobs per rank (thread executor -- ranks are
     already threads here, and forking from a threaded process is unsafe;
-    swap in real MPI ranks for process-level parallelism).  ``parity``,
-    ``group_size`` and ``chunk_timeout`` pass straight through to the
+    swap in real MPI ranks for process-level parallelism).  ``parity``
+    and ``group_size`` pass straight through to the
     :class:`~repro.core.chunked.ChunkedCompressor` (Reed-Solomon parity
-    per chunk group, per-chunk watchdog deadline).
+    per chunk group), and so does ``policy`` (a
+    :class:`~repro.resilience.ResiliencePolicy` or its spec string).
 
-    ``deadline_s`` bounds each rank's whole dump: a rank over budget
-    raises :class:`RankDeadlineError` at its next phase boundary, failing
-    the dump loudly instead of letting one straggler stall the job.
-
-    Writes are atomic (temp file + fsync + rename) and transient
-    ``OSError``s are retried ``io_retries`` times with exponential
-    backoff starting at ``io_backoff_s`` -- see :func:`atomic_write_bytes`.
+    The policy's ``job-timeout`` bounds each rank's whole dump: a rank
+    over budget raises :class:`~repro.resilience.JobDeadlineError` at its
+    next phase boundary, failing the dump loudly instead of letting one
+    straggler stall the job.  Writes are atomic (temp file + fsync +
+    rename), and transient ``OSError``s are retried under the same
+    policy -- see :func:`atomic_write_bytes`.
     """
     if not shards:
         raise ValueError("need at least one shard")
+    policy = as_policy(policy)
     if chunk_bytes is not None:
         from repro.core.chunked import DEFAULT_GROUP_SIZE, ChunkedCompressor
 
@@ -225,10 +216,10 @@ def dump_file_per_process(
             executor="thread",
             parity=parity,
             group_size=group_size if group_size is not None else DEFAULT_GROUP_SIZE,
-            timeout=chunk_timeout,
+            policy=policy,
         )
-    elif parity or chunk_timeout is not None:
-        raise ValueError("parity/chunk_timeout require chunk_bytes (chunked ranks)")
+    elif parity or policy.chunk_timeout_s is not None:
+        raise ValueError("parity/chunk-timeout require chunk_bytes (chunked ranks)")
     os.makedirs(out_dir, exist_ok=True)
 
     def rank_work(rank: int) -> RankTiming:
@@ -237,14 +228,11 @@ def dump_file_per_process(
             t0 = time.perf_counter()
             blob = compressor.compress(shard, bound)
             t1 = time.perf_counter()
-            _check_deadline(rank, "compress", t0, deadline_s)
+            _check_deadline(rank, "compress", t0, policy.job_timeout_s)
             with span("write-file"):
-                atomic_write_bytes(
-                    _rank_path(out_dir, rank), blob,
-                    retries=io_retries, backoff_s=io_backoff_s,
-                )
+                atomic_write_bytes(_rank_path(out_dir, rank), blob, policy)
             t2 = time.perf_counter()
-            _check_deadline(rank, "write", t0, deadline_s)
+            _check_deadline(rank, "write", t0, policy.job_timeout_s)
             sp.add_bytes(in_=shard.nbytes, out=len(blob))
             emit_event(
                 "rank-dump",
@@ -275,7 +263,7 @@ def load_file_per_process(
     nranks: int,
     tolerate_corruption: bool = False,
     fill: float | str = "nan",
-    deadline_s: float | None = None,
+    policy: ResiliencePolicy | str | None = None,
 ):
     """Read and decompress every rank file.
 
@@ -289,14 +277,15 @@ def load_file_per_process(
     and ``reports[rank]`` is the
     :class:`~repro.core.chunked.RecoveryReport` (None for clean ranks).
     A rank whose geometry is unreadable yields a ``None`` shard.
-    ``deadline_s`` bounds each rank's whole load like in
-    :func:`dump_file_per_process`.
+    The ``policy``'s ``job-timeout`` bounds each rank's whole load like
+    in :func:`dump_file_per_process`.
     """
     from repro import decompress
     from repro.core.chunked import recover_array
 
     if nranks <= 0:
         raise ValueError("nranks must be positive")
+    deadline_s = as_policy(policy).job_timeout_s
 
     def rank_work(rank: int):
         with span("rank", rank=rank) as sp:

@@ -2,13 +2,14 @@
 
 Three layers (see ``docs/resilience.md``):
 
-* :class:`ResiliencePolicy` -- one declarative object for every
-  retry/backoff/deadline/memory/breaker knob, parsed from spec strings
+* :class:`ResiliencePolicy` -- the only retry/backoff/deadline/memory/
+  breaker interface, parsed from spec strings
   (``parse_policy("retries=3;chunk-timeout=2;ladder=SZ_T>GZIP")``) and
-  accepted by :class:`repro.core.chunked.ChunkedCompressor` and the CLI's
-  ``--policy``.
+  accepted as ``policy=`` by :class:`repro.core.chunked.ChunkedCompressor`,
+  the file-per-process runner, :func:`repro.parallel.runner.atomic_write_bytes`
+  and the CLI's ``--policy``.
 * :class:`DegradationLadder` -- a compressor chain that falls back rung
-  by rung on codec failure, timeout or bound violation, recording every
+  by rung on codec failure or bound violation, recording every
   fallback in metrics, events and the stream itself.
 * :mod:`~repro.resilience.jobs` -- crash-safe journaled
   compress/decompress (:func:`run_compress_job`, :func:`resume_job`)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io as _io
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.parallel.runner import atomic_write_bytes
 from repro.resilience.crashpoints import reach
 from repro.resilience.journal import JobJournal
 from repro.resilience.ladder import DegradationLadder
-from repro.resilience.policy import JournalError
+from repro.resilience.policy import JournalError, as_policy
 
 __all__ = [
     "JobResult",
@@ -118,19 +118,15 @@ def build_job_compressor(header: dict):
         inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
         label = ">".join([label, *inner.rung_names[1:]])
     kwargs = {}
-    for key, arg in (
-        ("chunk_bytes", "chunk_bytes"),
-        ("workers", "workers"),
-        ("parity", "parity"),
-        ("group_size", "group_size"),
-        ("chunk_timeout", "timeout"),
-        ("executor", "executor"),
-    ):
+    for key in ("chunk_bytes", "workers", "parity", "group_size", "executor"):
         if header.get(key) is not None:
-            kwargs[arg] = header[key]
-    if header.get("policy"):
-        kwargs["policy"] = header["policy"]
-    return ChunkedCompressor(inner, **kwargs), label
+            kwargs[key] = header[key]
+    policy = as_policy(header.get("policy"))
+    if policy.chunk_timeout_s is None and header.get("chunk_timeout") is not None:
+        # Journals started with the retired --chunk-timeout flag keep the
+        # watchdog deadline in a header key of its own; resume with it.
+        policy = replace(policy, chunk_timeout_s=float(header["chunk_timeout"]))
+    return ChunkedCompressor(inner, policy=policy, **kwargs), label
 
 
 def _waves(indices: list[int], width: int):
@@ -214,7 +210,7 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
         blobs.append(blob)
     stream = chunked._assemble(data, chunks, blobs)
     reach("job.assembled", nbytes=len(stream))
-    atomic_write_bytes(out_path, stream)
+    atomic_write_bytes(out_path, stream, chunked.policy)
     reach("job.output-written", path=out_path)
     journal.record_commit(nbytes=len(stream), crc=crc32c(stream))
     journal.remove()

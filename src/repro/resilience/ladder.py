@@ -2,11 +2,11 @@
 
 :class:`DegradationLadder` wraps an ordered chain of compressors.  Each
 compress call walks the chain: the first rung that produces a stream
-wins; a rung that raises, exceeds the per-attempt timeout, or (with
-``verify``) violates the requested relative bound is abandoned and the
-next rung tries.  The produced stream is the winning rung's own
-container, completely unchanged -- so decompression needs no knowledge of
-the ladder and a mixed-codec CHUNKED payload decodes like any other.
+wins; a rung that raises or (with ``verify``) violates the requested
+relative bound is abandoned and the next rung tries.  The produced
+stream is the winning rung's own container, completely unchanged -- so
+decompression needs no knowledge of the ladder and a mixed-codec
+CHUNKED payload decodes like any other.
 
 The canonical final rung is ``GZIP`` (:class:`repro.LosslessDeflate`):
 lossless storage accepts every bound kind and satisfies any error bound
@@ -22,9 +22,6 @@ which chunks degraded long after the run.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 
@@ -45,9 +42,6 @@ class DegradationLadder(Compressor):
         Compressor instances or registry names, tried in order.  At least
         one rung is required; ending with ``"GZIP"`` makes the ladder
         total (lossless storage never fails on finite input).
-    attempt_timeout_s:
-        Wall-clock budget per rung attempt; a rung that overruns is
-        abandoned (its worker thread orphaned) and counts as a failure.
     verify:
         With a :class:`RelativeBound`, decode each candidate stream and
         fall through when the achieved max relative error exceeds the
@@ -73,16 +67,12 @@ class DegradationLadder(Compressor):
     def __init__(
         self,
         rungs=("SZ_T", "GZIP"),
-        attempt_timeout_s: float | None = None,
         verify: bool = False,
     ) -> None:
         rungs = list(rungs) if not isinstance(rungs, (str, Compressor)) else [rungs]
         if not rungs:
             raise ValueError("a degradation ladder needs at least one rung")
-        if attempt_timeout_s is not None and attempt_timeout_s <= 0:
-            raise ValueError(f"attempt_timeout_s must be positive, got {attempt_timeout_s}")
         self._rungs = rungs
-        self.attempt_timeout_s = attempt_timeout_s
         self.verify = bool(verify)
         #: Fallbacks taken by the most recent compress() in this process.
         self.last_fallbacks = 0
@@ -124,24 +114,6 @@ class DegradationLadder(Compressor):
 
     # -- compression ---------------------------------------------------------
 
-    def _attempt(self, rung: Compressor, data: np.ndarray, bound: ErrorBound) -> bytes:
-        """One rung attempt, under ``attempt_timeout_s`` when configured."""
-        if self.attempt_timeout_s is None:
-            return rung.compress(data, bound)
-        pool = ThreadPoolExecutor(max_workers=1)
-        fut = pool.submit(rung.compress, data, bound)
-        try:
-            blob = fut.result(timeout=self.attempt_timeout_s)
-        except FuturesTimeoutError:
-            fut.cancel()
-            # Abandon, never join: the worker thread may be wedged.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise TimeoutError(
-                f"{rung.name} exceeded the {self.attempt_timeout_s}s rung budget"
-            ) from None
-        pool.shutdown(wait=False)
-        return blob
-
     def _verify(self, rung: Compressor, blob: bytes, data: np.ndarray,
                 bound: ErrorBound) -> None:
         """Raise when the candidate stream violates a relative bound."""
@@ -172,7 +144,7 @@ class DegradationLadder(Compressor):
                     raise TypeError(
                         f"{rung.name} does not accept {type(bound).__name__}"
                     )
-                blob = self._attempt(rung, data, bound)
+                blob = rung.compress(data, bound)
                 self._verify(rung, blob, data, bound)
             except Exception as exc:  # noqa: BLE001 - each rung failure is a
                 # fallback trigger by design; BaseException (kills,

@@ -1,12 +1,15 @@
-"""Resilience policy: one object for every retry/deadline/degradation knob.
+"""Resilience policy: the one retry/deadline/degradation interface.
 
-:class:`ResiliencePolicy` unifies the ad-hoc knobs that grew across the
-pipeline -- :class:`~repro.core.chunked.ChunkedCompressor`'s watchdog
-(``timeout``/``timeout_retries``/``timeout_backoff_s``),
-:func:`~repro.parallel.runner.atomic_write_bytes`'s I/O retries, and the
-per-rank deadlines of the SPMD runner -- plus the new job-level controls:
-a whole-job deadline, a memory budget that caps concurrent chunk workers,
-a failure-rate circuit breaker, and a graceful-degradation codec ladder.
+:class:`ResiliencePolicy` is the only way to set a retry budget, a
+backoff, or a deadline anywhere in the pipeline: the chunk watchdog of
+:class:`~repro.core.chunked.ChunkedCompressor`, the per-rank deadlines of
+:func:`~repro.parallel.runner.dump_file_per_process` /
+:func:`~repro.parallel.runner.load_file_per_process`, and the I/O retries
+of :func:`~repro.parallel.runner.atomic_write_bytes` all take a
+``policy=`` (a policy, its spec string, or None for the defaults).  It
+also carries the job-level controls: a whole-job deadline, a memory
+budget that caps concurrent chunk workers, a failure-rate circuit
+breaker, and a graceful-degradation codec ladder.
 
 Policies parse from compact spec strings (mirroring the safeguards
 grammar), so the CLI and job journals can carry them as text::
@@ -35,6 +38,7 @@ __all__ = [
     "ResilienceError",
     "ResiliencePolicy",
     "ResilienceReport",
+    "as_policy",
     "parse_policy",
 ]
 
@@ -91,10 +95,12 @@ class ResiliencePolicy:
     Parameters
     ----------
     retries:
-        Retry budget for a failed/hung chunk attempt (maps onto the
-        chunked watchdog's ``timeout_retries``).
+        Retry budget: fresh workers for a chunk that hung past
+        ``chunk_timeout_s``, and repeat attempts of an atomic write that
+        hit a transient ``OSError``.
     backoff_s:
-        Initial exponential-backoff pause between retries.
+        Initial exponential-backoff pause between retries (see
+        :meth:`backoff_for`).
     jitter:
         Backoff randomization fraction in ``[0, 1]``: each pause is
         scaled by a factor drawn uniformly from ``[1-jitter, 1+jitter]``
@@ -104,7 +110,8 @@ class ResiliencePolicy:
         Per-chunk watchdog deadline (None = no watchdog).
     job_timeout_s:
         Whole-job deadline; breached jobs raise :class:`JobDeadlineError`
-        at the next chunk boundary.
+        at the next chunk boundary.  In the file-per-process runner it
+        bounds each rank's dump or load, checked at phase boundaries.
     memory_budget:
         Approximate peak-memory budget in bytes.  Caps concurrent chunk
         workers (each worker is charged ``4 x chunk_bytes`` for its input
@@ -156,8 +163,6 @@ class ResiliencePolicy:
             raise ValueError(f"breaker window must be >= 1, got {self.breaker_window}")
 
     # -- spec round-trip -----------------------------------------------------
-
-    _DEFAULTS = None  # filled in after class creation
 
     def spec(self) -> str:
         """Canonical spec string; ``parse_policy(p.spec()) == p``."""
@@ -266,6 +271,19 @@ def parse_policy(text: str) -> ResiliencePolicy:
     return policy
 
 
+def as_policy(policy: ResiliencePolicy | str | None) -> ResiliencePolicy:
+    """The policy an entry point's ``policy=`` argument stands for.
+
+    A spec string is parsed, None means the defaults, and a policy
+    passes through unchanged.
+    """
+    if policy is None:
+        return ResiliencePolicy()
+    if isinstance(policy, str):
+        return parse_policy(policy)
+    return policy
+
+
 class CircuitBreaker:
     """Sliding-window failure-rate breaker over chunk outcomes.
 
@@ -330,13 +348,11 @@ class ResilienceReport:
     retried: int = 0
     timed_out: int = 0
     fallbacks: int = 0
-    breaker_tripped: bool = False
     incidents: tuple[ChunkIncident, ...] = field(default=())
 
     @property
     def quiet(self) -> bool:
-        return not (self.retried or self.timed_out or self.fallbacks
-                    or self.breaker_tripped)
+        return not (self.retried or self.timed_out or self.fallbacks)
 
     def summary(self) -> str:
         if self.quiet:
@@ -348,8 +364,6 @@ class ResilienceReport:
             bits.append(f"{self.retried} retried")
         if self.fallbacks:
             bits.append(f"{self.fallbacks} fell back down the codec ladder")
-        if self.breaker_tripped:
-            bits.append("circuit breaker tripped")
         return f"{self.n_chunks} chunks: " + ", ".join(bits)
 
     def to_dict(self) -> dict:
@@ -358,7 +372,6 @@ class ResilienceReport:
             "retried": self.retried,
             "timed_out": self.timed_out,
             "fallbacks": self.fallbacks,
-            "breaker_tripped": self.breaker_tripped,
             "incidents": [
                 {"index": i.index, "kind": i.kind, "detail": i.detail}
                 for i in self.incidents

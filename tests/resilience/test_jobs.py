@@ -11,7 +11,9 @@ import repro
 from repro.compressors.base import RelativeBound
 from repro.core.chunked import ChunkedCompressor
 from repro.resilience import (
+    JobJournal,
     JournalError,
+    build_job_compressor,
     resume_job,
     run_compress_job,
     run_decompress_job,
@@ -132,6 +134,33 @@ class TestCompressJob:
         assert box.get_str("ladder") == "BRITTLE>GZIP"
         np.testing.assert_array_equal(repro.decompress(open(out, "rb").read()),
                                       field_2d)
+
+    def test_legacy_chunk_timeout_header_resumes_with_its_watchdog(
+        self, tmp_path, field_2d, field_file
+    ):
+        """Journals started with the retired ``--chunk-timeout`` flag hold
+        the watchdog deadline as a ``chunk_timeout`` header key; resuming
+        one must keep that deadline."""
+        out = str(tmp_path / "out.rpz")
+        jdir = out + ".journal"
+        with pytest.raises(CrashPoint):
+            with kill_at(5):
+                run_compress_job(field_file, out, BOUND, shape=field_2d.shape,
+                                 **compress_spec(chunk_timeout=30.0))
+        header = JobJournal.open(jdir).header
+        assert header["chunk_timeout"] == 30.0 and "policy" not in header
+        assert build_job_compressor(header)[0].policy.chunk_timeout_s == 30.0
+        assert resume_job(jdir).resumed
+        reference = ChunkedCompressor(
+            "SZ_T", chunk_bytes=1024, executor="serial"
+        ).compress(field_2d, BOUND)
+        with open(out, "rb") as fh:
+            assert fh.read() == reference
+
+    def test_policy_chunk_timeout_wins_over_legacy_header_key(self):
+        header = {"policy": "retries=1;chunk-timeout=5", "chunk_timeout": 30.0}
+        policy = build_job_compressor(header)[0].policy
+        assert policy.chunk_timeout_s == 5.0 and policy.retries == 1
 
 
 class TestDecompressJob:

@@ -75,14 +75,6 @@ class TestFallback:
         blob = ladder.compress(field_2d, RelativeBound(1e-2))
         assert peek_codec(blob) == "SZ_T"
 
-    def test_attempt_timeout_falls_through(self, brittle, field_2d):
-        brittle.hang_on = frozenset({1})
-        brittle.hang_s = 5.0
-        ladder = DegradationLadder(["BRITTLE", "GZIP"], attempt_timeout_s=0.2)
-        blob = ladder.compress(field_2d, RelativeBound(1e-3))
-        assert peek_codec(blob) == "GZIP"
-        assert ladder.last_fallbacks == 1
-
 
 class TestChunkedIntegration:
     def bound(self):

@@ -146,7 +146,7 @@ class TestResilienceReport:
 
     def test_noisy_report(self):
         rep = ResilienceReport(
-            n_chunks=5, retried=1, timed_out=2, fallbacks=3, breaker_tripped=True,
+            n_chunks=5, retried=1, timed_out=2, fallbacks=3,
             incidents=(ChunkIncident(0, "timeout", "hung"),),
         )
         assert not rep.quiet

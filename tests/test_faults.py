@@ -229,7 +229,7 @@ class TestFlakyFilesystem:
     def test_atomic_write_retries_through_transient_failures(self, tmp_path, chunked_blob):
         path = str(tmp_path / "x.rpz")
         with FlakyFilesystem(failures=2) as fs:
-            atomic_write_bytes(path, chunked_blob, retries=3, backoff_s=0.0,
+            atomic_write_bytes(path, chunked_blob, policy="retries=3;backoff=0",
                                _sleep=lambda s: None)
         assert fs.calls == 3
         with open(path, "rb") as fh:
@@ -239,14 +239,14 @@ class TestFlakyFilesystem:
         with FlakyFilesystem(failures=10):
             with pytest.raises(OSError, match="injected"):
                 atomic_write_bytes(str(tmp_path / "y.rpz"), chunked_blob,
-                                   retries=2, backoff_s=0.0, _sleep=lambda s: None)
+                                   policy="retries=2;backoff=0", _sleep=lambda s: None)
 
     def test_no_partial_file_left_behind(self, tmp_path, chunked_blob):
         target = tmp_path / "z.rpz"
         with FlakyFilesystem(failures=10):
             with pytest.raises(OSError):
-                atomic_write_bytes(str(target), chunked_blob, retries=1,
-                                   backoff_s=0.0, _sleep=lambda s: None)
+                atomic_write_bytes(str(target), chunked_blob,
+                                   policy="retries=1;backoff=0", _sleep=lambda s: None)
         assert not target.exists()
 
     def test_dump_survives_flaky_writes(self, tmp_path, field):
@@ -255,7 +255,7 @@ class TestFlakyFilesystem:
         shards = [field[:2000], field[2000:]]
         with FlakyFilesystem(failures=1):
             dump_file_per_process(shards, get_compressor("SZ_T"), BOUND,
-                                  str(tmp_path), io_backoff_s=0.0)
+                                  str(tmp_path), policy="backoff=0")
         for rank in range(2):
             assert (tmp_path / f"rank_{rank}.rpz").exists()
 
@@ -445,7 +445,7 @@ class TestFailingFilesystem:
 
         dest = str(tmp_path / "x.bin")
         with FailingFilesystem(failures=1, match="x.bin"):
-            atomic_write_bytes(dest, b"payload", backoff_s=0.001)
+            atomic_write_bytes(dest, b"payload", policy="backoff=0.001")
         assert open(dest, "rb").read() == b"payload"
 
     def test_atomic_write_propagates_persistent_enospc(self, tmp_path):
@@ -454,6 +454,6 @@ class TestFailingFilesystem:
         dest = str(tmp_path / "x.bin")
         with FailingFilesystem(failures=99, match="x.bin"):
             with pytest.raises(OSError) as exc:
-                atomic_write_bytes(dest, b"payload", backoff_s=0.001)
+                atomic_write_bytes(dest, b"payload", policy="backoff=0.001")
         assert exc.value.errno == 28
         assert not os.path.exists(dest)

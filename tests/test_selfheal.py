@@ -33,11 +33,8 @@ from repro import (
 from repro.core.chunked import ChunkedCompressor, ChunkTimeoutError
 from repro.integrity import RepairReport, repair_stream
 from repro.observe.metrics import metrics
-from repro.parallel.runner import (
-    RankDeadlineError,
-    dump_file_per_process,
-    load_file_per_process,
-)
+from repro.parallel.runner import dump_file_per_process, load_file_per_process
+from repro.resilience import JobDeadlineError
 from repro.testing import StallingExecutor, corrupt_chunk, corrupt_section, truncate
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -201,7 +198,7 @@ class TestWatchdog:
     def test_hung_worker_retried_within_budget(self, field):
         timeout = 1.0
         cc = ChunkedCompressor(
-            chunk_bytes=4000, timeout=timeout, timeout_retries=2,
+            chunk_bytes=4000, policy=f"chunk-timeout={timeout};retries=2",
             executor=lambda n: StallingExecutor(ThreadPoolExecutor(n), stall_on=2),
         )
         reference = ChunkedCompressor(chunk_bytes=4000, executor="serial").compress(
@@ -217,7 +214,7 @@ class TestWatchdog:
 
     def test_exhausted_retries_raise_chunk_timeout(self, field):
         cc = ChunkedCompressor(
-            chunk_bytes=4000, timeout=0.2, timeout_retries=1, timeout_backoff_s=0.01,
+            chunk_bytes=4000, policy="chunk-timeout=0.2;retries=1;backoff=0.01",
             executor=lambda n: StallingExecutor(ThreadPoolExecutor(n), stall_on=1),
         )
         cc._fresh_worker = lambda: StallingExecutor(
@@ -229,7 +226,7 @@ class TestWatchdog:
 
     def test_delayed_straggler_completes(self, field):
         cc = ChunkedCompressor(
-            chunk_bytes=4000, timeout=10.0,
+            chunk_bytes=4000, policy="chunk-timeout=10",
             executor=lambda n: StallingExecutor(
                 ThreadPoolExecutor(n), stall_on=1, delay_s=0.05
             ),
@@ -240,32 +237,34 @@ class TestWatchdog:
 
     def test_serial_mode_with_timeout_enforces_deadline(self, field):
         cc = ChunkedCompressor(chunk_bytes=field.nbytes, executor="serial",
-                               timeout=30.0)
+                               policy="chunk-timeout=30")
         blob = cc.compress(field, BOUND)
         assert decompress(blob).shape == field.shape
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
-            ChunkedCompressor(timeout=0.0)
+            ChunkedCompressor(policy="chunk-timeout=0")
         with pytest.raises(ValueError):
-            ChunkedCompressor(timeout_retries=-1)
+            ChunkedCompressor(policy="retries=-1")
         with pytest.raises(ValueError):
             ChunkedCompressor(parity=2, group_size=254)
 
 
 class TestRankDeadlines:
     def test_dump_deadline_fires(self, field, tmp_path):
-        with pytest.raises(RankDeadlineError, match="deadline"):
+        before = metrics().counter("rank.deadline_exceeded").value
+        with pytest.raises(JobDeadlineError, match="deadline"):
             dump_file_per_process(
                 [field, field], get_compressor("SZ_T"), BOUND,
-                str(tmp_path), deadline_s=1e-9,
+                str(tmp_path), policy="job-timeout=1e-9",
             )
+        assert metrics().counter("rank.deadline_exceeded").value > before
 
     def test_dump_load_with_parity_and_deadline(self, field, tmp_path):
         summary = dump_file_per_process(
             [field, field[:4000]], get_compressor("SZ_T"), BOUND, str(tmp_path),
-            chunk_bytes=2000, parity=1, group_size=4, chunk_timeout=60.0,
-            deadline_s=120.0,
+            chunk_bytes=2000, parity=1, group_size=4,
+            policy="chunk-timeout=60;job-timeout=120",
         )
         assert summary.total_bytes_out > 0
         # Damage one rank file; the parity repairs it at load time.
@@ -275,7 +274,7 @@ class TestRankDeadlines:
         with open(path, "wb") as fh:
             fh.write(corrupt_chunk(blob, 1, seed=SEED))
         shards, _, reports = load_file_per_process(
-            str(tmp_path), 2, tolerate_corruption=True, deadline_s=120.0
+            str(tmp_path), 2, tolerate_corruption=True, policy="job-timeout=120"
         )
         assert reports[0] is not None and reports[0].complete
         assert reports[0].repaired_chunks == (1,)
@@ -340,7 +339,7 @@ class TestRepairCli:
         np.save(raw, field)
         rc = main([
             "compress", str(raw), str(out), "--rel-bound", "1e-2",
-            "--chunk-size", "4K", "--parity", "2", "--chunk-timeout", "120",
+            "--chunk-size", "4K", "--parity", "2", "--policy", "chunk-timeout=120",
         ])
         assert rc == 0
         box = Container.from_bytes(out.read_bytes())
