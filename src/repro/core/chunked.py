@@ -661,11 +661,11 @@ class ChunkedCompressor(Compressor):
     # -- compression ---------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        # Cleared first, so a compress that raises (bound check, breaker,
+        # watchdog, job deadline) never leaves the previous call's report.
+        self.last_resilience = None
         inner = self.inner
         inner._check_bound(bound)
-        # Cleared first, so a compress that raises (breaker, watchdog, job
-        # deadline) never leaves the previous call's report behind.
-        self.last_resilience = None
         self._job_started = time.perf_counter()
         data = np.asarray(data)
         if data.size == 0:

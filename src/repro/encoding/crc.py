@@ -33,6 +33,8 @@ checksums can be computed incrementally over stream parts.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["crc32c", "crc32c_combine"]
@@ -68,8 +70,11 @@ _ROW = 64
 
 # _ADVANCE[k]: four (256,) tables expressing register advance through
 # 4 << k zero bytes; entry [i][b] is advance(b << 8i).  Built lazily as
-# larger messages are seen.
+# larger messages are seen, under _ADVANCE_LOCK: each entry is derived
+# from the last one, so two threads extending the list at once would
+# misplace entries and corrupt every later CRC in the process.
 _ADVANCE: list[np.ndarray] = []
+_ADVANCE_LOCK = threading.Lock()
 
 # Combined position table, (256, 256): row 4*j + lane maps a byte in
 # lane `lane` of row position j to its final-register effect.
@@ -89,18 +94,20 @@ def _apply(tables: np.ndarray, reg: np.ndarray) -> np.ndarray:
 
 def _advance_tables(k: int) -> np.ndarray:
     """Advance tables for distance ``4 << k`` bytes, built on demand."""
-    while len(_ADVANCE) <= k:
-        if not _ADVANCE:
-            basis = np.arange(256, dtype=np.uint32)[None, :] << (
-                np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
-            )
-            reg = basis
-            for _ in range(4):  # four zero bytes, one table step each
-                reg = _TABLE0[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
-            _ADVANCE.append(reg)
-        else:
-            prev = _ADVANCE[-1]
-            _ADVANCE.append(_apply(prev, prev.reshape(-1)).reshape(4, 256))
+    if len(_ADVANCE) <= k:
+        with _ADVANCE_LOCK:
+            while len(_ADVANCE) <= k:
+                if not _ADVANCE:
+                    basis = np.arange(256, dtype=np.uint32)[None, :] << (
+                        np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
+                    )
+                    reg = basis
+                    for _ in range(4):  # four zero bytes, one table step each
+                        reg = _TABLE0[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
+                    _ADVANCE.append(reg)
+                else:
+                    prev = _ADVANCE[-1]
+                    _ADVANCE.append(_apply(prev, prev.reshape(-1)).reshape(4, 256))
     return _ADVANCE[k]
 
 

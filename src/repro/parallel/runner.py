@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,7 +194,8 @@ def dump_file_per_process(
     and ``group_size`` pass straight through to the
     :class:`~repro.core.chunked.ChunkedCompressor` (Reed-Solomon parity
     per chunk group), and so does ``policy`` (a
-    :class:`~repro.resilience.ResiliencePolicy` or its spec string).
+    :class:`~repro.resilience.ResiliencePolicy` or its spec string) less
+    its ``job-timeout``.
 
     The policy's ``job-timeout`` bounds each rank's whole dump: a rank
     over budget raises :class:`~repro.resilience.JobDeadlineError` at its
@@ -216,7 +217,9 @@ def dump_file_per_process(
             executor="thread",
             parity=parity,
             group_size=group_size if group_size is not None else DEFAULT_GROUP_SIZE,
-            policy=policy,
+            # Ranks share this compressor, so the job deadline stays with
+            # each rank's own _check_deadline below.
+            policy=replace(policy, job_timeout_s=None),
         )
     elif parity or policy.chunk_timeout_s is not None:
         raise ValueError("parity/chunk-timeout require chunk_bytes (chunked ranks)")

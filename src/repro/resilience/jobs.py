@@ -156,6 +156,11 @@ def run_compress_job(
     pipeline.  The journal defaults to ``<output>.journal`` and is
     removed after a durable commit.
     """
+    if "chunk_timeout" in spec:
+        raise TypeError(
+            "chunk_timeout is no longer a job setting; "
+            'pass policy="chunk-timeout=S" instead'
+        )
     journal_dir = journal_dir or output_path + ".journal"
     header = {
         "kind": "compress",
@@ -210,7 +215,7 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
         blobs.append(blob)
     stream = chunked._assemble(data, chunks, blobs)
     reach("job.assembled", nbytes=len(stream))
-    atomic_write_bytes(out_path, stream, chunked.policy)
+    atomic_write_bytes(out_path, stream)
     reach("job.output-written", path=out_path)
     journal.record_commit(nbytes=len(stream), crc=crc32c(stream))
     journal.remove()

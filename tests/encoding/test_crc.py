@@ -101,3 +101,36 @@ class TestCombine:
     def test_matches_bitwise_reference(self):
         a, b = b"hello ", b"world"
         assert crc32c_combine(crc32c(a), crc32c(b), len(b)) == crc32c_reference(a + b)
+
+
+class TestThreadSafety:
+    def test_concurrent_first_use_builds_tables_once(self, monkeypatch):
+        """Threads that first need the lazily built advance tables at the
+        same moment (chunked ranks framing their streams) must all get
+        the right CRC, and leave the tables right for later calls."""
+        import threading
+
+        from repro.encoding import crc
+
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 256, 1000, np.uint8).tobytes()
+        b = rng.integers(0, 256, 1 << 20, np.uint8).tobytes()
+        want = crc32c(a + b)
+        crc_a, crc_b = crc32c(a), crc32c(b)
+        nthreads = 8
+        for _trial in range(20):
+            monkeypatch.setattr(crc, "_ADVANCE", [])
+            barrier = threading.Barrier(nthreads)
+            got: list[int] = []
+
+            def work():
+                barrier.wait()
+                got.append(crc32c_combine(crc_a, crc_b, len(b)))
+
+            threads = [threading.Thread(target=work) for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == [want] * nthreads
+            assert crc32c_combine(crc_a, crc_b, len(b)) == want

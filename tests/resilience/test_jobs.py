@@ -18,6 +18,7 @@ from repro.resilience import (
     run_compress_job,
     run_decompress_job,
 )
+from repro.resilience.jobs import _fingerprint
 from repro.testing import CrashPoint, kill_at
 
 BOUND = RelativeBound(1e-3)
@@ -143,10 +144,18 @@ class TestCompressJob:
         one must keep that deadline."""
         out = str(tmp_path / "out.rpz")
         jdir = out + ".journal"
-        with pytest.raises(CrashPoint):
-            with kill_at(5):
-                run_compress_job(field_file, out, BOUND, shape=field_2d.shape,
-                                 **compress_spec(chunk_timeout=30.0))
+        # The header such a journal carries: the job fields plus the key.
+        header = {
+            "kind": "compress",
+            "input": os.path.abspath(field_file),
+            "output": os.path.abspath(out),
+            "shape": list(field_2d.shape),
+            "dtype": "float32",
+            "bound": {"kind": "rel", "value": 1e-3},
+            "fingerprint": _fingerprint(field_file),
+            **compress_spec(chunk_timeout=30.0),
+        }
+        JobJournal.create(jdir, header)
         header = JobJournal.open(jdir).header
         assert header["chunk_timeout"] == 30.0 and "policy" not in header
         assert build_job_compressor(header)[0].policy.chunk_timeout_s == 30.0
@@ -156,11 +165,19 @@ class TestCompressJob:
         ).compress(field_2d, BOUND)
         with open(out, "rb") as fh:
             assert fh.read() == reference
+        assert not os.path.exists(jdir)
 
     def test_policy_chunk_timeout_wins_over_legacy_header_key(self):
         header = {"policy": "retries=1;chunk-timeout=5", "chunk_timeout": 30.0}
         policy = build_job_compressor(header)[0].policy
         assert policy.chunk_timeout_s == 5.0 and policy.retries == 1
+
+    def test_chunk_timeout_spec_key_rejected(self, tmp_path, field_2d, field_file):
+        out = str(tmp_path / "out.rpz")
+        with pytest.raises(TypeError, match='policy="chunk-timeout=S"'):
+            run_compress_job(field_file, out, BOUND, shape=field_2d.shape,
+                             **compress_spec(chunk_timeout=30.0))
+        assert not os.path.exists(out + ".journal")
 
 
 class TestDecompressJob:

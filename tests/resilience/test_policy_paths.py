@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.compressors.base import RelativeBound
+from repro.compressors.base import AbsoluteBound, RelativeBound, UnsupportedBound
 from repro.core.chunked import ChunkedCompressor
 from repro.observe.metrics import metrics
 from repro.resilience import CircuitOpenError, JobDeadlineError, MemoryBudgetError
@@ -48,6 +48,14 @@ class TestCircuitBreaker:
         crash_on.extend(range(1, 9))
         with pytest.raises(CircuitOpenError):
             ck.compress(eight_chunks, BOUND)
+        assert ck.last_resilience is None
+
+    def test_rejected_bound_leaves_no_stale_report(self, eight_chunks):
+        ck = ChunkedCompressor(chunk_bytes=2048, executor="serial")
+        ck.compress(eight_chunks, BOUND)
+        assert ck.last_resilience is not None
+        with pytest.raises(UnsupportedBound):
+            ck.compress(eight_chunks, AbsoluteBound(1e-3))
         assert ck.last_resilience is None
 
 

@@ -260,6 +260,17 @@ class TestRankDeadlines:
             )
         assert metrics().counter("rank.deadline_exceeded").value > before
 
+    def test_chunked_rank_deadline_counted_per_rank(self, field, tmp_path):
+        """Chunked ranks share one ChunkedCompressor; the job-timeout is
+        still enforced per rank, with the rank-deadline event and counter."""
+        before = metrics().counter("rank.deadline_exceeded").value
+        with pytest.raises(JobDeadlineError, match=r"rank \d exceeded"):
+            dump_file_per_process(
+                [field, field], get_compressor("SZ_T"), BOUND, str(tmp_path),
+                chunk_bytes=2000, policy="job-timeout=1e-9",
+            )
+        assert metrics().counter("rank.deadline_exceeded").value > before
+
     def test_dump_load_with_parity_and_deadline(self, field, tmp_path):
         summary = dump_file_per_process(
             [field, field[:4000]], get_compressor("SZ_T"), BOUND, str(tmp_path),
