@@ -201,23 +201,15 @@ class TransformedCompressor(Compressor):
                 stack = (RelErrorSafeguard(br), NonFiniteSafeguard())
                 channel = compute_patch_channel(stack, original, recon)
                 patch_idx, patch_val = channel.patch_idx, channel.patch_val
-                # |x| as float64 equals the float64 cast of the float32
-                # |x| already in hand -- abs and widening are both exact.
-                x64 = data.astype(np.float64).ravel()
-                absx = magnitudes.astype(np.float64, copy=False).ravel()
-                diff = recon.astype(np.float64).ravel() - x64
-                err = np.abs(diff)
-                viol = channel.masks[stack[0].spec()]
+                # What decompress() will produce: the verified reconstruction
+                # with the patch channel applied on top.
+                final = np.ascontiguousarray(recon)
+                if patch_idx.size:
+                    final.ravel()[patch_idx.astype(np.int64)] = patch_val
                 self._feed_audit(
-                    recon, br, absx, err, diff, viol,
-                    channel.counts.get(stack[0].spec(), 0),
+                    original, final, br, channel.counts.get(stack[0].spec(), 0),
                     ba, ba0, eps0, max_log,
                 )
-            # What decompress() will produce: the verified reconstruction
-            # with the patch channel applied on top.
-            final = np.ascontiguousarray(recon)
-            if patch_idx.size:
-                final.ravel()[patch_idx.astype(np.int64)] = patch_val
         else:
             inner_blob = self.inner.compress(d, AbsoluteBound(ba))
             if nonfinite_idx.size:
@@ -241,12 +233,9 @@ class TransformedCompressor(Compressor):
 
     def _feed_audit(
         self,
-        recon: np.ndarray,
+        original: np.ndarray,
+        final: np.ndarray,
         br: float,
-        absx: np.ndarray,
-        err: np.ndarray,
-        diff: np.ndarray,
-        viol: np.ndarray,
         patched: int,
         ba: float,
         ba0: float,
@@ -259,71 +248,38 @@ class TransformedCompressor(Compressor):
         always move (and so cross pool boundaries with the rest of the
         telemetry); the detailed per-chunk record additionally lands in
         the globally installed :class:`~repro.observe.audit.BoundAuditor`,
-        if any.  Residuals are reported post-patch -- patched points are
-        stored exactly, so the stream's conformance is what's recorded.
-        ``absx``/``err``/``viol`` come straight from the verify pass, so
-        nothing is recomputed here; patched points are masked out of both
-        maxima (they carry no residual error).
+        if any.  ``final`` is the array decompress() yields, patch
+        channel applied, so the record is the stream's conformance and
+        equals what ``audit_stream`` finds offline.  The violation count
+        is the safeguard engine's, which has just enforced the bound.
         """
+        from repro.metrics.error import measure_errors
         from repro.observe.audit import ChunkAudit, get_auditor, record_audit_metrics
         from repro.observe.events import emit as emit_event
         from repro.observe.quality import ErrorHistogram, quality_enabled
 
         lemma2_ba = ba0 - max_log * eps0
-        nz = absx != 0
-        mask = nz if not patched else nz & ~viol
-        rel = np.divide(err, absx, out=np.zeros_like(err), where=mask)
-        max_abs = err if not patched else np.where(viol, 0.0, err)
-        max_rel_seen = float(rel.max(initial=0.0))
-        max_abs_seen = float(max_abs.max(initial=0.0))
-        flat = recon.ravel()
-        hist_snap = None
-        if quality_enabled():
-            # Digest the post-patch residuals (patched points are stored
-            # bit-exactly, so their error is zero in the stream the user
-            # decodes).  Non-finite residuals -- non-finite originals, or
-            # reconstructions the patch channel replaces -- are counted,
-            # not binned.  The hook's overhead budget is 5% of the
-            # compress path (CI-gated), so the already-computed |diff|,
-            # nonzero mask, and maxima are handed straight to the digest.
-            pdiff = np.where(viol, 0.0, diff) if patched else diff
-            hist = ErrorHistogram()
-            # Zero patches means the reconstruction satisfied both the
-            # rel-bound and non-finite safeguards everywhere, so every
-            # residual is finite and the isfinite sweep can be skipped.
-            finite = None if not patched else np.isfinite(pdiff)
-            if finite is None or finite.all():
-                hist.observe_errors(
-                    absx,
-                    pdiff,
-                    err=max_abs,
-                    nz=nz,
-                    rel=rel,
-                    max_abs=max_abs_seen,
-                    max_rel=max_rel_seen,
-                )
-            else:
-                hist.nonfinite += int(pdiff.size - np.count_nonzero(finite))
-                hist.observe_errors(absx[finite], pdiff[finite])
-            hist_snap = hist.snapshot()
+        # Digest collection costs <5% of the compress path (CI-gated).
+        hist = ErrorHistogram() if quality_enabled() else None
+        errors = measure_errors(original, final, hist=hist)
         audit = ChunkAudit(
             index=None,
             codec=self.name,
-            n=int(absx.size),
+            n=errors.n,
             bound_kind="rel",
             bound_value=br,
-            max_rel=max_rel_seen,
-            max_abs=max_abs_seen,
+            max_rel=errors.max_rel,
+            max_abs=errors.max_abs,
             bounded_fraction=1.0,
             violations=0,
-            zeros=int((flat == 0).sum()),
-            negatives=int((flat < 0).sum()),
+            zeros=errors.zeros,
+            negatives=errors.negatives,
             patched=patched,
             effective_ba=ba,
             theorem2_ba=ba0,
             lemma2_ba=lemma2_ba,
             lemma2_ok=bool(ba <= lemma2_ba + eps0 * (ba0 + 1.0)),
-            error_hist=hist_snap,
+            error_hist=hist.snapshot() if hist is not None else None,
         )
         auditor = get_auditor()
         if auditor is not None:

@@ -11,10 +11,13 @@ Table IV.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.compressors import AbsoluteBound, RelativeBound, get_compressor
 from repro.data import load_field
 from repro.experiments.common import Table
 from repro.metrics.distribution import error_autocorrelation, error_distribution
+from repro.metrics.error import relative_residuals
 
 __all__ = ["run"]
 
@@ -45,11 +48,7 @@ def run(scale: float = 1.0) -> Table:
                 dist = error_distribution(data, recon, ebv)
             else:
                 # relative errors scaled per point: err/|x| vs the bound
-                import numpy as np
-
-                x = data.astype(np.float64)
-                nz = x != 0
-                rel = (recon.astype(np.float64)[nz] - x[nz]) / np.abs(x[nz])
+                rel = relative_residuals(data, recon)
                 dist = error_distribution(np.zeros_like(rel), rel, ebv)
             verdict = "uniform" if dist.looks_uniform else "normal-ish"
             ac1 = float(error_autocorrelation(data, recon, 1)[0])

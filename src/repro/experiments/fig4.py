@@ -23,7 +23,7 @@ from repro.compressors import AbsoluteBound, PrecisionBound, RelativeBound, get_
 from repro.compressors.fpzip import max_relative_error
 from repro.data import load_field
 from repro.experiments.common import Table
-from repro.metrics import relative_errors
+from repro.metrics.error import measure_errors
 from repro.viz import save_pgm, to_gray
 
 __all__ = ["run", "tune_bound_for_ratio"]
@@ -127,11 +127,9 @@ def run(scale: float = 1.0, out_dir: str | None = None, target: float = TARGET_R
 
 
 def _add_row(table: Table, name: str, ratio: float, setting: str, data, recon) -> None:
-    rel = relative_errors(data, recon)
     focus = (data > 0) & (data <= 0.1)
-    abs_err = np.abs(recon.astype(np.float64) - data.astype(np.float64))
-    rel_focus = abs_err[focus] / np.abs(data[focus].astype(np.float64))
+    dense = measure_errors(data[focus], recon[focus])
     table.add(
         name, ratio, setting,
-        float(rel.max()), float(rel_focus.mean()), float(abs_err[focus].max()),
+        measure_errors(data, recon).max_rel, dense.avg_rel, dense.max_abs,
     )

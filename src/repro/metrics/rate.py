@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from repro.metrics.error import relative_errors
+
 __all__ = ["compression_ratio", "bit_rate", "psnr", "relative_psnr"]
 
 
@@ -44,13 +46,11 @@ def psnr(original: np.ndarray, recon: np.ndarray) -> float:
 def relative_psnr(original: np.ndarray, recon: np.ndarray) -> float:
     """PSNR on point-wise relative errors with range fixed at 1 (Fig. 1).
 
-    Zero-valued originals are excluded (their relative error is
-    undefined); exact reconstructions yield ``inf``.
+    Zero-valued originals and non-finite residuals are excluded, as in
+    :func:`~repro.metrics.error.relative_errors`; exact reconstructions
+    yield ``inf``.
     """
-    x = np.asarray(original, dtype=np.float64).ravel()
-    xd = np.asarray(recon, dtype=np.float64).ravel()
-    nz = x != 0
-    rel = (xd[nz] - x[nz]) / x[nz]
+    rel = relative_errors(original, recon)
     mse = float(np.mean(rel**2))
     if mse == 0:
         return math.inf

@@ -22,6 +22,11 @@ This module continuously *watches* that guarantee:
   quantization-index deviation on the original.  Surfaced as
   :class:`AuditReport`; the CLI's ``repro-compress audit`` prints it and
   exits non-zero on any violation.
+
+Both measure point-wise errors through
+:func:`repro.metrics.error.measure_errors`, so the compress-path and the
+offline audit of one stream report the same errors, zero counts and
+digest.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.metrics.error import measure_errors
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.metrics import metrics as _metrics
 from repro.observe.quality import (
@@ -172,10 +178,10 @@ class AuditReport:
                 if self.bounded_fraction is not None
                 else ""
             )
-            lines.append(
-                f"max rel error:  {self.max_rel:.3e}   max abs: "
-                f"{self.max_abs:.3e}{bounded}"
+            max_abs = (
+                f"   max abs: {self.max_abs:.3e}" if self.max_abs is not None else ""
             )
+            lines.append(f"max rel error:  {self.max_rel:.3e}{max_abs}{bounded}")
         if self.error_summary:
             q = self.error_summary
             lines.append(
@@ -252,8 +258,6 @@ class AuditReport:
         error_summary = None
         hists = [c.error_hist for c in chunks if c.error_hist]
         if hists:
-            from repro.observe.quality import ErrorHistogram
-
             merged = ErrorHistogram.from_snapshot(hists[0])
             for snap in hists[1:]:
                 merged.merge(snap)
@@ -304,6 +308,7 @@ class AuditReport:
 
         h = delta.get("audit.max_rel") or {}
         hs = delta.get("safeguard.max_rel") or {}
+        ha = delta.get("audit.max_abs") or {}
         n_points = int(val("audit.points")) or int(val("safeguard.points"))
         violations = int(val("audit.violations"))
         maxima = [float(src["max"]) for src in (h, hs) if "max" in src]
@@ -315,7 +320,7 @@ class AuditReport:
             n_chunks=max(int(h.get("n", 0)), int(hs.get("n", 0))),
             violations=violations,
             max_rel=max(maxima) if maxima else None,
-            max_abs=None,
+            max_abs=float(ha["max"]) if "max" in ha else None,
             bounded_fraction=(
                 1.0 - violations / n_points if n_points else None
             ),
@@ -329,12 +334,11 @@ class AuditReport:
 class BoundAuditor:
     """Streaming per-chunk bound auditor.
 
-    ``observe_chunk`` computes one :class:`ChunkAudit` from an original /
-    reconstruction pair and accumulates it; ``record`` accepts an audit
-    computed elsewhere.  Every observation also moves the ``audit.*``
-    metrics in ``registry`` (the process-global one by default), which is
-    what makes parallel aggregation work: the registry already propagates
-    across thread/process pools.
+    ``record`` accumulates one :class:`ChunkAudit` (the verify pass of
+    :class:`~repro.core.pwr.TransformedCompressor` records one per chunk)
+    and moves the ``audit.*`` metrics in ``registry`` (the process-global
+    one by default), which is what makes parallel aggregation work: the
+    registry already propagates across thread/process pools.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -351,53 +355,6 @@ class BoundAuditor:
             self._chunks.append(audit)
         record_audit_metrics(audit, self.registry)
         return audit
-
-    def observe_chunk(
-        self,
-        original: np.ndarray,
-        recon: np.ndarray,
-        rel_bound: float,
-        index: int | None = None,
-        codec: str = "?",
-        effective_ba: float | None = None,
-        theorem2_ba: float | None = None,
-        lemma2_ba: float | None = None,
-        patched: int | None = None,
-    ) -> ChunkAudit:
-        x = np.asarray(original, dtype=np.float64).ravel()
-        xd = np.asarray(recon, dtype=np.float64).ravel()
-        err = np.abs(xd - x)
-        nz = x != 0
-        rel = err[nz] / np.abs(x[nz])
-        viol = int((rel > rel_bound).sum()) + int((err[~nz] > 0).sum())
-        hist_snap = None
-        if quality_enabled():
-            hist = ErrorHistogram()
-            hist.observe(x, xd)
-            hist_snap = hist.snapshot()
-        lemma2_ok = None
-        if effective_ba is not None and lemma2_ba is not None:
-            lemma2_ok = bool(effective_ba <= lemma2_ba * (1.0 + 1e-12) + 1e-300)
-        audit = ChunkAudit(
-            index=index,
-            codec=codec,
-            n=int(x.size),
-            bound_kind="rel",
-            bound_value=float(rel_bound),
-            max_rel=float(rel.max(initial=0.0)),
-            max_abs=float(err.max(initial=0.0)),
-            bounded_fraction=1.0 - viol / x.size if x.size else 1.0,
-            violations=viol,
-            zeros=int((xd == 0).sum()),
-            negatives=int((xd < 0).sum()),
-            patched=patched,
-            effective_ba=effective_ba,
-            theorem2_ba=theorem2_ba,
-            lemma2_ba=lemma2_ba,
-            lemma2_ok=lemma2_ok,
-            error_hist=hist_snap,
-        )
-        return self.record(audit)
 
     def chunks(self) -> list[ChunkAudit]:
         with self._lock:
@@ -428,6 +385,8 @@ def record_audit_metrics(audit: ChunkAudit, registry: MetricsRegistry | None = N
         reg.counter("audit.patched").inc(audit.patched)
     if audit.max_rel is not None:
         reg.histogram("audit.max_rel").observe(audit.max_rel)
+    if audit.max_abs is not None:
+        reg.histogram("audit.max_abs").observe(audit.max_abs)
     if audit.error_hist:
         # The per-chunk quality digest rides the same registry road as the
         # audit counters, so it too survives thread/process pools.
@@ -526,7 +485,8 @@ def lemma2_recomputed(
     ba0 = abs_bound_for(rel_bound, base)
     eps0 = machine_eps0(dtype)
     mags = np.abs(np.asarray(recon, dtype=np.float64)).ravel()
-    mags = mags[mags > 0]
+    # The encoder takes its logs after preserved NaN/Inf became zeros.
+    mags = mags[(mags > 0) & (mags < np.inf)]
     max_log = 0.0
     if mags.size:
         logs = np.log2(mags) / math.log2(base)
@@ -571,9 +531,10 @@ def _audit_one(
 
     recon = decompress(blob)
     kind, value = model.bound
-    flat = recon.ravel()
-    zeros = int((flat == 0).sum())
-    negatives = int((flat < 0).sum())
+    if original is not None and original.size != recon.size:
+        raise ValueError(
+            f"original has {original.size} elements, stream reconstructs {recon.size}"
+        )
 
     effective_ba = theorem2_ba = lemma2_ba = None
     lemma2_ok = None
@@ -589,38 +550,24 @@ def _audit_one(
     if safeguards is not None and original is not None:
         safeguard_violations = _recheck_safeguards(safeguards, original, recon)
 
-    max_rel = max_abs = bf = None
-    violations = None
-    hist_snap = None
-    if original is not None:
-        with np.errstate(invalid="ignore"):
-            x = np.asarray(original, dtype=np.float64).ravel()
-            if x.size != flat.size:
-                raise ValueError(
-                    f"original has {x.size} elements, stream reconstructs {flat.size}"
-                )
-            xd = flat.astype(np.float64)
-            if quality_enabled():
-                hist = ErrorHistogram()
-                hist.observe(x, xd)
-                hist_snap = hist.snapshot()
-            err = np.abs(xd - x)
-            nz = (x != 0) & np.isfinite(x)
-            rel = err[nz] / np.abs(x[nz])
-            max_rel = float(rel.max(initial=0.0))
-            max_abs = float(err[~np.isnan(err)].max(initial=0.0))
-            if kind == "rel":
-                zero = np.isfinite(x) & (x == 0)
-                violations = int((rel > value).sum()) + int((err[zero] > 0).sum())
-            elif kind == "abs":
-                violations = int((err > value).sum())
-            if violations is not None:
-                bf = 1.0 - violations / x.size if x.size else 1.0
+    max_rel = max_abs = bf = violations = hist_snap = None
+    if original is None:
+        flat = recon.ravel()
+        zeros = int(np.count_nonzero(flat == 0))
+        negatives = int(np.count_nonzero(flat < 0))
+    else:
+        hist = ErrorHistogram() if quality_enabled() else None
+        errors = measure_errors(original, recon, model.bound, hist)
+        max_rel, max_abs = errors.max_rel, errors.max_abs
+        bf, violations = errors.bounded_fraction, errors.violations
+        zeros, negatives = errors.zeros, errors.negatives
+        if hist is not None:
+            hist_snap = hist.snapshot()
 
     return ChunkAudit(
         index=index,
         codec=model.codec,
-        n=int(flat.size),
+        n=int(recon.size),
         bound_kind=kind,
         bound_value=value,
         max_rel=max_rel,

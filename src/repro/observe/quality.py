@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.metrics.error import measure_errors
 from repro.observe.metrics import (
     _NONPOS_BUCKET,
     metrics as _metrics,
@@ -80,10 +81,9 @@ _REL_METRIC = "quality.rel_err"
 _ABS_METRIC = "quality.abs_err"
 
 #: Above this many magnitudes per :meth:`_Digest.add` call, bucket counts
-#: are estimated from a deterministic cache-line sample (count and max
-#: stay exact over every point; a signed total handed in pre-reduced
-#: stays exact too, one derived from raw residuals is sampled).  32Ki
-#: samples keep the p99 position well inside one bucket of sampling noise.
+#: are estimated from a deterministic cache-line sample (count, max and
+#: the signed total stay exact over every point).  32Ki samples keep the
+#: p99 position well inside one bucket of sampling noise.
 _BUCKET_SAMPLE = 1 << 15
 
 
@@ -144,48 +144,32 @@ class _Digest:
         self.max = -math.inf
         self.buckets: dict[int, int] = {}
 
-    def add(
-        self,
-        mags: np.ndarray,
-        signed_total: float | None = None,
-        mx: float | None = None,
-        *,
-        signs: np.ndarray | None = None,
-    ) -> None:
+    def add(self, mags: np.ndarray, total: float, mx: float) -> None:
+        """Fold magnitudes with their exact signed ``total`` and max ``mx``."""
         k = int(mags.size)
         if not k:
             return
         self.n += k
-        # Count and max are exact over every point.  Bucket *counts* are
-        # where the time goes, so past _BUCKET_SAMPLE magnitudes they
-        # (and the min) are estimated from a deterministic sample,
-        # rescaled to sum back to ~k, with the min/max buckets pinned so
-        # the digest's tails never dangle beyond its occupied buckets.
-        # The sample takes every ``stride``-th run of 8 contiguous
-        # values -- whole cache lines, so it touches ~1/stride of the
-        # memory a flat ``mags[::stride]`` would (flat striding still
-        # loads every 64-byte line).  This sits on the compress verify
-        # path under a 5% overhead budget; exhaustive binning costs more
-        # than the whole budget on large chunks, and the percentile
-        # resolution is a bucket (~9% at the default scale) anyway.
+        self.total += total
+        # Count, max and the signed total are exact over every point.
+        # Bucket *counts* are where the time goes, so past _BUCKET_SAMPLE
+        # magnitudes they (and the min) are estimated from a deterministic
+        # sample, rescaled to sum back to ~k, with the min/max buckets
+        # pinned so the digest's tails never dangle beyond its occupied
+        # buckets.  The sample takes every ``stride``-th run of 8
+        # contiguous values -- whole cache lines, so it touches
+        # ~1/stride of the memory a flat ``mags[::stride]`` would (flat
+        # striding still loads every 64-byte line).  This sits on the
+        # compress verify path under a 5% overhead budget; exhaustive
+        # binning costs more than the whole budget on large chunks, and
+        # the percentile resolution is a bucket (~9% at the default
+        # scale) anyway.
         stride = -(-k // _BUCKET_SAMPLE)
         if stride == 1:
             sample = mags
         else:
             rows = k >> 3
             sample = mags[: rows << 3].reshape(rows, 8)[::stride]
-        if signed_total is None:
-            # Caller handed the signed residuals instead of a reduced
-            # sum: estimate the signed total from the same sample (exact
-            # when the sample is the whole array).
-            if stride == 1:
-                src = signs
-            else:
-                src = signs[: rows << 3].reshape(rows, 8)[::stride]
-            signed_total = float(np.copysign(sample, src).sum())
-            if stride > 1:
-                signed_total *= k / sample.size
-        self.total += float(signed_total)
         # Bucket key for v > 0 is ceil(scale * log2(v)): bucket k holds
         # (2^((k-1)/scale), 2^(k/scale)].  Quantized as one in-place
         # float32 log2/mul/ceil chain plus a bincount -- the exact frexp
@@ -199,8 +183,6 @@ class _Digest:
         with np.errstate(over="ignore"):
             s = sample.astype(np.float32)
         mn = float(mags.min()) if stride == 1 else float(s.min())
-        if mx is None:
-            mx = float(mags.max())
         if mn < self.min:
             self.min = mn
         if mx > self.max:
@@ -314,73 +296,46 @@ class ErrorHistogram:
 
     def observe(self, original, recon) -> None:
         """Digest ``recon - original`` point-wise (arrays of equal size)."""
-        x = np.asarray(original, dtype=np.float64).ravel()
-        xd = np.asarray(recon, dtype=np.float64).ravel()
-        if x.size != xd.size:
-            raise ValueError(f"size mismatch: original {x.size} vs recon {xd.size}")
-        finite = np.isfinite(x) & np.isfinite(xd)
-        nf = int(x.size - np.count_nonzero(finite))
-        if nf:
-            self.nonfinite += nf
-            x = x[finite]
-            xd = xd[finite]
-        self.observe_errors(np.abs(x), xd - x)
+        measure_errors(original, recon, hist=self)
 
     def observe_errors(
         self,
-        absx: np.ndarray,
-        diff: np.ndarray,
+        err: np.ndarray,
+        rel: np.ndarray,
         *,
-        err: np.ndarray | None = None,
-        nz: np.ndarray | None = None,
-        rel: np.ndarray | None = None,
-        max_abs: float | None = None,
-        max_rel: float | None = None,
+        abs_total: float,
+        rel_total: float,
+        max_abs: float,
+        max_rel: float,
+        zeros: int,
+        nonfinite: int,
     ) -> None:
-        """Digest pre-computed residuals (the compress-path fast lane).
+        """Fold one measurement's finite residuals into the digest.
 
-        ``absx`` is ``|original|`` and ``diff`` the signed residual
-        ``recon - original``, both finite 1-D float64 -- exactly the
-        intermediates the verify hook already holds.  The keyword
-        arguments accept further intermediates the hook has in hand --
-        ``err`` is ``|diff|``, ``nz`` the ``absx != 0`` mask, ``rel`` the
-        full-size ``|diff| / absx`` with exact zeros at the masked-out
-        points, and ``max_abs``/``max_rel`` the already-reduced maxima --
-        so the digest re-derives nothing the bound check computed anyway.
+        :func:`repro.metrics.error.measure_errors` is the caller: ``err``
+        holds ``|x_d - x|`` and ``rel`` ``|x_d - x| / |x|`` at the same
+        points, with exact 0.0 at the ``zeros`` points whose original is
+        zero; the totals are the exact signed sums and the maxima the
+        exact maxima.  ``nonfinite`` points were left out of both arrays.
         """
-        if err is None:
-            err = np.abs(diff)
-        self.abs.add(err, float(diff.sum()), mx=max_abs)
-        if nz is None:
-            nz = absx > 0.0
-        nzeros = int(absx.size - np.count_nonzero(nz))
-        if nzeros:
-            self.zeros += nzeros
-        if rel is not None:
-            # The verify pass's `rel` holds exact 0.0 at the x == 0
-            # points it masked out of the divide: bucket the full array
-            # (no extraction/divide pass), then retract those points
-            # from the rel digest's count and nonpos bucket.  Exact at
-            # stride 1, within the sampling estimate otherwise (the
-            # masked points contribute exact +/-0 to the signed total
-            # either way).
-            if nzeros < absx.size:
-                self.rel.add(rel, mx=max_rel, signs=diff)
-                if nzeros:
-                    self.rel.n -= nzeros
-                    b = _NONPOS_BUCKET * self.rel.scale
-                    cur = self.rel.buckets.get(b, 0)
-                    if cur > nzeros:
-                        self.rel.buckets[b] = cur - nzeros
-                    else:
-                        self.rel.buckets.pop(b, None)
+        self.nonfinite += nonfinite
+        self.zeros += zeros
+        self.abs.add(err, abs_total, max_abs)
+        if zeros == rel.size:
             return
-        if nzeros:
-            absx = absx[nz]
-            diff = diff[nz]
-        if absx.size:
-            r = diff / absx
-            self.rel.add(np.abs(r), float(r.sum()), mx=max_rel)
+        # Bucket the full ``rel`` array (no extraction pass), then retract
+        # the zero originals' 0.0 entries from the rel digest's count and
+        # nonpos bucket: exact at stride 1, within the sampling estimate
+        # otherwise.
+        self.rel.add(rel, rel_total, max_rel)
+        if zeros:
+            self.rel.n -= zeros
+            b = _NONPOS_BUCKET * self.rel.scale
+            cur = self.rel.buckets.get(b, 0)
+            if cur > zeros:
+                self.rel.buckets[b] = cur - zeros
+            else:
+                self.rel.buckets.pop(b, None)
 
     # -- merging -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro.encoding.container import Container, ContainerError
 from repro.metrics import bit_rate, compression_ratio, psnr, relative_psnr
 from repro.metrics.distribution import ErrorDistribution, error_distribution
-from repro.metrics.error import ErrorStats, bounded_fraction
+from repro.metrics.error import ErrorStats, measure_errors, relative_residuals
 from repro.observe.metrics import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -346,15 +346,12 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
 
     errors = dist = None
     bound_kind, bound_value = stream_bound(box)
+    if bound_kind in ("abs", "rel"):
+        errors = measure_errors(original, recon, (bound_kind, bound_value))
     if bound_kind == "abs":
-        # abs-bound codecs: stats against the absolute bound directly
-        errors = _abs_stats(original, recon, bound_value)
         dist = error_distribution(original, recon, bound_value)
     elif bound_kind == "rel":
-        errors = bounded_fraction(original, recon, bound_value)
-        x = original.astype(np.float64).ravel()
-        nz = x != 0
-        rel = (recon.astype(np.float64).ravel()[nz] - x[nz]) / np.abs(x[nz])
+        rel = relative_residuals(original, recon)
         if rel.size >= 8:
             dist = error_distribution(np.zeros_like(rel), rel, bound_value)
     # "prec"/"rate" kinds parameterize fidelity without a point-wise
@@ -374,19 +371,3 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
         distribution=dist,
     )
 
-
-def _abs_stats(original: np.ndarray, recon: np.ndarray, eb: float) -> ErrorStats:
-    """ErrorStats where 'bounded' means the absolute bound."""
-    x = original.astype(np.float64).ravel()
-    xd = recon.astype(np.float64).ravel()
-    err = np.abs(xd - x)
-    zeros = x == 0
-    rel = err[~zeros] / np.abs(x[~zeros])
-    return ErrorStats(
-        max_abs=float(err.max(initial=0.0)),
-        max_rel=float(rel.max(initial=0.0)),
-        avg_rel=float(rel.mean()) if rel.size else 0.0,
-        bounded_fraction=float((err <= eb).mean()),
-        zeros_modified=int((err[zeros] > 0).sum()),
-        n=x.size,
-    )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor, ErrorBound, RelativeBound
+from repro.metrics.error import measure_errors
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
 from repro.resilience.policy import LadderExhaustedError
@@ -119,18 +120,15 @@ class DegradationLadder(Compressor):
         """Raise when the candidate stream violates a relative bound."""
         if not self.verify or not isinstance(bound, RelativeBound):
             return
-        recon = rung.decompress(blob).astype(np.float64).ravel()
-        x = data.astype(np.float64).ravel()
-        err = np.abs(recon - x)
-        # Same tolerance discipline as the audit: grade against eps-padded
-        # bound so float32 round-off is not misread as a violation.
-        tol = bound.value * (1 + 1e-12) + np.finfo(np.float64).tiny
-        bad = err > tol * np.abs(x)
-        if bad.any():
+        # Grade against an eps-padded bound so float32 round-off is not
+        # misread as a violation.
+        errors = measure_errors(
+            data, rung.decompress(blob), ("rel", bound.value * (1 + 1e-12))
+        )
+        if errors.violations:
             raise ValueError(
                 f"{rung.name} stream violates rel bound {bound.value:g} at "
-                f"{int(bad.sum())} point(s) (max rel err "
-                f"{float((err[bad] / np.abs(x[bad])).max()):.3e})"
+                f"{errors.violations} point(s) (max rel err {errors.max_rel:.3e})"
             )
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:

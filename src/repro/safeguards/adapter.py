@@ -21,6 +21,7 @@ from repro.compressors.base import (
     get_compressor,
 )
 from repro.encoding.container import Container, ContainerError, peek_codec
+from repro.metrics.error import max_rel_error
 from repro.observe.events import emit as _emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -120,21 +121,17 @@ class SafeguardedCompressor(Compressor):
         inner_blob, recon = inner.compress_verified(sanitized, bound)
         with span("safeguard-verify", codec=inner.name, n=int(data.size)):
             channel = compute_patch_channel(stack, data, recon)
-        self._record(data, recon, stack, channel, inner.name)
+        final = np.ascontiguousarray(recon.astype(data.dtype, copy=bool(channel.size)))
+        if channel.size:
+            final.ravel()[channel.patch_idx.astype(np.int64)] = channel.patch_val
+        self._record(data, final, stack, channel, inner.name)
 
         box = self._new_container(self.name, data)
         box.put_str("safeguards", ";".join(sg.spec() for sg in stack))
         box.put_str("inner_codec", inner.name)
         box.put("inner", inner_blob)
         put_patch_sections(box, channel.patch_idx, channel.patch_val)
-        blob = box.to_bytes(version=SAFEGUARD_VERSION)
-
-        if channel.size:
-            final = np.ascontiguousarray(recon.astype(data.dtype, copy=True))
-            final.ravel()[channel.patch_idx.astype(np.int64)] = channel.patch_val
-        else:
-            final = np.ascontiguousarray(recon.astype(data.dtype, copy=False))
-        return blob, final
+        return box.to_bytes(version=SAFEGUARD_VERSION), final
 
     def _compress_empty(self, data: np.ndarray) -> bytes:
         if data.dtype not in (np.float32, np.float64):
@@ -151,7 +148,7 @@ class SafeguardedCompressor(Compressor):
         )
         return box.to_bytes(version=SAFEGUARD_VERSION)
 
-    def _record(self, data, recon, stack, channel, inner_name) -> None:
+    def _record(self, data, final, stack, channel, inner_name) -> None:
         reg = metrics()
         reg.counter("safeguard.points").inc(data.size)
         reg.counter("safeguard.patched").inc(channel.size)
@@ -162,9 +159,8 @@ class SafeguardedCompressor(Compressor):
             by_kind[kind] = by_kind.get(kind, 0) + count
             reg.counter(f"safeguard.patched.{kind}").inc(count)
         if self.declared_rel_bound is not None:
-            reg.histogram("safeguard.max_rel").observe(
-                self._max_rel(data, recon, channel)
-            )
+            # Post-patch: patched points are stored exactly in ``final``.
+            reg.histogram("safeguard.max_rel").observe(max_rel_error(data, final))
         if channel.size:
             _emit_event(
                 "safeguard-patch",
@@ -174,58 +170,6 @@ class SafeguardedCompressor(Compressor):
                 patched=channel.size,
                 by_kind=by_kind,
             )
-
-    @staticmethod
-    def _max_rel(data: np.ndarray, recon: np.ndarray, channel) -> float:
-        """Post-patch max point-wise relative error (``safeguard.max_rel``).
-
-        Patched points carry no residual; exact zeros and non-finite
-        originals are excluded, matching the audit convention.  On the
-        compliant float32 hot path a float32 screen finds the argmax
-        neighbourhood and only those points are re-measured in float64,
-        which keeps this telemetry off the overhead budget's back.
-        """
-        x = np.ascontiguousarray(data).ravel()
-        xd = np.ascontiguousarray(recon.astype(data.dtype, copy=False)).ravel()
-        if data.dtype == np.float32 and channel.size == 0 and x.size > 4096:
-            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-                absx = np.abs(x)
-                nz = absx > 0
-                ratio = np.divide(
-                    np.abs(xd - x), absx, out=np.zeros_like(absx), where=nz
-                )
-                m32 = float(ratio.max(initial=0.0))
-                if np.isfinite(m32):
-                    # Keep everything float32 rounding could have demoted
-                    # from the true argmax; subnormal |x| gets no such
-                    # guarantee, so it is always re-measured.
-                    cand = nz & (
-                        (ratio >= np.float32(m32 * (1.0 - 2e-6)))
-                        | (absx < np.float32(1.2e-38))
-                    )
-                    idx = np.flatnonzero(cand)
-                    if idx.size == 0:
-                        return 0.0
-                    if idx.size <= x.size // 8:
-                        xs = x[idx].astype(np.float64)
-                        err = np.abs(xd[idx].astype(np.float64) - xs)
-                        nzs = np.isfinite(xs) & (xs != 0)
-                        rel = np.divide(
-                            err, np.abs(xs), out=np.zeros_like(err), where=nzs
-                        )
-                        return float(rel.max(initial=0.0))
-                # NaN/Inf ratios (non-finite input) or a pathological
-                # candidate blowup (e.g. all errors zero): the screen saved
-                # nothing, measure exactly below.
-        with np.errstate(invalid="ignore"):
-            x64 = x.astype(np.float64, copy=False)
-            err = np.abs(xd.astype(np.float64, copy=False) - x64)
-            if channel.size:
-                err[channel.patch_idx.astype(np.int64)] = 0.0
-            absx = np.abs(x64)
-            nz = np.isfinite(x64) & (absx != 0)
-            rel = np.divide(err, absx, out=np.zeros_like(err), where=nz)
-            return float(rel.max(initial=0.0))
 
     # -- decode ------------------------------------------------------------
 

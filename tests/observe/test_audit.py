@@ -3,46 +3,43 @@
 import numpy as np
 import pytest
 
-from repro import RelativeBound, get_compressor
+from repro import RelativeBound, decompress, get_compressor
+from repro.core.pwr import make_sz_t
+from repro.metrics.error import measure_errors
 from repro.observe.audit import (
     AuditReport,
     BoundAuditor,
+    ChunkAudit,
     audit_stream,
     auditing,
     get_auditor,
     theorem3_check,
 )
 from repro.observe.metrics import MetricsRegistry, metrics
+from repro.observe.quality import ErrorHistogram
+
+
+def _chunk(x, xd, rel_bound, index=None):
+    """A ChunkAudit of ``xd`` against ``x`` (what a verify pass records)."""
+    e = measure_errors(x, xd, ("rel", rel_bound))
+    return ChunkAudit(
+        index=index, codec="SZ_T", n=e.n, bound_kind="rel", bound_value=rel_bound,
+        max_rel=e.max_rel, max_abs=e.max_abs, bounded_fraction=e.bounded_fraction,
+        violations=e.violations, zeros=e.zeros, negatives=e.negatives, patched=None,
+        effective_ba=None, theorem2_ba=None, lemma2_ba=None, lemma2_ok=None,
+    )
 
 
 class TestBoundAuditor:
-    def test_observe_chunk_counts_violations(self):
-        x = np.array([1.0, 2.0, -4.0, 0.0])
-        xd = np.array([1.0005, 2.0, -4.0, 0.0])  # one point 5e-4 off
-        aud = BoundAuditor(registry=MetricsRegistry())
-        c = aud.observe_chunk(x, xd, rel_bound=1e-4, index=3, codec="SZ_T")
-        assert c.violations == 1
-        assert not c.ok
-        assert c.n == 4
-        assert c.index == 3
-        assert c.max_rel == pytest.approx(5e-4)
-        assert c.bounded_fraction == pytest.approx(0.75)
-        assert c.zeros == 1 and c.negatives == 1
-
-    def test_modified_zero_is_a_violation(self):
-        x = np.array([0.0, 1.0])
-        xd = np.array([1e-30, 1.0])
-        aud = BoundAuditor(registry=MetricsRegistry())
-        assert aud.observe_chunk(x, xd, rel_bound=1e-2).violations == 1
-
     def test_record_moves_audit_metrics(self):
         reg = MetricsRegistry()
         aud = BoundAuditor(registry=reg)
         x = np.linspace(1.0, 2.0, 100)
-        aud.observe_chunk(x, x, rel_bound=1e-3)
+        aud.record(_chunk(x, x, rel_bound=1e-3))
         assert reg.counter("audit.points").value == 100
         assert reg.counter("audit.violations").value == 0
         assert reg.histogram("audit.max_rel").n == 1
+        assert reg.histogram("audit.max_abs").n == 1
 
     def test_compress_feeds_installed_auditor(self, smooth_positive_3d):
         with auditing() as aud:
@@ -149,11 +146,82 @@ class TestAuditStream:
         assert any("theorem 3" in n for n in rep.notes)
         assert rep.negatives > 0  # sign bitmap restored negatives
 
+    def test_nonfinite_recon_of_finite_original_violates(self):
+        # A nonfinite="preserve" stream decodes NaN/Inf where the original
+        # handed to the audit is finite: every such point is a violation,
+        # and the maxima stay over the finite residuals.
+        x = np.random.default_rng(11).lognormal(size=5000).astype(np.float32)
+        src = x.copy()
+        src[[10, 20, 30]] = [np.nan, np.inf, -np.inf]
+        blob = make_sz_t(nonfinite="preserve").compress(src, RelativeBound(1e-3))
+        rep = audit_stream(blob, x, check_theorem3=False)
+        assert rep.violations == 3 and not rep.ok
+        assert rep.bounded_fraction == pytest.approx(1 - 3 / 5000)
+        assert 0 < rep.max_rel <= 1e-3 and np.isfinite(rep.max_abs)
+        assert rep.error_summary["nonfinite"] == 3
+
+    def test_reproduced_nonfinite_original_conforms(self):
+        x = np.random.default_rng(12).lognormal(size=5000).astype(np.float32)
+        x[[10, 20, 30]] = [np.nan, np.inf, -np.inf]
+        blob = make_sz_t(nonfinite="preserve").compress(x, RelativeBound(1e-3))
+        rep = audit_stream(blob, x, check_theorem3=False)
+        assert rep.ok and rep.violations == 0
+        assert 0 < rep.max_rel <= 1e-3 and np.isfinite(rep.max_abs)
+        assert rep.error_summary["nonfinite"] == 3
+
+    def test_lost_nonfinite_original_violates(self):
+        x = np.random.default_rng(13).lognormal(size=5000).astype(np.float32)
+        blob = get_compressor("SZ_T").compress(x, RelativeBound(1e-3))
+        claimed = x.copy()
+        claimed[[10, 20]] = [np.nan, np.inf]
+        rep = audit_stream(blob, claimed, check_theorem3=False)
+        assert rep.violations == 2 and not rep.ok
+        assert rep.max_rel <= 1e-3
+
     def test_boundless_codec_noted(self, signed_2d):
         blob = get_compressor("GZIP").compress(signed_2d)
         rep = audit_stream(blob, signed_2d)
         assert rep.bound_kind is None
         assert any("no recoverable native bound" in n for n in rep.notes)
+
+
+class TestCompressPathMatchesOffline:
+    """The verify pass and ``audit_stream`` measure one stream identically."""
+
+    @pytest.mark.parametrize("kind", ["zero-free", "zero-heavy", "nonfinite"])
+    def test_digest_and_counts_agree(self, kind):
+        rng = np.random.default_rng(4)
+        n = 40_000  # past the digest's 32Ki-point bucket sample
+        x = rng.lognormal(0.0, 2.0, n).astype(np.float32)
+        x[::3] *= -1
+        comp = get_compressor("SZ_T")
+        if kind == "zero-heavy":
+            x[rng.random(n) < 0.5] = 0.0
+        elif kind == "nonfinite":
+            x[[5, 17, 18, 300]] = [np.nan, np.inf, -np.inf, 0.0]
+            comp = make_sz_t(nonfinite="preserve")
+        with auditing() as aud:
+            blob = comp.compress(x, RelativeBound(1e-3))
+        (online,) = aud.chunks()
+        (offline,) = audit_stream(blob, x, check_theorem3=False).chunks
+        assert online.error_hist is not None
+        assert online.error_hist == offline.error_hist
+        assert online.zeros == offline.zeros
+        assert online.negatives == offline.negatives
+        assert (online.max_rel, online.max_abs) == (offline.max_rel, offline.max_abs)
+        if kind == "nonfinite":
+            assert online.zeros == 1 and online.error_hist["nonfinite"] == 3
+
+    def test_compress_path_bias_is_exact(self):
+        rng = np.random.default_rng(6)
+        x = rng.lognormal(0.0, 2.0, 40_000).astype(np.float32)
+        with auditing() as aud:
+            blob = get_compressor("SZ_T").compress(x, RelativeBound(1e-3))
+        (online,) = aud.chunks()
+        x64 = x.astype(np.float64)
+        rel = (decompress(blob).astype(np.float64) - x64) / np.abs(x64)
+        summary = ErrorHistogram.from_snapshot(online.error_hist).summary()
+        assert summary["rel_bias"] == pytest.approx(rel.mean(), rel=1e-9)
 
 
 class TestTheorem3:
@@ -183,14 +251,17 @@ class TestFromMetrics:
         aud = BoundAuditor(registry=reg)
         before = reg.snapshot()
         rng = np.random.default_rng(5)
+        xs = []
         for i in range(3):
             x = rng.lognormal(size=500)
-            aud.observe_chunk(x, x * (1.0 + 4e-4), rel_bound=1e-3, index=i)
+            xs.append(x)
+            aud.record(_chunk(x, x * (1.0 + 4e-4), rel_bound=1e-3, index=i))
         rep = AuditReport.from_metrics(reg.diff(before), codec="SZ_T", bound_value=1e-3)
         assert rep.n_points == 1500
         assert rep.n_chunks == 3
         assert rep.violations == 0
         assert rep.max_rel == pytest.approx(4e-4)
+        assert rep.max_abs == pytest.approx(4e-4 * max(v.max() for v in xs))
         assert rep.bound_kind == "rel" and rep.bound_value == 1e-3
         assert rep.bounded_fraction == 1.0
         assert rep.ok
@@ -220,6 +291,19 @@ class TestFromMetrics:
         assert rep.n_chunks == comp.last_chunk_count
         assert rep.bound_value == 1e-2
         assert rep.ok
+
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
+    def test_chunked_last_audit_formats(self, smooth_positive_3d, executor, workers):
+        from repro.core.chunked import ChunkedCompressor
+
+        comp = ChunkedCompressor(
+            "SZ_T", chunk_bytes=8192, executor=executor, workers=workers
+        )
+        comp.compress(smooth_positive_3d, RelativeBound(1e-2))
+        rep = comp.last_audit
+        assert rep.max_abs is not None and rep.max_abs > 0
+        text = rep.format()
+        assert "max abs:" in text and "PASS" in text
 
     def test_empty_delta_is_well_defined(self):
         rep = AuditReport.from_metrics({}, codec="X")
