@@ -35,6 +35,7 @@ from repro.compressors.base import (
 from repro.core.error_bounds import abs_bound_for, adjusted_abs_bound, machine_eps0
 from repro.core.transform import LogTransform
 from repro.encoding import decode_sign_bitmap, encode_sign_bitmap
+from repro.metrics.error import measure_errors
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
 from repro.safeguards.engine import (
@@ -253,7 +254,6 @@ class TransformedCompressor(Compressor):
         equals what ``audit_stream`` finds offline.  The violation count
         is the safeguard engine's, which has just enforced the bound.
         """
-        from repro.metrics.error import measure_errors
         from repro.observe.audit import ChunkAudit, get_auditor, record_audit_metrics
         from repro.observe.events import emit as emit_event
         from repro.observe.quality import ErrorHistogram, quality_enabled
