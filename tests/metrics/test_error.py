@@ -193,10 +193,13 @@ class TestNonFiniteEntryPoints:
     @pytest.mark.parametrize("bad", NONFINITE)
     def test_bounded_fraction_counts_nonfinite_recon(self, bad):
         x = np.linspace(1.0, 2.0, 5000)
+        x[[7, 9]] = [0.0, 1e-310]  # a zero and a subnormal original
         xd = x * (1.0 + 2e-4)
-        xd[[7, 9]] = [bad, bad]
+        xd[[5, 7, 9]] = bad
         stats = bounded_fraction(x, xd, 1e-3)
-        assert stats.bounded_fraction == pytest.approx(1 - 2 / 5000)
+        assert stats.violations == 3 and stats.zeros_modified == 1
+        assert stats.bounded_fraction == pytest.approx(1 - 3 / 5000)
+        assert stats.bounded_label().endswith("*")
         assert stats.max_rel == pytest.approx(2e-4)
         assert stats.avg_rel == pytest.approx(2e-4)
         assert np.isfinite(stats.max_abs)

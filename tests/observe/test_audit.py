@@ -154,6 +154,7 @@ class TestAuditStream:
         src = x.copy()
         src[[10, 20, 30]] = [np.nan, np.inf, -np.inf]
         blob = make_sz_t(nonfinite="preserve").compress(src, RelativeBound(1e-3))
+        x[[20, 30]] = [0.0, np.finfo(np.float32).tiny / 8]  # zero, subnormal
         rep = audit_stream(blob, x, check_theorem3=False)
         assert rep.violations == 3 and not rep.ok
         assert rep.bounded_fraction == pytest.approx(1 - 3 / 5000)
