@@ -180,6 +180,22 @@ def decompress(blob: bytes) -> np.ndarray:
     truncated streams raise :class:`StreamError` subclasses; v2 streams
     are checksum-verified before any decoding happens.
     """
+    return _decoder_for(blob).decompress(blob)
+
+
+def _decompress_nested(blob: bytes, trusted: bool) -> np.ndarray:
+    """Decode a stream stored in a section of another stream.
+
+    ``trusted``: the outer stream's CRC, already checked, covered every
+    byte of ``blob``, so its own stream CRC is not hashed again
+    (:meth:`Compressor.decompress_trusted`).
+    """
+    compressor = _decoder_for(blob)
+    return compressor.decompress_trusted(blob) if trusted else compressor.decompress(blob)
+
+
+def _decoder_for(blob: bytes) -> Compressor:
+    """The registered compressor named by ``blob``'s header."""
     # Peek the codec name from the header only -- the dispatched
     # compressor immediately re-parses with full CRC verification, so a
     # complete verifying parse here would hash every byte twice.  If the
@@ -187,8 +203,7 @@ def decompress(blob: bytes) -> np.ndarray:
     # checksummed streams report ChecksumError rather than a structural
     # misread of corrupt header fields.
     try:
-        codec = peek_codec(blob)
-        compressor = get_compressor(codec)
+        return get_compressor(peek_codec(blob))
     except (StreamError, KeyError):
         codec = Container.from_bytes(blob).codec
         if codec == "ARCHIVE":
@@ -197,12 +212,11 @@ def decompress(blob: bytes) -> np.ndarray:
                 "repro.archive.decompress_dataset"
             )
         try:
-            compressor = get_compressor(codec)
+            return get_compressor(codec)
         except KeyError:
             raise ContainerError(
                 f"stream names unknown codec {codec!r} (corrupt header?)"
             ) from None
-    return compressor.decompress(blob)
 
 
 def verify_stream(blob: bytes):

@@ -155,7 +155,8 @@ def _translate_decode_errors(fn):
 
 
 def _traced_compress(fn):
-    """Wrap a ``compress`` in a ``compress`` span carrying codec + bytes."""
+    """Wrap a ``compress`` or ``compress_verified`` in a ``compress`` span
+    carrying codec + bytes, and emit one ``compress`` event for it."""
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
@@ -165,7 +166,8 @@ def _traced_compress(fn):
             # disabled wrapper allocates nothing per call.
             return fn(self, *args, **kwargs)
         with _span("compress", codec=self.name) as sp:
-            blob = fn(self, *args, **kwargs)
+            out = fn(self, *args, **kwargs)
+            blob = out[0] if isinstance(out, tuple) else out
             data = args[0] if args else kwargs.get("data")
             sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
             _emit_event(
@@ -175,7 +177,7 @@ def _traced_compress(fn):
                 bytes_in=getattr(data, "nbytes", 0),
                 bytes_out=len(blob),
             )
-        return blob
+        return out
 
     wrapper.__trace_wrapped__ = True
     return wrapper
@@ -240,9 +242,10 @@ class Compressor(abc.ABC):
             if not getattr(fn, "__trace_wrapped__", False):
                 fn = _traced_decompress(fn)
             cls.decompress = fn
-        fn = cls.__dict__.get("compress")
-        if fn is not None and not getattr(fn, "__trace_wrapped__", False):
-            cls.compress = _traced_compress(fn)
+        for attr in ("compress", "compress_verified"):
+            fn = cls.__dict__.get(attr)
+            if fn is not None and not getattr(fn, "__trace_wrapped__", False):
+                setattr(cls, attr, _traced_compress(fn))
 
     @abc.abstractmethod
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
@@ -255,11 +258,15 @@ class Compressor(abc.ABC):
     def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
         """Compress and also return the exact array ``decompress`` yields.
 
-        Verifying wrappers (e.g. the transformed compressor's bound check)
+        The bytes equal ``compress``'s and the array equals
+        ``decompress(blob)`` bit for bit.  Verifying wrappers (e.g. the
+        transformed compressor's bound check) and the CLI's bound report
         call this instead of ``compress`` + ``decompress``.  Codecs that
         already materialize their decoder's reconstruction while encoding
-        (SZ must, to patch round-off violators) override it to skip the
-        redundant decode; this default simply round-trips.
+        (SZ must, to patch round-off violators) and every wrapper override
+        it to skip the redundant decode; this default simply round-trips.
+        Like ``compress``, each override is traced automatically: one
+        ``compress`` span and event per call.
         """
         blob = self.compress(data, bound)
         return blob, self.decompress(blob)

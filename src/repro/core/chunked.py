@@ -46,6 +46,7 @@ from repro.encoding.container import (
     Container,
     ContainerError,
     StreamError,
+    peek_codec,
 )
 from repro.encoding.rs import MAX_GROUP_BLOCKS, encode_parity
 from repro.observe.events import emit as emit_event
@@ -150,10 +151,19 @@ def _compress_chunk(inner: Compressor, chunk: np.ndarray, bound: ErrorBound) -> 
     return inner.compress(chunk, bound)
 
 
-def _decompress_chunk(blob: bytes) -> np.ndarray:
-    from repro import decompress
+def _compress_chunk_verified(
+    inner: Compressor, chunk: np.ndarray, bound: ErrorBound
+) -> tuple[bytes, np.ndarray]:
+    """A chunk's stream and the exact array its decoder yields."""
+    return inner.compress_verified(chunk, bound)
 
-    return decompress(blob)
+
+def _decompress_chunk(blob: bytes, trusted: bool = False) -> np.ndarray:
+    """Decode one chunk; ``trusted`` when the CHUNKED stream's checked
+    CRC already covered its bytes."""
+    from repro import _decompress_nested
+
+    return _decompress_nested(blob, trusted)
 
 
 @dataclass(frozen=True)
@@ -661,6 +671,22 @@ class ChunkedCompressor(Compressor):
     # -- compression ---------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound, verified=False)[0]
+
+    def compress_verified(
+        self, data: np.ndarray, bound: ErrorBound
+    ) -> tuple[bytes, np.ndarray]:
+        """Compress and return the exact array ``decompress`` yields.
+
+        Each chunk job returns its stream and array from the inner codec's
+        own ``compress_verified``, so no chunk is decoded; the arrays are
+        joined the way ``decompress`` joins decoded chunks.
+        """
+        return self._compress_impl(data, bound, verified=True)
+
+    def _compress_impl(
+        self, data: np.ndarray, bound: ErrorBound, verified: bool
+    ) -> tuple[bytes, np.ndarray | None]:
         # Cleared first, so a compress that raises (bound check, breaker,
         # watchdog, job deadline) never leaves the previous call's report.
         self.last_resilience = None
@@ -673,17 +699,25 @@ class ChunkedCompressor(Compressor):
                 raise TypeError(f"expected float32/float64 data, got {data.dtype}")
             if data.ndim not in (1, 2, 3):
                 raise ValueError(f"expected 1-D/2-D/3-D data, got ndim={data.ndim}")
-            chunks, blobs = [], []
+            chunks, results = [], []
         else:
             data = self._check_input(
                 data, allow_nonfinite=getattr(inner, "allows_nonfinite", False)
             )
             chunks = self._split(data)
             audit_before = metrics().snapshot()
-            blobs = self._map(_compress_chunk, [(inner, c, bound) for c in chunks])
+            fn = _compress_chunk_verified if verified else _compress_chunk
+            results = self._map(fn, [(inner, c, bound) for c in chunks])
             self._build_audit(audit_before, bound)
+        blobs = [blob for blob, _ in results] if verified else results
         self._build_resilience(blobs)
-        return self._assemble(data, chunks, blobs)
+        blob = self._assemble(data, chunks, blobs)
+        if not verified:
+            return blob, None
+        if not results:
+            return blob, np.zeros(data.shape, dtype=data.dtype)
+        flat = np.concatenate([part.ravel() for _, part in results])
+        return blob, flat.astype(data.dtype, copy=False).reshape(data.shape)
 
     def _build_resilience(self, blobs: list[bytes]) -> None:
         """Summarize what the resilience machinery did for this compress."""
@@ -708,7 +742,6 @@ class ChunkedCompressor(Compressor):
 
     def _chunk_codecs(self, blobs: list[bytes]) -> list[str] | None:
         """Per-chunk winning codec names when the inner is a ladder."""
-        from repro.encoding.container import peek_codec
         from repro.resilience.ladder import DegradationLadder
 
         if not isinstance(self.inner, DegradationLadder) or not blobs:
@@ -752,7 +785,7 @@ class ChunkedCompressor(Compressor):
             with span("parity-encode", k=self.parity, m=self.group_size):
                 self._put_parity_sections(box, blobs)
             version = 3
-        box.put("payload", b"".join(blobs))
+        box.put_nested("payload", *blobs)
         return box.to_bytes(version=version)
 
     def _put_parity_sections(self, box: Container, blobs: list[bytes]) -> None:
@@ -779,7 +812,12 @@ class ChunkedCompressor(Compressor):
 
     def decompress(self, blob: bytes) -> np.ndarray:
         self._job_started = time.perf_counter()
-        codec = Container.from_bytes(blob).codec
+        try:
+            codec = peek_codec(blob)
+        except StreamError:
+            # Damaged header: the verifying parse reports ChecksumError on
+            # a checksummed stream rather than a misread header field.
+            codec = Container.from_bytes(blob).codec
         if codec != self.name:
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
@@ -790,7 +828,11 @@ class ChunkedCompressor(Compressor):
         payload = box.get("payload")
         if offs[-1] + lens[-1] != len(payload):
             raise ContainerError("corrupt CHUNKED stream: payload length mismatch")
-        jobs = [(payload[o : o + ln],) for o, ln in zip(offs, lens)]
+        # A v2+ stream's CRC -- checked by _open_container, or by the
+        # caller that vouched for these bytes -- covered every chunk, so
+        # the chunks skip their own; v1 streams have none to rely on.
+        trusted = box.checksummed
+        jobs = [(payload[o : o + ln], trusted) for o, ln in zip(offs, lens)]
         parts = self._map(_decompress_chunk, jobs)
         metrics().counter("chunks.decompressed").inc(len(jobs))
         current_span().set(chunks=len(jobs), workers=self.workers)

@@ -126,9 +126,7 @@ class TransformedCompressor(Compressor):
         default would run is pure waste.  Wrappers like the safeguards
         adapter rely on this to keep compliant-codec overhead near zero.
         """
-        with span("compress", codec=self.name) as sp:
-            blob, final = self._compress_impl(data, bound)
-            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
+        blob, final = self._compress_impl(data, bound)
         if final is None:
             return blob, self.decompress(blob)
         return blob, final
@@ -139,8 +137,9 @@ class TransformedCompressor(Compressor):
         self._check_bound(bound)
         br = float(bound.value)
         tf = self.transform
-        if np.asarray(data).size == 0:
-            return self._compress_empty(np.asarray(data), br), None
+        data = np.asarray(data)
+        if data.size == 0:
+            return self._compress_empty(data, br), np.zeros(data.shape, data.dtype)
         data = self._check_input(data, allow_nonfinite=self.allows_nonfinite)
         reg = metrics()
 
@@ -226,7 +225,7 @@ class TransformedCompressor(Compressor):
             box.put_f64("base", tf.base)
             box.put_u64("all_nonneg", int(all_nonneg))
             box.put("signs", sign_payload)
-            box.put("inner", inner_blob)
+            box.put_nested("inner", inner_blob)
             put_patch_sections(box, patch_idx, patch_val)
             blob = box.to_bytes()
             sp.add_bytes(out=len(blob))

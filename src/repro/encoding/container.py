@@ -100,6 +100,8 @@ class Container:
             raise ValueError("codec name must be non-empty")
         self.codec = codec
         self._sections: OrderedDict[str, bytes] = OrderedDict()
+        #: Section CRCs known without hashing (see :meth:`put_nested`).
+        self._nested_crcs: dict[str, int] = {}
         #: Format version this container was parsed from (or will be
         #: written as).  Version 1 streams carry no checksums.
         self.version = _VERSION
@@ -122,6 +124,27 @@ class Container:
         if key in self._sections:
             raise ContainerError(f"duplicate section {key!r}")
         self._sections[key] = bytes(payload)
+
+    def put_nested(self, key: str, *streams: bytes) -> None:
+        """Store serialized streams, concatenated, as section ``key``.
+
+        For streams this process has just serialized or verified -- a
+        wrapper's ``inner``, the chunks of a ``CHUNKED`` payload, the
+        fields of an ``ARCHIVE``.  The section CRC is not hashed again:
+        each v2+ stream's trailer already holds the CRC of every byte
+        before it, so its own CRC is ``crc32c(trailer, stored_crc)``, and
+        the streams' CRCs fold into the section's with
+        :func:`crc32c_combine`.  A stream altered after it was serialized
+        (body changed, trailer kept) therefore gives a parent whose stored
+        CRCs disagree with its bytes, and the parent fails verification.
+        Streams without a trailer (v1, empty) are hashed in full.  The
+        bytes written are the same as :meth:`put`'s.
+        """
+        crc = 0
+        for blob in streams:
+            crc = crc32c_combine(crc, _stream_crc(blob), len(blob))
+        self.put(key, b"".join(streams))
+        self._nested_crcs[key] = crc
 
     def get(self, key: str) -> bytes:
         try:
@@ -240,14 +263,17 @@ class Container:
             # The stream CRC is assembled incrementally: framing bytes are
             # hashed as they are emitted and each payload's own CRC (which
             # the v2 format stores anyway) is folded in with
-            # crc32c_combine, so payload bytes are read once, not twice.
+            # crc32c_combine, so payload bytes are read once, not twice --
+            # and nested streams not at all (put_nested).
             stream_crc = crc32c(b"".join(parts))
             for key, payload in self._sections.items():
                 k = key.encode("utf-8")
                 head = b"".join(
                     (write_varint(len(k)), k, write_varint(len(payload)))
                 )
-                sec_crc = crc32c(payload)
+                sec_crc = self._nested_crcs.get(key)
+                if sec_crc is None:
+                    sec_crc = crc32c(payload)
                 tail = struct.pack("<I", sec_crc)
                 parts.extend((head, payload, tail))
                 stream_crc = crc32c_combine(
@@ -422,6 +448,14 @@ def _header_version(data) -> int:
     if data[4] not in _KNOWN_VERSIONS:
         raise ContainerError(f"unsupported container version {data[4]}")
     return data[4]
+
+
+def _stream_crc(blob: bytes) -> int:
+    """CRC-32C of a whole serialized stream, from its trailer when it has one."""
+    if len(blob) >= 5 + _CRC_BYTES and blob[:4] == _MAGIC and blob[4] >= 2:
+        trailer = blob[-_CRC_BYTES:]
+        return crc32c(trailer, struct.unpack("<I", trailer)[0])
+    return crc32c(blob)
 
 
 def _read_varint(view: memoryview, pos: int, end: int) -> tuple[int, int]:

@@ -44,9 +44,11 @@ class DegradationLadder(Compressor):
         one rung is required; ending with ``"GZIP"`` makes the ladder
         total (lossless storage never fails on finite input).
     verify:
-        With a :class:`RelativeBound`, decode each candidate stream and
-        fall through when the achieved max relative error exceeds the
-        bound -- turning silent bound violations into fallbacks.
+        With a :class:`RelativeBound`, grade each candidate on the array
+        its rung's ``compress_verified`` returns (the exact decode, without
+        running the decoder) and fall through when the achieved max
+        relative error exceeds the bound -- turning silent bound
+        violations into fallbacks.
     """
 
     name = "LADDER"
@@ -115,16 +117,12 @@ class DegradationLadder(Compressor):
 
     # -- compression ---------------------------------------------------------
 
-    def _verify(self, rung: Compressor, blob: bytes, data: np.ndarray,
-                bound: ErrorBound) -> None:
-        """Raise when the candidate stream violates a relative bound."""
-        if not self.verify or not isinstance(bound, RelativeBound):
-            return
+    def _verify(self, rung: Compressor, recon: np.ndarray, data: np.ndarray,
+                bound: RelativeBound) -> None:
+        """Raise when the candidate's decoded array violates the bound."""
         # Grade against an eps-padded bound so float32 round-off is not
         # misread as a violation.
-        errors = measure_errors(
-            data, rung.decompress(blob), ("rel", bound.value * (1 + 1e-12))
-        )
+        errors = measure_errors(data, recon, ("rel", bound.value * (1 + 1e-12)))
         if errors.violations:
             raise ValueError(
                 f"{rung.name} stream violates rel bound {bound.value:g} at "
@@ -132,18 +130,34 @@ class DegradationLadder(Compressor):
             )
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound, verified=False)[0]
+
+    def compress_verified(
+        self, data: np.ndarray, bound: ErrorBound
+    ) -> tuple[bytes, np.ndarray]:
+        """The winning rung's stream and the exact array it decodes to."""
+        return self._compress_impl(data, bound, verified=True)
+
+    def _compress_impl(
+        self, data: np.ndarray, bound: ErrorBound, verified: bool
+    ) -> tuple[bytes, np.ndarray | None]:
         self._check_bound(bound)
         self.last_fallbacks = 0
         failures: list[str] = []
         rungs = self.rungs
+        grade = self.verify and isinstance(bound, RelativeBound)
         for pos, rung in enumerate(rungs):
             try:
                 if not isinstance(bound, rung.supported_bounds):
                     raise TypeError(
                         f"{rung.name} does not accept {type(bound).__name__}"
                     )
-                blob = rung.compress(data, bound)
-                self._verify(rung, blob, data, bound)
+                if verified or grade:
+                    blob, recon = rung.compress_verified(data, bound)
+                else:
+                    blob, recon = rung.compress(data, bound), None
+                if grade:
+                    self._verify(rung, recon, data, bound)
             except Exception as exc:  # noqa: BLE001 - each rung failure is a
                 # fallback trigger by design; BaseException (kills,
                 # simulated crash points) still propagates.
@@ -161,7 +175,7 @@ class DegradationLadder(Compressor):
                 continue
             if pos:
                 metrics().counter("resilience.degraded_chunks").inc()
-            return blob
+            return blob, recon
         raise LadderExhaustedError(
             "every rung of the degradation ladder failed: " + "; ".join(failures)
         )

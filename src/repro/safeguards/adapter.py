@@ -90,10 +90,7 @@ class SafeguardedCompressor(Compressor):
         return self._compress_impl(data, bound)[0]
 
     def compress_verified(self, data: np.ndarray, bound: ErrorBound):
-        with span("compress", codec=self.name) as sp:
-            blob, final = self._compress_impl(data, bound)
-            sp.add_bytes(in_=data.nbytes, out=len(blob))
-        return blob, final
+        return self._compress_impl(data, bound)
 
     def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
         inner = self.inner
@@ -129,7 +126,7 @@ class SafeguardedCompressor(Compressor):
         box = self._new_container(self.name, data)
         box.put_str("safeguards", ";".join(sg.spec() for sg in stack))
         box.put_str("inner_codec", inner.name)
-        box.put("inner", inner_blob)
+        box.put_nested("inner", inner_blob)
         put_patch_sections(box, channel.patch_idx, channel.patch_val)
         return box.to_bytes(version=SAFEGUARD_VERSION), final
 
