@@ -60,7 +60,7 @@ from repro.encoding.container import (
     ContainerError,
     StreamError,
     TruncatedStreamError,
-    peek_codec,
+    codec_of,
 )
 from repro.resilience import (
     DegradationLadder,
@@ -196,27 +196,21 @@ def _decompress_nested(blob: bytes, trusted: bool) -> np.ndarray:
 
 def _decoder_for(blob: bytes) -> Compressor:
     """The registered compressor named by ``blob``'s header."""
-    # Peek the codec name from the header only -- the dispatched
-    # compressor immediately re-parses with full CRC verification, so a
-    # complete verifying parse here would hash every byte twice.  If the
-    # header bytes are damaged, fall back to the verifying parse so
-    # checksummed streams report ChecksumError rather than a structural
-    # misread of corrupt header fields.
+    # The dispatched compressor re-parses with full CRC verification, so
+    # only the header is read here (codec_of).
     try:
-        return get_compressor(peek_codec(blob))
-    except (StreamError, KeyError):
-        codec = Container.from_bytes(blob).codec
-        if codec == "ARCHIVE":
-            raise ValueError(
-                "stream is a multi-field ARCHIVE; read it with "
-                "repro.archive.decompress_dataset"
-            )
-        try:
-            return get_compressor(codec)
-        except KeyError:
-            raise ContainerError(
-                f"stream names unknown codec {codec!r} (corrupt header?)"
-            ) from None
+        return get_compressor(codec_of(blob))
+    except KeyError:
+        pass
+    # Not a registered name: the verifying parse tells a damaged header
+    # (ChecksumError) from an ARCHIVE or a truly unknown codec.
+    codec = Container.from_bytes(blob).codec
+    if codec == "ARCHIVE":
+        raise ValueError(
+            "stream is a multi-field ARCHIVE; read it with "
+            "repro.archive.decompress_dataset"
+        )
+    raise ContainerError(f"stream names unknown codec {codec!r} (corrupt header?)")
 
 
 def verify_stream(blob: bytes):

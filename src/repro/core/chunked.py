@@ -46,6 +46,7 @@ from repro.encoding.container import (
     Container,
     ContainerError,
     StreamError,
+    codec_of,
     peek_codec,
 )
 from repro.encoding.rs import MAX_GROUP_BLOCKS, encode_parity
@@ -146,16 +147,17 @@ def _available_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _compress_chunk(inner: Compressor, chunk: np.ndarray, bound: ErrorBound) -> bytes:
-    """Module-level so process-pool workers can unpickle the task."""
+def _compress_chunk(
+    inner: Compressor, chunk: np.ndarray, bound: ErrorBound, verified: bool = False
+) -> bytes | tuple[bytes, np.ndarray]:
+    """Module-level so process-pool workers can unpickle the task.
+
+    With ``verified``, the chunk's stream and the exact array its decoder
+    yields (``inner.compress_verified``).
+    """
+    if verified:
+        return inner.compress_verified(chunk, bound)
     return inner.compress(chunk, bound)
-
-
-def _compress_chunk_verified(
-    inner: Compressor, chunk: np.ndarray, bound: ErrorBound
-) -> tuple[bytes, np.ndarray]:
-    """A chunk's stream and the exact array its decoder yields."""
-    return inner.compress_verified(chunk, bound)
 
 
 def _decompress_chunk(blob: bytes, trusted: bool = False) -> np.ndarray:
@@ -682,11 +684,15 @@ class ChunkedCompressor(Compressor):
         own ``compress_verified``, so no chunk is decoded; the arrays are
         joined the way ``decompress`` joins decoded chunks.
         """
-        return self._compress_impl(data, bound, verified=True)
+        data = np.asarray(data)
+        blob, parts = self._compress_impl(data, bound, verified=True)
+        flat = np.concatenate([p.ravel() for p in parts]) if parts else np.zeros(0, data.dtype)
+        return blob, flat.astype(data.dtype, copy=False).reshape(data.shape)
 
     def _compress_impl(
         self, data: np.ndarray, bound: ErrorBound, verified: bool
-    ) -> tuple[bytes, np.ndarray | None]:
+    ) -> tuple[bytes, list[np.ndarray] | None]:
+        """The CHUNKED stream and, when ``verified``, each chunk's array."""
         # Cleared first, so a compress that raises (bound check, breaker,
         # watchdog, job deadline) never leaves the previous call's report.
         self.last_resilience = None
@@ -699,25 +705,21 @@ class ChunkedCompressor(Compressor):
                 raise TypeError(f"expected float32/float64 data, got {data.dtype}")
             if data.ndim not in (1, 2, 3):
                 raise ValueError(f"expected 1-D/2-D/3-D data, got ndim={data.ndim}")
-            chunks, results = [], []
+            chunks, blobs = [], []
         else:
             data = self._check_input(
                 data, allow_nonfinite=getattr(inner, "allows_nonfinite", False)
             )
             chunks = self._split(data)
             audit_before = metrics().snapshot()
-            fn = _compress_chunk_verified if verified else _compress_chunk
-            results = self._map(fn, [(inner, c, bound) for c in chunks])
+            blobs = self._map(_compress_chunk, [(inner, c, bound, verified) for c in chunks])
             self._build_audit(audit_before, bound)
-        blobs = [blob for blob, _ in results] if verified else results
+        parts = None
+        if verified:
+            parts = [part for _, part in blobs]
+            blobs = [blob for blob, _ in blobs]
         self._build_resilience(blobs)
-        blob = self._assemble(data, chunks, blobs)
-        if not verified:
-            return blob, None
-        if not results:
-            return blob, np.zeros(data.shape, dtype=data.dtype)
-        flat = np.concatenate([part.ravel() for _, part in results])
-        return blob, flat.astype(data.dtype, copy=False).reshape(data.shape)
+        return self._assemble(data, chunks, blobs), parts
 
     def _build_resilience(self, blobs: list[bytes]) -> None:
         """Summarize what the resilience machinery did for this compress."""
@@ -812,13 +814,7 @@ class ChunkedCompressor(Compressor):
 
     def decompress(self, blob: bytes) -> np.ndarray:
         self._job_started = time.perf_counter()
-        try:
-            codec = peek_codec(blob)
-        except StreamError:
-            # Damaged header: the verifying parse reports ChecksumError on
-            # a checksummed stream rather than a misread header field.
-            codec = Container.from_bytes(blob).codec
-        if codec != self.name:
+        if codec_of(blob) != self.name:
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
         box, shape, dtype = self._open_container(blob, self.name)

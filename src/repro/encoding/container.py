@@ -45,6 +45,7 @@ __all__ = [
     "ChecksumError",
     "StreamError",
     "TruncatedStreamError",
+    "codec_of",
     "peek_codec",
     "section_byte_ranges",
 ]
@@ -128,9 +129,10 @@ class Container:
     def put_nested(self, key: str, *streams: bytes) -> None:
         """Store serialized streams, concatenated, as section ``key``.
 
-        For streams this process has just serialized or verified -- a
-        wrapper's ``inner``, the chunks of a ``CHUNKED`` payload, the
-        fields of an ``ARCHIVE``.  The section CRC is not hashed again:
+        For streams this process has just serialized -- a wrapper's
+        ``inner``, the chunks of a ``CHUNKED`` payload, the fields of an
+        ``ARCHIVE`` -- and for the chunks a repair writes back, whose
+        damage must stay visible.  The section CRC is not hashed again:
         each v2+ stream's trailer already holds the CRC of every byte
         before it, so its own CRC is ``crc32c(trailer, stored_crc)``, and
         the streams' CRCs fold into the section's with
@@ -491,6 +493,20 @@ def peek_codec(data: bytes) -> str:
     """
     _header_version(data)
     return _read_codec(memoryview(data), len(data))[0]
+
+
+def codec_of(data: bytes) -> str:
+    """Codec name to dispatch ``data`` by, hashing nothing on a clean header.
+
+    Peeks the header (:func:`peek_codec`).  When the header is too
+    damaged to peek, falls back to the verifying parse, so a checksummed
+    stream reports :class:`ChecksumError` rather than a misread header
+    field.
+    """
+    try:
+        return peek_codec(data)
+    except StreamError:
+        return Container.from_bytes(data).codec
 
 
 def section_byte_ranges(data: bytes) -> dict[str, tuple[int, int]]:

@@ -346,7 +346,11 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     else:
         parity_out = bytes(pbytes).ljust(int(k * plens.sum()), b"\0")
     out.put("parity", parity_out)
-    out.put("payload", b"".join(final))
+    # Each chunk's CRC comes from its own trailer: byte-identical to a
+    # fresh hash when every chunk is whole, while a lost chunk's kept
+    # bytes disagree with it, so the output still fails verification as
+    # a damaged stream (strict decoders trust chunks the outer CRC covers).
+    out.put_nested("payload", *final)
 
     reg = metrics()
     reg.counter("parity.decode_s").inc(time.perf_counter() - t0)

@@ -52,6 +52,28 @@ def _bound_for(comp):
     return RateBound(16)
 
 
+def _silent_flip(chunk: bytes, key: str) -> int:
+    """First bit of section ``key`` whose flip still decodes, to other values.
+
+    The chunk is decoded the way a checked CHUNKED stream decodes its
+    chunks (no CRC of its own), so the damage is invisible to the decoder.
+    """
+    from repro.encoding.container import peek_codec, section_byte_ranges
+    from repro.testing import flip_bit
+
+    codec = get_compressor(peek_codec(chunk))
+    want = codec.decompress(chunk).view(np.uint32)
+    start, stop = section_byte_ranges(chunk)[key]
+    for bit in range(8 * start, 8 * stop):
+        try:
+            got = codec.decompress_trusted(flip_bit(chunk, bit))
+        except StreamError:
+            continue
+        if got.shape != want.shape or (got.view(np.uint32) != want).any():
+            return bit
+    raise AssertionError(f"no flip in {key!r} decodes silently")
+
+
 @pytest.fixture(scope="module")
 def field():
     rng = np.random.default_rng(SEED)
@@ -142,6 +164,53 @@ class TestDoubleLossMatrix:
         np.testing.assert_allclose(
             arr[~lost], field[~lost], rtol=2e-2, atol=0
         )
+
+    @pytest.mark.parametrize(
+        "name, key", [("SZ_T", "inner"), ("SZ_T", "all_nonneg"), ("ZFP_T", "inner")]
+    )
+    def test_lost_chunk_damage_the_decoder_cannot_see(self, name, key):
+        """A lost chunk whose damage still decodes stays detectable.
+
+        Some bit flips -- in the nested codec's payload, in a header flag --
+        leave a chunk that decodes without a structural error, so only a
+        CRC reveals them.  With two such chunks in one k=1 group the
+        repair loses both; its output must still fail strict decoding, and
+        recovery must fill the two chunks instead of returning their
+        silently wrong values.
+        """
+        from repro import ChecksumError, Container
+        from repro.testing import flip_bit
+
+        rng = np.random.default_rng(SEED)
+        data = rng.lognormal(0.0, 1.0, size=8000).astype(np.float32)
+        data *= rng.choice(np.float32([-1, 1]), size=data.size)
+        cc = ChunkedCompressor(
+            get_compressor(name), chunk_bytes=4000, parity=1, group_size=8,
+            executor="serial",
+        )
+        blob = cc.compress(data, BOUND)
+        box = Container.from_bytes(blob)
+        payload_at = box.spans["payload"][1]
+        offs = box.get_array("offs").astype(int)
+        lens = box.get_array("lens").astype(int)
+        damaged = blob
+        for index in (2, 5):
+            chunk = box.get("payload")[offs[index] : offs[index] + lens[index]]
+            bit = _silent_flip(chunk, key)
+            damaged = flip_bit(damaged, 8 * (payload_at + offs[index]) + bit)
+        fixed, report = repair_stream(damaged)
+        assert not report.ok and set(report.lost) == {2, 5}
+        assert not verify_stream(fixed).ok
+        with pytest.raises(ChecksumError):
+            decompress(fixed)
+        arr, rec = recover_array(fixed)
+        assert rec is not None
+        assert {f.index for f in rec.failures} == {2, 5}
+        flat, want = arr.ravel(), decompress(blob).ravel()
+        for f in rec.failures:
+            assert np.isnan(flat[slice(*f.span)]).all()
+        keep = ~np.isnan(flat)
+        np.testing.assert_array_equal(flat[keep], want[keep])
 
     def test_corrupt_parity_section_heals_on_repair(self, parity_blob):
         """Damage to the parity bytes themselves re-encodes byte-exactly."""
