@@ -47,6 +47,7 @@ from repro.encoding.container import (
     ContainerError,
     StreamError,
     codec_of,
+    nested_crc,
     peek_codec,
 )
 from repro.encoding.rs import MAX_GROUP_BLOCKS, encode_parity
@@ -824,11 +825,16 @@ class ChunkedCompressor(Compressor):
         payload = box.get("payload")
         if offs[-1] + lens[-1] != len(payload):
             raise ContainerError("corrupt CHUNKED stream: payload length mismatch")
+        chunks = [payload[o : o + ln] for o, ln in zip(offs, lens)]
         # A v2+ stream's CRC -- checked by _open_container, or by the
-        # caller that vouched for these bytes -- covered every chunk, so
-        # the chunks skip their own; v1 streams have none to rely on.
-        trusted = box.checksummed
-        jobs = [(payload[o : o + ln], trusted) for o, ln in zip(offs, lens)]
+        # caller that vouched for these bytes -- covered every chunk, and
+        # the payload's stored CRC equals the one the chunks' trailers
+        # declare only if each chunk was intact when written (a lossy
+        # repair by older releases stored a fresh hash of damaged chunks).
+        # Then the chunks skip their own CRCs; otherwise, and in v1
+        # streams, each is checked.
+        trusted = box.checksummed and box.stored_crc(blob, "payload") == nested_crc(*chunks)
+        jobs = [(chunk, trusted) for chunk in chunks]
         parts = self._map(_decompress_chunk, jobs)
         metrics().counter("chunks.decompressed").inc(len(jobs))
         current_span().set(chunks=len(jobs), workers=self.workers)

@@ -46,6 +46,7 @@ __all__ = [
     "StreamError",
     "TruncatedStreamError",
     "codec_of",
+    "nested_crc",
     "peek_codec",
     "section_byte_ranges",
 ]
@@ -58,6 +59,9 @@ _VERSION = 2
 #: sections they cannot honour (see ``docs/formats.md``).
 _KNOWN_VERSIONS = (1, 2, 3, 4)
 _CRC_BYTES = 4
+#: CRC-32C of any bytes followed by their own CRC-32C (little-endian): the
+#: code's residue, the same whatever the bytes.
+_CRC_RESIDUE = 0x48674BC7
 
 # dtype tokens are fixed so streams are portable across numpy versions.
 _DTYPE_TOKENS = {
@@ -132,21 +136,15 @@ class Container:
         For streams this process has just serialized -- a wrapper's
         ``inner``, the chunks of a ``CHUNKED`` payload, the fields of an
         ``ARCHIVE`` -- and for the chunks a repair writes back, whose
-        damage must stay visible.  The section CRC is not hashed again:
-        each v2+ stream's trailer already holds the CRC of every byte
-        before it, so its own CRC is ``crc32c(trailer, stored_crc)``, and
-        the streams' CRCs fold into the section's with
-        :func:`crc32c_combine`.  A stream altered after it was serialized
-        (body changed, trailer kept) therefore gives a parent whose stored
-        CRCs disagree with its bytes, and the parent fails verification.
-        Streams without a trailer (v1, empty) are hashed in full.  The
-        bytes written are the same as :meth:`put`'s.
+        damage must stay visible.  The section CRC is not hashed: it is
+        :func:`nested_crc`, the CRC the bytes have when every stream is
+        intact.  A stream altered after it was serialized (body changed,
+        trailer kept) therefore gives a parent whose stored CRCs disagree
+        with its bytes, and the parent fails verification.  The bytes
+        written are the same as :meth:`put`'s.
         """
-        crc = 0
-        for blob in streams:
-            crc = crc32c_combine(crc, _stream_crc(blob), len(blob))
         self.put(key, b"".join(streams))
-        self._nested_crcs[key] = crc
+        self._nested_crcs[key] = nested_crc(*streams)
 
     def get(self, key: str) -> bytes:
         try:
@@ -237,6 +235,11 @@ class Container:
     def checksummed(self) -> bool:
         """True when this container carries (or will be written with) CRCs."""
         return self.version >= 2
+
+    def stored_crc(self, data: bytes, key: str) -> int:
+        """Section ``key``'s CRC as stored in ``data``, the v2+ bytes this
+        container was parsed from."""
+        return struct.unpack_from("<I", data, self.spans[key][2])[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -452,12 +455,23 @@ def _header_version(data) -> int:
     return data[4]
 
 
-def _stream_crc(blob: bytes) -> int:
-    """CRC-32C of a whole serialized stream, from its trailer when it has one."""
-    if len(blob) >= 5 + _CRC_BYTES and blob[:4] == _MAGIC and blob[4] >= 2:
-        trailer = blob[-_CRC_BYTES:]
-        return crc32c(trailer, struct.unpack("<I", trailer)[0])
-    return crc32c(blob)
+def nested_crc(*streams: bytes) -> int:
+    """CRC-32C of the concatenated ``streams`` as it is when each is intact.
+
+    A v2+ stream ends in the CRC of every byte before it, so an intact one
+    has the CRC residue as its own CRC and nothing is hashed; streams
+    without a trailer (v1, empty) are hashed in full.  The result matches
+    the CRC of the actual bytes only when every stream's trailer matches
+    its body.
+    """
+    crc = 0
+    for blob in streams:
+        if len(blob) >= 5 + _CRC_BYTES and blob[:4] == _MAGIC and blob[4] >= 2:
+            own = _CRC_RESIDUE
+        else:
+            own = crc32c(blob)
+        crc = crc32c_combine(crc, own, len(blob))
+    return crc
 
 
 def _read_varint(view: memoryview, pos: int, end: int) -> tuple[int, int]:

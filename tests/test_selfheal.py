@@ -52,6 +52,17 @@ def _bound_for(comp):
     return RateBound(16)
 
 
+def _rehashed(blob: bytes) -> bytes:
+    """``blob`` written again with every CRC hashed from its current bytes."""
+    from repro import Container
+
+    box = Container.from_bytes(blob, verify_checksums=False)
+    out = Container(box.codec)
+    for key in box.keys():
+        out.put(key, box.get(key))
+    return out.to_bytes(version=box.version)
+
+
 def _silent_flip(chunk: bytes, key: str) -> int:
     """First bit of section ``key`` whose flip still decodes, to other values.
 
@@ -165,10 +176,11 @@ class TestDoubleLossMatrix:
             arr[~lost], field[~lost], rtol=2e-2, atol=0
         )
 
+    @pytest.mark.parametrize("rehash", [False, True], ids=["repaired", "rehashed"])
     @pytest.mark.parametrize(
         "name, key", [("SZ_T", "inner"), ("SZ_T", "all_nonneg"), ("ZFP_T", "inner")]
     )
-    def test_lost_chunk_damage_the_decoder_cannot_see(self, name, key):
+    def test_lost_chunk_damage_the_decoder_cannot_see(self, name, key, rehash):
         """A lost chunk whose damage still decodes stays detectable.
 
         Some bit flips -- in the nested codec's payload, in a header flag --
@@ -176,7 +188,9 @@ class TestDoubleLossMatrix:
         CRC reveals them.  With two such chunks in one k=1 group the
         repair loses both; its output must still fail strict decoding, and
         recovery must fill the two chunks instead of returning their
-        silently wrong values.
+        silently wrong values.  ``rehash``: the output as earlier releases
+        wrote it, every CRC a fresh hash of the damaged bytes, so the
+        stream CRC passes and only the chunks' own CRCs tell.
         """
         from repro import ChecksumError, Container
         from repro.testing import flip_bit
@@ -200,6 +214,12 @@ class TestDoubleLossMatrix:
             damaged = flip_bit(damaged, 8 * (payload_at + offs[index]) + bit)
         fixed, report = repair_stream(damaged)
         assert not report.ok and set(report.lost) == {2, 5}
+        if rehash:
+            fixed = _rehashed(fixed)
+        else:
+            # The repair's own output fails even the stream CRC check.
+            with pytest.raises(ChecksumError):
+                Container.from_bytes(fixed)
         assert not verify_stream(fixed).ok
         with pytest.raises(ChecksumError):
             decompress(fixed)
