@@ -53,7 +53,8 @@ def _bound_for(comp):
 
 
 def _rehashed(blob: bytes) -> bytes:
-    """``blob`` written again with every CRC hashed from its current bytes."""
+    """``blob`` written again with every CRC hashed from its current bytes,
+    the way earlier releases wrote a repair that lost chunks."""
     from repro import Container
 
     box = Container.from_bytes(blob, verify_checksums=False)
