@@ -28,7 +28,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from repro.compressors.base import Compressor, ErrorBound, RelativeBound
 from repro.encoding import (
@@ -57,6 +56,9 @@ def _basis(window: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray]:
     ``(window, ncoeff)`` matrix turns spline fitting for *all* windows into
     one matmul (coeffs = sorted_values @ pinv.T).
     """
+    # Imported on use, so a process that runs no ISABELA never loads scipy.
+    from scipy.interpolate import BSpline
+
     k = 3
     if ncoeff <= k + 1:
         raise ValueError(f"need more than {k + 1} coefficients, got {ncoeff}")

@@ -68,7 +68,14 @@ class SZPointwiseRelative(Compressor):
         eb_block = np.where(all_zero, 1.0, br * min_abs)
 
         step = (2.0 * EB_SHRINK) * eb_block.reshape((nblocks,) + (1,) * ndim)
-        kf = np.rint(tiles64 / step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kf = np.rint(tiles64 / step)
+        if not eb_block.all():
+            # b_r * min|x| underflowed to 0 (a subnormal minimum): the
+            # block's nonzeros get +-inf indices, flagged risky below and
+            # stored verbatim, and its zeros 0/0 = NaN, which index 0
+            # rebuilds exactly.
+            kf[np.isnan(kf)] = 0.0
         risky = np.abs(kf) > RISKY_INDEX
         k = np.clip(kf, -CLIP_INDEX, CLIP_INDEX).astype(np.int64)
 

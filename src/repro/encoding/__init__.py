@@ -2,10 +2,10 @@
 
 The subpackage provides:
 
-* :mod:`repro.encoding.bitstream` -- MSB-first bit readers/writers with
-  vectorized bulk operations.
-* :mod:`repro.encoding.huffman` -- canonical Huffman coding with a
-  chunk-parallel (numpy state machine) decoder.
+* :mod:`repro.encoding.bitstream` -- vectorized MSB-first packing of
+  integer arrays at fixed or per-value bit widths.
+* :mod:`repro.encoding.huffman` -- canonical Huffman coding with one
+  chunk-parallel (numpy) decode walk for every blob.
 * :mod:`repro.encoding.codecs` -- zigzag/varint integer codecs, sign-bitmap
   packing and the DEFLATE (zlib) stage used as SZ's optional third stage.
 * :mod:`repro.encoding.container` -- a small tagged section container so
@@ -16,8 +16,6 @@ The subpackage provides:
 """
 
 from repro.encoding.bitstream import (
-    BitReader,
-    BitWriter,
     pack_fixed_width,
     pack_varbits,
     unpack_fixed_width,
@@ -52,8 +50,6 @@ from repro.encoding.rs import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "ChecksumError",
     "Container",
     "ContainerError",

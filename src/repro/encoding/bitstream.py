@@ -1,12 +1,9 @@
-"""MSB-first bit streams with vectorized bulk packing.
+"""MSB-first bit packing of integer arrays, fully vectorized.
 
-Two access styles are provided:
-
-* :class:`BitWriter` / :class:`BitReader` -- incremental, scalar-friendly
-  streams used by container headers and by small per-block metadata.
-* :func:`pack_fixed_width` / :func:`unpack_fixed_width` -- fully vectorized
-  packing of integer arrays at a fixed bit width, the hot path used by the
-  ISABELA permutation index and several side channels.
+* :func:`pack_fixed_width` / :func:`unpack_fixed_width` -- packing at a
+  fixed bit width (ISABELA's permutation index).
+* :func:`pack_varbits` / :func:`unpack_varbits` -- packing at a per-value
+  bit width the decoder already knows (FPZIP's residual mantissas).
 
 All streams are MSB-first: the first bit written is the most significant
 bit of the first byte.  This matches the convention of the canonical
@@ -18,140 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BitWriter",
-    "BitReader",
     "pack_fixed_width",
     "unpack_fixed_width",
     "pack_varbits",
     "unpack_varbits",
 ]
-
-
-class BitWriter:
-    """Accumulates bits MSB-first into a growable byte buffer.
-
-    The writer keeps a small Python-int accumulator; bulk array writes go
-    through :meth:`write_bit_array`, which uses ``np.packbits``.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-        self._acc = 0  # pending bits, MSB-first in the low `_nacc` bits
-        self._nacc = 0
-        self._nbits = 0
-
-    def __len__(self) -> int:
-        """Total number of bits written so far."""
-        return self._nbits
-
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit (any truthy value counts as 1)."""
-        self.write_bits(1 if bit else 0, 1)
-
-    def write_bits(self, value: int, nbits: int) -> None:
-        """Append the low ``nbits`` of ``value``, MSB of the field first."""
-        if nbits < 0:
-            raise ValueError(f"nbits must be non-negative, got {nbits}")
-        if nbits == 0:
-            return
-        value &= (1 << nbits) - 1
-        self._acc = (self._acc << nbits) | value
-        self._nacc += nbits
-        self._nbits += nbits
-        # Flush whole bytes out of the accumulator.
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._chunks.append(bytes([(self._acc >> self._nacc) & 0xFF]))
-        self._acc &= (1 << self._nacc) - 1
-
-    def write_bit_array(self, bits: np.ndarray) -> None:
-        """Append a 1-D array of 0/1 values as individual bits."""
-        bits = np.asarray(bits).astype(np.uint8).ravel()
-        if bits.size == 0:
-            return
-        if self._nacc == 0:
-            # Fast path: byte-aligned, pack directly.
-            self._chunks.append(np.packbits(bits).tobytes())
-            self._nbits += bits.size
-            tail = bits.size % 8
-            if tail:
-                # packbits pads with zeros; pull the last partial byte back
-                # into the accumulator so subsequent writes are correct.
-                last = self._chunks.pop()
-                self._chunks.append(last[:-1])
-                self._acc = last[-1] >> (8 - tail)
-                self._nacc = tail
-        else:
-            for b in bits.tolist():
-                self.write_bits(int(b), 1)
-
-    def getvalue(self) -> bytes:
-        """Return the stream as bytes, zero-padding the final partial byte."""
-        out = b"".join(self._chunks)
-        if self._nacc:
-            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return out
-
-    @property
-    def nbits(self) -> int:
-        return self._nbits
-
-
-class BitReader:
-    """Reads an MSB-first bit stream produced by :class:`BitWriter`."""
-
-    def __init__(self, data: bytes, nbits: int | None = None) -> None:
-        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        if nbits is not None:
-            if nbits > self._bits.size:
-                raise ValueError(f"stream holds {self._bits.size} bits, {nbits} requested")
-            self._bits = self._bits[:nbits]
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return self._bits.size
-
-    @property
-    def pos(self) -> int:
-        """Current bit cursor."""
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return self._bits.size - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= self._bits.size:
-            raise EOFError("bit stream exhausted")
-        bit = int(self._bits[self._pos])
-        self._pos += 1
-        return bit
-
-    def read_bits(self, nbits: int) -> int:
-        """Read ``nbits`` as an unsigned integer (MSB of the field first)."""
-        if nbits == 0:
-            return 0
-        if self._pos + nbits > self._bits.size:
-            raise EOFError(f"requested {nbits} bits, only {self.remaining} left")
-        chunk = self._bits[self._pos : self._pos + nbits]
-        self._pos += nbits
-        value = 0
-        for b in chunk.tolist():
-            value = (value << 1) | b
-        return value
-
-    def read_bit_array(self, nbits: int) -> np.ndarray:
-        """Read ``nbits`` bits as a uint8 0/1 array."""
-        if self._pos + nbits > self._bits.size:
-            raise EOFError(f"requested {nbits} bits, only {self.remaining} left")
-        chunk = self._bits[self._pos : self._pos + nbits]
-        self._pos += nbits
-        return chunk.copy()
-
-    def seek(self, bitpos: int) -> None:
-        if not 0 <= bitpos <= self._bits.size:
-            raise ValueError(f"seek position {bitpos} outside stream of {self._bits.size} bits")
-        self._pos = bitpos
 
 
 def pack_fixed_width(values: np.ndarray, width: int) -> bytes:

@@ -2,8 +2,8 @@
 
 SZ's second stage is a customized Huffman encoder over quantization codes.
 This implementation keeps the blob format of the original chunk-parallel
-codec (see :mod:`repro.encoding.huffman_ref`, the retained reference) but
-removes every per-symbol Python loop:
+codec (the test suite keeps it as the frozen format oracle) but removes
+every per-symbol Python loop:
 
 * tree construction uses the classic two-queue merge over the unique
   symbols -- one sort plus a run-batched merge loop (all items sharing
@@ -23,11 +23,14 @@ removes every per-symbol Python loop:
   handful of numpy ops over the chunk vector, never a Python loop over
   symbols.  The table is as wide as the stream's longest code, up to 20
   bits, so every step is one lookup; only codes past that cap take a
-  canonical ``searchsorted`` over the per-length code boundaries.
+  canonical ``searchsorted`` over the per-length code boundaries.  A
+  payload over 2**29 bits is walked in segments of whole chunks, each
+  sliced from its own first byte, so the cursors stay uint32.
 
-Blobs remain self-contained and byte-identical to the reference encoder;
-the decoder delegates to the reference chunk state machine only for
-codes too long for its 32-bit windows.
+Blobs remain self-contained and byte-identical to the reference encoder.
+The encoder writes codes of at most 24 bits; the decoder reads every blob
+with codes of up to 25 bits (what a 32-bit window holds at any bit
+offset) and rejects longer codes as corrupt.
 """
 
 from __future__ import annotations
@@ -51,12 +54,17 @@ CODEC_PATH = "vectorized"
 # take the canonical searchsorted fixup.
 _TABLE_BITS = 20
 
-# Chunk cursors are uint32 bit positions; beyond this payload size (in
-# bits) delegate to the reference chunk state machine instead.
-_VECTOR_DECODE_MAX_BITS = 1 << 29
+# Longest code the encoder writes, and the longest the decoder reads: a
+# 32-bit window shifted left by up to 7 bits keeps 25 valid bits.
+_LENGTH_LIMIT = 24
+_MAX_DECODE_LEN = 25
+
+# Chunk cursors are uint32 bit offsets from their segment's first byte; a
+# payload over this many bits is walked in several segments of whole chunks.
+_SEGMENT_BITS = 1 << 29
 
 
-def huffman_code_lengths(counts: np.ndarray, length_limit: int = 24) -> np.ndarray:
+def huffman_code_lengths(counts: np.ndarray, length_limit: int = _LENGTH_LIMIT) -> np.ndarray:
     """Compute Huffman code lengths for symbol frequencies ``counts``.
 
     Zero-count symbols get length 0 (no codeword).  If the optimal tree is
@@ -76,18 +84,17 @@ def huffman_code_lengths(counts: np.ndarray, length_limit: int = 24) -> np.ndarr
         lengths[nonzero[0]] = 1
         return lengths
 
-    work = counts.copy()
+    vals = counts[nonzero]
     while True:
-        depth = _tree_depths(work, nonzero)
+        depth = _tree_depths(vals)
         if depth.max() <= length_limit:
             lengths[nonzero] = depth
             return lengths
-        scaled = work[nonzero] >> 1
-        work[nonzero] = np.maximum(scaled, 1)
+        vals = np.maximum(vals >> 1, 1)
 
 
-def _tree_depths(counts: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """Depths of the Huffman tree leaves for the non-zero symbols.
+def _tree_depths(vals: np.ndarray) -> np.ndarray:
+    """Depths of the Huffman tree leaves for the non-zero counts ``vals``.
 
     Two-queue merge: leaves sorted by count once, internal nodes created
     in nondecreasing count order so a FIFO list stays sorted.  On count
@@ -104,8 +111,7 @@ def _tree_depths(counts: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     batch rounds; fully distinct counts degrade gracefully to the
     scalar two-queue step.
     """
-    n = nonzero.size
-    vals = counts[nonzero]
+    n = vals.size
     order = np.argsort(vals, kind="stable")
     leaf_counts = vals[order].tolist()
     # parent[i]: leaves are nodes 0..n-1 (in sorted-count order), internal
@@ -256,11 +262,6 @@ class _Canon:
         vals = np.append((self.sym_sorted[short] << 6) | lens, 0).astype(dtype)
         return np.repeat(vals, np.append(spans, tail))
 
-    def build_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`fused_table` split into ``(symbols, lens)`` arrays."""
-        fused = self.fused_table(k, np.int64)
-        return fused >> 6, (fused & 63).astype(np.uint8)
-
 
 class HuffmanCodec:
     """Self-contained canonical Huffman blobs with chunked parallel decode.
@@ -270,17 +271,12 @@ class HuffmanCodec:
     chunk_size:
         Number of symbols per independently-decodable chunk.  Smaller
         chunks mean more offset overhead but a wider decode state machine.
-    length_limit:
-        Maximum codeword length.
     """
 
-    def __init__(self, chunk_size: int = 256, length_limit: int = 24) -> None:
+    def __init__(self, chunk_size: int = 256) -> None:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if not 2 <= length_limit <= 32:
-            raise ValueError("length_limit must be in [2, 32]")
         self.chunk_size = chunk_size
-        self.length_limit = length_limit
 
     # -- encoding ----------------------------------------------------------
 
@@ -294,8 +290,7 @@ class HuffmanCodec:
             header.append(write_varint(0))  # empty length table
             return b"".join(header)
 
-        counts = np.bincount(symbols)
-        lengths = huffman_code_lengths(counts, self.length_limit)
+        lengths = huffman_code_lengths(np.bincount(symbols))
         canon = _Canon(lengths)
 
         enc_len = lengths[symbols].astype(np.int64)
@@ -327,6 +322,8 @@ class HuffmanCodec:
         chunk_size, pos = read_varint(blob, pos)
         if n == 0:
             return np.zeros(0, dtype=np.int64)
+        if chunk_size == 0:
+            raise ValueError("corrupt Huffman stream: chunk size 0")
         sz, pos = read_varint(blob, pos)
         lengths = np.frombuffer(inflate(blob[pos : pos + sz]), dtype=np.uint8)
         pos += sz
@@ -335,157 +332,175 @@ class HuffmanCodec:
         chunk_starts = np.cumsum(deltas.astype(np.int64))
         pos += sz
         total_bits, pos = read_varint(blob, pos)
-        payload = blob[pos:]
+        raw = np.frombuffer(blob[pos:], dtype=np.uint8)
 
         canon = _Canon(lengths)
         if canon.max_len == 0:
             raise ValueError("corrupt Huffman blob: empty code")
+        if canon.max_len > _MAX_DECODE_LEN:
+            raise ValueError(
+                f"corrupt Huffman blob: {canon.max_len}-bit code, "
+                f"longer than {_MAX_DECODE_LEN} bits"
+            )
 
         # Degenerate single-symbol stream decodes without touching bits.
         if canon.sym_sorted.size == 1:
             return np.full(n, canon.sym_sorted[0], dtype=np.int64)
 
-        # The 32-bit windows carry 32 - 7 = 25 valid bits at worst, the
-        # chunk cursors are uint32, and the fused decode table packs the
-        # symbol into 26 bits; any of these outgrown delegates to the
-        # reference chunk state machine.
-        if (
-            canon.max_len > 25
-            or total_bits > _VECTOR_DECODE_MAX_BITS
-            or lengths.size >= (1 << 26)
-        ):
-            from repro.encoding.huffman_ref import ReferenceHuffmanCodec
-
-            ref = ReferenceHuffmanCodec(self.chunk_size, self.length_limit)
-            return ref._decode_chunks(payload, total_bits, n, chunk_size, chunk_starts, canon)
-
-        return self._decode_vector(payload, total_bits, n, chunk_size, chunk_starts, canon)
-
-    def _decode_vector(
-        self,
-        payload: bytes,
-        total_bits: int,
-        n: int,
-        chunk_size: int,
-        chunk_starts: np.ndarray,
-        canon: _Canon,
-    ) -> np.ndarray:
         nchunks = chunk_starts.size
         if nchunks != (n + chunk_size - 1) // chunk_size:
             raise ValueError("corrupt Huffman stream: chunk table mismatch")
-        raw = np.frombuffer(payload, dtype=np.uint8)
         if total_bits > 8 * raw.size:
             raise ValueError("corrupt Huffman stream: ran past end of payload")
-        if chunk_starts.size and (
-            chunk_starts[0] < 0 or int(chunk_starts[-1]) >= total_bits
-        ):
+        if int(chunk_starts[-1]) >= total_bits:
             raise ValueError("corrupt Huffman stream: chunk offset out of range")
 
-        L = canon.max_len
-        k = min(_TABLE_BITS, L)
-        # Fused first-level table: one gather yields (symbol << 6) | length,
-        # so each walk step needs a single lookup.  Length 0 marks prefixes
-        # of codes longer than k bits (resolved canonically below).
-        fused = canon.fused_table(k)
+        # Segments of whole chunks, each spanning at most _SEGMENT_BITS
+        # from its first chunk's byte (one chunk at least, whatever its
+        # length); a segment ends where the next one's first chunk starts.
+        ends = np.append(chunk_starts, total_bits)
+        parts = []
+        a = 0
+        while a < nchunks:
+            base = int(chunk_starts[a]) >> 3
+            b = int(np.searchsorted(ends, 8 * base + _SEGMENT_BITS, side="right")) - 1
+            b = max(b, a + 1)
+            seg_bits = int(ends[b]) - 8 * base
+            if seg_bits > (1 << 32) - 64:
+                raise ValueError("unsupported Huffman stream: chunk too long for uint32 cursors")
+            parts.append(_walk(
+                raw[base : base + ((seg_bits + 7) >> 3)],
+                chunk_starts[a:b] - 8 * base,
+                seg_bits,
+                min(n, b * chunk_size) - a * chunk_size,
+                chunk_size,
+                canon,
+            ))
+            a = b
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        # window(byte) = payload bits 8*byte..8*byte+31: an unaligned
-        # big-endian uint32 view at every byte offset of the zero-padded
-        # payload, converted in one pass.  Shifting by `pos & 7` left-aligns
-        # the code at any bit cursor (uint32 arithmetic wraps, standing in
-        # for the & 0xFFFFFFFF).
-        pad = np.zeros(raw.size + 4, dtype=np.uint8)
-        pad[: raw.size] = raw
-        W = np.ndarray((raw.size + 1,), ">u4", pad, strides=(1,)).astype(np.uint32)
 
-        # Canonical boundaries for codes longer than k bits: with Kraft
-        # equality the intervals B[l] partition [0, 2**L), so searchsorted
-        # is total; the rank check flags corrupt streams (Kraft < 1 gaps).
-        if L > k:
-            lens_1L = np.arange(1, L + 1)
-            bounds = (canon.first_code[1 : L + 1] + canon.bl_count[1 : L + 1]) << (
-                L - lens_1L
-            )
-        sh_k = np.uint32(32 - k)
-        sh_L = np.uint32(32 - L)
-        u3 = np.uint32(3)
-        u7 = np.uint32(7)
-        low6 = np.uint32(63)
-        end = np.uint32(total_bits)
-        iters = min(chunk_size, n)
-        rem_last = n - (nchunks - 1) * chunk_size
+def _walk(
+    raw: np.ndarray,
+    chunk_starts: np.ndarray,
+    total_bits: int,
+    n: int,
+    chunk_size: int,
+    canon: _Canon,
+) -> np.ndarray:
+    """Decode the ``n`` symbols of one segment of whole chunks.
 
-        # Parallel walk: every chunk consumes one symbol per iteration.
-        # Cursors clamp at total_bits so window reads stay in range; an
-        # overrun is detected after the loop (the decoded lengths no longer
-        # fit the payload).  Slots past a short last chunk's end are not
-        # part of the output and are ignored throughout.  The loop body
-        # writes into preallocated buffers (`out=`) -- at ~100-300 cursors
-        # per step, allocation would otherwise dominate.
-        pos = chunk_starts.astype(np.uint32)
-        out = np.empty((iters, nchunks), dtype=np.uint32)
-        b = np.empty(nchunks, dtype=np.uint32)
-        w = np.empty(nchunks, dtype=np.uint32)
-        ln = np.empty(nchunks, dtype=np.uint32)
-        has_long = L > k  # only then can a step yield length 0 that must
-        # be resolved in-loop; otherwise zeros stall their cursor and are
-        # diagnosed once after the walk.
-        for t in range(iters):
-            f = out[t]
-            np.right_shift(pos, u3, out=b)
-            W.take(b, None, w, "clip")
-            np.bitwise_and(pos, u7, out=b)
-            np.left_shift(w, b, out=w)
-            np.right_shift(w, sh_k, out=b)
-            fused.take(b, None, f, "clip")
-            np.bitwise_and(f, low6, out=ln)
-            if has_long and not ln.all():
-                zi = np.flatnonzero(ln == 0)
-                if t >= rem_last:
-                    zi = zi[zi != nchunks - 1]
-                if zi.size:
-                    v = (w[zi] >> sh_L).astype(np.int64)
-                    lns = np.minimum(np.searchsorted(bounds, v, side="right") + 1, L)
-                    idx = (v >> (L - lns)) - canon.first_code[lns]
-                    ok = (idx >= 0) & (idx < canon.bl_count[lns])
-                    if not ok.all():
-                        if (pos[zi[~ok]] >= end).any():
-                            raise ValueError(
-                                "corrupt Huffman stream: ran past end of payload"
-                            )
-                        raise ValueError("corrupt Huffman stream: unresolvable code")
-                    sym = canon.sym_sorted[idx + canon.offsets[lns]]
-                    fz = ((sym << 6) | lns).astype(np.uint32)
-                    f[zi] = fz
-                    ln[zi] = fz & low6
-            np.add(pos, ln, out=pos)
-            np.minimum(pos, end, out=pos)
+    ``chunk_starts`` are bit offsets into ``raw``, whose first
+    ``total_bits`` bits the chunks fill; every chunk but the last holds
+    ``chunk_size`` symbols.
+    """
+    nchunks = chunk_starts.size
+    L = canon.max_len
+    k = min(_TABLE_BITS, L)
+    # Fused first-level table: one gather yields (symbol << 6) | length,
+    # so each walk step needs a single lookup.  Length 0 marks prefixes
+    # of codes longer than k bits (resolved canonically below).  uint32
+    # entries hold symbols below 2**26.
+    fused = canon.fused_table(k, np.uint64 if canon.lengths.size >= 1 << 26 else np.uint32)
 
-        # Zeros surviving the walk on real output slots mean a prefix with
-        # no codeword (a Kraft gap -- corrupt table or payload).
-        lens_out = out & low6
-        if (lens_out[:rem_last] == 0).any() or (
-            lens_out[rem_last:, :-1] == 0
-        ).any():
-            raise ValueError("corrupt Huffman stream: unresolvable code")
+    # window(byte) = payload bits 8*byte..8*byte+31: an unaligned
+    # big-endian uint32 view at every byte offset of the zero-padded
+    # payload, converted in one pass.  Shifting by `pos & 7` left-aligns
+    # the code at any bit cursor (uint32 arithmetic wraps, standing in
+    # for the & 0xFFFFFFFF).
+    pad = np.zeros(raw.size + 4, dtype=np.uint8)
+    pad[: raw.size] = raw
+    W = np.ndarray((raw.size + 1,), ">u4", pad, strides=(1,)).astype(np.uint32)
 
-        # Each non-last chunk must land no further than the next chunk's
-        # start; the last chunk's decoded lengths must fit the payload
-        # (clamped cursors make the final position unreliable, the length
-        # sum is not).
-        if nchunks > 1 and (
-            (pos[:-1].astype(np.int64) > chunk_starts[1:]).any()
-        ):
-            raise ValueError("corrupt Huffman stream: ran past end of payload")
-        last_bits = int(lens_out[:rem_last, -1].sum(dtype=np.int64))
-        if int(chunk_starts[-1]) + last_bits > total_bits:
-            raise ValueError("corrupt Huffman stream: ran past end of payload")
+    # Canonical boundaries for codes longer than k bits: with Kraft
+    # equality the intervals B[l] partition [0, 2**L), so searchsorted
+    # is total; the rank check flags corrupt streams (Kraft < 1 gaps).
+    if L > k:
+        lens_1L = np.arange(1, L + 1)
+        bounds = (canon.first_code[1 : L + 1] + canon.bl_count[1 : L + 1]) << (
+            L - lens_1L
+        )
+    sh_k = np.uint32(32 - k)
+    sh_L = np.uint32(32 - L)
+    u3 = np.uint32(3)
+    u7 = np.uint32(7)
+    low6 = np.uint32(63)
+    end = np.uint32(total_bits)
+    iters = min(chunk_size, n)
+    rem_last = n - (nchunks - 1) * chunk_size
 
-        # Chunks are contiguous and only the last may be short, so the
-        # symbols in output order are the first n of the (step, chunk)
-        # matrix transposed: one shift writes them transposed into int64.
-        syms = np.empty((nchunks, iters), dtype=np.int64)
-        np.right_shift(out.T, np.uint32(6), out=syms)
-        return syms.reshape(-1)[:n]
+    # Parallel walk: every chunk consumes one symbol per iteration.
+    # Cursors clamp at total_bits so window reads stay in range; an
+    # overrun is detected after the loop (the decoded lengths no longer
+    # fit the payload).  Slots past a short last chunk's end are not
+    # part of the output and are ignored throughout.  The loop body
+    # writes into preallocated buffers (`out=`) -- at ~100-300 cursors
+    # per step, allocation would otherwise dominate.
+    pos = chunk_starts.astype(np.uint32)
+    out = np.empty((iters, nchunks), dtype=fused.dtype)
+    b = np.empty(nchunks, dtype=np.uint32)
+    w = np.empty(nchunks, dtype=np.uint32)
+    ln = np.empty(nchunks, dtype=np.uint32)
+    has_long = L > k  # only then can a step yield length 0 that must
+    # be resolved in-loop; otherwise zeros stall their cursor and are
+    # diagnosed once after the walk.
+    for t in range(iters):
+        f = out[t]
+        np.right_shift(pos, u3, out=b)
+        W.take(b, None, w, "clip")
+        np.bitwise_and(pos, u7, out=b)
+        np.left_shift(w, b, out=w)
+        np.right_shift(w, sh_k, out=b)
+        fused.take(b, None, f, "clip")
+        np.bitwise_and(f, low6, out=ln)
+        if has_long and not ln.all():
+            zi = np.flatnonzero(ln == 0)
+            if t >= rem_last:
+                zi = zi[zi != nchunks - 1]
+            if zi.size:
+                v = (w[zi] >> sh_L).astype(np.int64)
+                lns = np.minimum(np.searchsorted(bounds, v, side="right") + 1, L)
+                idx = (v >> (L - lns)) - canon.first_code[lns]
+                ok = (idx >= 0) & (idx < canon.bl_count[lns])
+                if not ok.all():
+                    if (pos[zi[~ok]] >= end).any():
+                        raise ValueError(
+                            "corrupt Huffman stream: ran past end of payload"
+                        )
+                    raise ValueError("corrupt Huffman stream: unresolvable code")
+                sym = canon.sym_sorted[idx + canon.offsets[lns]]
+                fz = ((sym << 6) | lns).astype(fused.dtype)
+                f[zi] = fz
+                ln[zi] = fz & low6
+        np.add(pos, ln, out=pos)
+        np.minimum(pos, end, out=pos)
+
+    # Zeros surviving the walk on real output slots mean a prefix with
+    # no codeword (a Kraft gap -- corrupt table or payload).
+    lens_out = out & low6
+    if (lens_out[:rem_last] == 0).any() or (
+        lens_out[rem_last:, :-1] == 0
+    ).any():
+        raise ValueError("corrupt Huffman stream: unresolvable code")
+
+    # Each non-last chunk must land no further than the next chunk's
+    # start; the last chunk's decoded lengths must fit the payload
+    # (clamped cursors make the final position unreliable, the length
+    # sum is not).
+    if nchunks > 1 and (
+        (pos[:-1].astype(np.int64) > chunk_starts[1:]).any()
+    ):
+        raise ValueError("corrupt Huffman stream: ran past end of payload")
+    last_bits = int(lens_out[:rem_last, -1].sum(dtype=np.int64))
+    if int(chunk_starts[-1]) + last_bits > total_bits:
+        raise ValueError("corrupt Huffman stream: ran past end of payload")
+
+    # Chunks are contiguous and only the last may be short, so the
+    # symbols in output order are the first n of the (step, chunk)
+    # matrix transposed: one shift writes them transposed into int64.
+    syms = np.empty((nchunks, iters), dtype=np.int64)
+    np.right_shift(out.T, np.uint32(6), out=syms)
+    return syms.reshape(-1)[:n]
 
 
 def _pack_codes(

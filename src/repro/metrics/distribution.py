@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["ErrorDistribution", "error_distribution", "error_autocorrelation"]
 
@@ -50,6 +49,8 @@ def error_distribution(
     original: np.ndarray, recon: np.ndarray, bound: float
 ) -> ErrorDistribution:
     """Characterize signed errors ``recon - original`` against ``bound``."""
+    from scipy import stats  # imported on use: loading scipy is slow
+
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     err = (

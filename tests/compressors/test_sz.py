@@ -130,7 +130,7 @@ class TestCoderEquivalence:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blob_byte_identical(self, shape, order, dtype):
-        from repro.encoding.huffman_ref import ReferenceHuffmanCodec
+        from tests.encoding.huffman_ref import ReferenceHuffmanCodec
 
         rng = np.random.default_rng(int(np.prod(shape)) + order)
         data = np.cumsum(rng.normal(0, 1, size=shape), axis=-1).astype(dtype)

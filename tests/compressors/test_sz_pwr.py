@@ -1,5 +1,7 @@
 """SZ_PWR blockwise mode: per-block bounds, zeros, spiky-block weakness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ class TestBound:
     def test_zeros_preserved_exactly(self, zero_heavy_3d):
         _, recon = roundtrip(zero_heavy_3d, 1e-2)
         np.testing.assert_array_equal(recon[zero_heavy_3d == 0], 0.0)
+
+    @pytest.mark.parametrize("br", [1e-2, 1e-3, 1e-4])
+    def test_zeros_in_a_block_with_a_subnormal(self, br):
+        # b_r * 5e-324 underflows to a zero block bound, so the block's
+        # zeros divide 0/0; their NaN index once cast to INT64_MIN.
+        data = np.random.default_rng(2).normal(size=(64, 64))
+        data[:8, :8] = 0.0
+        data[3, 4] = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, recon = roundtrip(data, br)
+        nz = data != 0
+        assert (np.abs(recon - data)[nz] <= br * np.abs(data[nz])).all()
+        np.testing.assert_array_equal(recon[~nz], 0.0)
 
     def test_all_zero_input(self):
         # 32x32 rather than 16x16: the v2 container's fixed checksum

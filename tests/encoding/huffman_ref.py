@@ -1,15 +1,11 @@
 """Reference canonical Huffman codec (pre-vectorization implementation).
 
 This module is the retained, heap-based implementation that
-:mod:`repro.encoding.huffman` replaced.  It is kept verbatim for two
-reasons:
-
-* the property-test suite asserts the vectorized codec produces
-  byte-identical blobs and identical decodes against this reference, so
-  any future change to the fast path is checked against frozen
-  behaviour;
-* the vectorized decoder falls back to this chunk state machine for
-  streams too large for its position-parallel working set.
+:mod:`repro.encoding.huffman` replaced.  It is kept verbatim as the
+format oracle: the property-test suite asserts the vectorized codec
+produces byte-identical blobs and identical decodes against this
+reference, so any future change to the fast path is checked against
+frozen behaviour.
 
 Do not "improve" this module; it is the specification.
 """

@@ -1,4 +1,4 @@
-"""Bit stream primitives: scalar streams, fixed-width and var-width packing."""
+"""Bit packing primitives: fixed-width and var-width packing."""
 
 import numpy as np
 import pytest
@@ -6,101 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.encoding import (
-    BitReader,
-    BitWriter,
     pack_fixed_width,
     pack_varbits,
     unpack_fixed_width,
     unpack_varbits,
 )
-
-
-class TestBitWriter:
-    def test_empty_stream(self):
-        w = BitWriter()
-        assert len(w) == 0
-        assert w.getvalue() == b""
-
-    def test_single_bits_msb_first(self):
-        w = BitWriter()
-        for bit in (1, 0, 1, 1):
-            w.write_bit(bit)
-        assert w.getvalue() == bytes([0b10110000])
-        assert w.nbits == 4
-
-    def test_write_bits_field(self):
-        w = BitWriter()
-        w.write_bits(0b101, 3)
-        w.write_bits(0b11111, 5)
-        assert w.getvalue() == bytes([0b10111111])
-
-    def test_write_bits_masks_extra_high_bits(self):
-        w = BitWriter()
-        w.write_bits(0xFF, 4)  # only low 4 bits taken
-        assert w.getvalue() == bytes([0b11110000])
-
-    def test_write_zero_bits_is_noop(self):
-        w = BitWriter()
-        w.write_bits(123, 0)
-        assert len(w) == 0
-
-    def test_negative_nbits_rejected(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_bits(1, -1)
-
-    def test_bit_array_aligned_fast_path(self):
-        w = BitWriter()
-        bits = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
-        w.write_bit_array(bits)
-        w.write_bits(0b01, 2)
-        r = BitReader(w.getvalue(), nbits=w.nbits)
-        assert r.read_bit_array(10).tolist() == bits.tolist()
-        assert r.read_bits(2) == 0b01
-
-    def test_bit_array_unaligned(self):
-        w = BitWriter()
-        w.write_bit(1)
-        w.write_bit_array(np.array([0, 1, 1], dtype=np.uint8))
-        assert w.getvalue() == bytes([0b10110000])
-
-
-class TestBitReader:
-    def test_roundtrip_mixed_fields(self):
-        w = BitWriter()
-        fields = [(0b1, 1), (0x5A, 8), (0x1234, 16), (0, 3), (7, 3)]
-        for v, n in fields:
-            w.write_bits(v, n)
-        r = BitReader(w.getvalue(), nbits=w.nbits)
-        for v, n in fields:
-            assert r.read_bits(n) == v
-        assert r.remaining == 0
-
-    def test_eof_raises(self):
-        r = BitReader(b"\xff", nbits=3)
-        r.read_bits(3)
-        with pytest.raises(EOFError):
-            r.read_bit()
-
-    def test_nbits_larger_than_stream_rejected(self):
-        with pytest.raises(ValueError):
-            BitReader(b"\x00", nbits=9)
-
-    def test_seek(self):
-        r = BitReader(bytes([0b10100000]), nbits=8)
-        r.read_bits(3)
-        r.seek(1)
-        assert r.read_bit() == 0
-        with pytest.raises(ValueError):
-            r.seek(9)
-
-    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 32)), max_size=50))
-    def test_property_roundtrip(self, fields):
-        w = BitWriter()
-        for v, n in fields:
-            w.write_bits(v & ((1 << n) - 1), n)
-        r = BitReader(w.getvalue(), nbits=w.nbits)
-        for v, n in fields:
-            assert r.read_bits(n) == v & ((1 << n) - 1)
 
 
 class TestFixedWidth:

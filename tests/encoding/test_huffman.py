@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.encoding import HuffmanCodec
+from repro.encoding import HuffmanCodec, huffman
 from repro.encoding.codecs import deflate, inflate, read_varint, write_varint
 from repro.encoding.huffman import _TABLE_BITS, huffman_code_lengths
-from repro.encoding.huffman_ref import ReferenceHuffmanCodec, reference_code_lengths
+from tests.encoding.huffman_ref import ReferenceHuffmanCodec, reference_code_lengths
 
 
 class TestCodeLengths:
@@ -105,8 +105,6 @@ class TestRoundtrip:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             HuffmanCodec(chunk_size=0)
-        with pytest.raises(ValueError):
-            HuffmanCodec(length_limit=1)
 
     @given(
         st.lists(st.integers(0, 300), min_size=1, max_size=2000),
@@ -232,6 +230,90 @@ class TestCorruptionPerTableRegime:
     def test_chunk_offset_past_total_bits(self, blob):
         f = _split(blob)
         f["deltas"][-1] += np.uint32(f["total_bits"])
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+
+class TestCorruptionSegmented(TestCorruptionPerTableRegime):
+    """The same corruption checks with every blob walked in segments of
+    a few chunks each (the ``blob`` fixture checks that each regime's
+    intact blob, codes past the table cap included, still decodes)."""
+
+    @pytest.fixture(autouse=True)
+    def segment_bits(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_SEGMENT_BITS", 4096)
+
+
+class TestSingleWalk:
+    """Every blob takes the one vector walk: payloads over
+    ``_SEGMENT_BITS`` in segments of whole chunks, alphabets past the
+    uint32 table entries through uint64 ones, and anything else is
+    rejected as corrupt."""
+
+    @pytest.mark.parametrize("segment_bits", [1, 8, 100, 1000])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 256, 4096])
+    def test_segmented_walk_matches_oracle(self, monkeypatch, segment_bits, chunk):
+        monkeypatch.setattr(huffman, "_SEGMENT_BITS", segment_bits)
+        segments = []  # (chunks, bits) of every walked segment
+        walk = huffman._walk
+
+        def spy(raw, starts, total_bits, *rest):
+            segments.append((starts.size, total_bits))
+            return walk(raw, starts, total_bits, *rest)
+
+        monkeypatch.setattr(huffman, "_walk", spy)
+        rng = np.random.default_rng(chunk)
+        for _ in range(4):
+            n = int(rng.integers(1, 1500))
+            alphabet = int(rng.integers(2, 2000))
+            syms = np.where(rng.random(n) < 0.7, 1, rng.integers(0, alphabet, n))
+            blob = ReferenceHuffmanCodec(chunk_size=chunk).encode(syms)
+            segments.clear()
+            np.testing.assert_array_equal(HuffmanCodec().decode(blob), syms)
+            if len(np.unique(syms)) > 1:  # one symbol decodes without a walk
+                assert sum(c for c, _ in segments) == -(-n // chunk)
+                assert all(c == 1 or bits <= segment_bits for c, bits in segments)
+
+    @pytest.mark.parametrize("segment_bits", [1, 1 << 29], ids=["chunkwise", "whole"])
+    def test_chunk_overrunning_its_successor(self, monkeypatch, segment_bits):
+        # Chunk 1 declared to start a bit early: chunk 0 runs past it, and
+        # across a segment boundary when every chunk is its own segment.
+        monkeypatch.setattr(huffman, "_SEGMENT_BITS", segment_bits)
+        f = _split(HuffmanCodec(chunk_size=64).encode(np.arange(128) % 5))
+        f["deltas"][1] -= np.uint32(1)
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+    def test_alphabet_past_uint32_table_entries(self):
+        # (symbol << 6) | length overflows uint32 from symbol 2**26 on.
+        syms = np.array([0, 2**26, 5, 2**27 + 3], dtype=np.int64)
+        blob = HuffmanCodec().encode(syms)
+        np.testing.assert_array_equal(HuffmanCodec().decode(blob), syms)
+        # The oracle's dense tables over 2**27 symbols would take
+        # gigabytes; canonical codes depend only on the symbols' order,
+        # so an order-preserving relabelling must give the same payload.
+        small = np.array([0, 2, 1, 3], dtype=np.int64)
+        ref_blob = ReferenceHuffmanCodec().encode(small)
+        np.testing.assert_array_equal(ReferenceHuffmanCodec().decode(ref_blob), small)
+        fast, ref = _split(blob), _split(ref_blob)
+        for field in ("n", "chunk", "deltas", "total_bits", "payload"):
+            np.testing.assert_array_equal(fast[field], ref[field])
+        used = np.flatnonzero(fast["lengths"])
+        np.testing.assert_array_equal(used, np.sort(syms))
+        np.testing.assert_array_equal(fast["lengths"][used], ref["lengths"])
+
+    def test_code_over_25_bits_rejected(self):
+        # Kraft-complete lengths 1, 2, ..., 25, 26, 26.
+        lengths = np.append(np.arange(1, 27), 26).astype(np.uint8)
+        f = {"n": 2, "chunk": 256, "lengths": lengths,
+             "deltas": np.zeros(1, dtype=np.uint32), "total_bits": 3,
+             "payload": b"\x40"}
+        with pytest.raises(ValueError, match="corrupt Huffman"):
+            HuffmanCodec().decode(_join(f))
+
+    def test_chunk_size_zero_rejected(self):
+        f = _split(HuffmanCodec().encode(np.arange(10)))
+        f["chunk"] = 0
         with pytest.raises(ValueError, match="corrupt Huffman"):
             HuffmanCodec().decode(_join(f))
 

@@ -1,8 +1,13 @@
 """File-level CLI (repro-compress) end-to-end."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.data.io import load_array, write_raw
 
@@ -524,3 +529,42 @@ class TestFailureContract:
         assert "error:" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err + captured.out
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+from repro.cli import main
+
+rng = np.random.default_rng(0)
+np.save("field.npy", np.exp(rng.normal(0, 1, (32, 32, 32))).astype(np.float32))
+runs = {
+    "SZ_T": ["--rel-bound", "1e-3"],
+    "ZFP_T": ["--compressor", "ZFP_T", "--rel-bound", "1e-3"],
+    "SZ3_T": ["--compressor", "SZ3_T", "--rel-bound", "1e-3"],
+    "SZ_PWR": ["--compressor", "SZ_PWR", "--rel-bound", "1e-3"],
+    "FPZIP": ["--compressor", "FPZIP", "--precision", "19"],
+    "chunked": ["--rel-bound", "1e-3", "--chunk-size", "32K",
+                "--workers", "2", "--parity", "2"],
+}
+for name, flags in runs.items():
+    out = name + ".rpz"
+    for argv in (["compress", "field.npy", out, *flags],
+                 ["decompress", out, name + ".npy"],
+                 ["verify", out], ["info", out], ["explain", out]):
+        assert main(argv) == 0, argv
+"""
+
+
+class TestNoScipy:
+    """scipy serves only ISABELA and error-distribution statistics, so
+    every other command runs in a process where importing it fails."""
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,9 +1,9 @@
-"""Blocking utilities and timers."""
+"""Blocking utilities."""
 
 import numpy as np
 import pytest
 
-from repro.utils import Timer, block_merge, block_partition, chunk_spans, pad_to_blocks
+from repro.utils import block_merge, block_partition, chunk_spans, pad_to_blocks
 
 
 class TestChunkSpans:
@@ -76,31 +76,3 @@ class TestPartitionMerge:
         a = np.ones((8, 8))
         tiles, _ = block_partition(a, 4)
         assert tiles.flags["C_CONTIGUOUS"]
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.entries == 2
-        assert t.seconds >= 0
-
-    def test_rate(self):
-        t = Timer()
-        t.seconds = 2.0
-        assert t.rate_mbs(4_000_000) == pytest.approx(2.0)
-
-    def test_rate_of_zero_time_is_finite(self):
-        # 0.0, not inf: JSON exports must never contain non-finite values.
-        assert Timer().rate_mbs(100) == 0.0
-
-    def test_is_a_span_underneath(self):
-        t = Timer("stage")
-        with t:
-            pass
-        assert t.span.name == "stage"
-        assert t.span.wall_s == t.seconds
-        assert t.cpu_seconds >= 0.0
