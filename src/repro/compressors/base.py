@@ -261,11 +261,12 @@ class Compressor(abc.ABC):
         The bytes equal ``compress``'s and the array equals
         ``decompress(blob)`` bit for bit.  Verifying wrappers (e.g. the
         transformed compressor's bound check) and the CLI's bound report
-        call this instead of ``compress`` + ``decompress``.  Codecs that
-        already materialize their decoder's reconstruction while encoding
-        (SZ must, to patch round-off violators) and every wrapper override
-        it to skip the redundant decode; this default simply round-trips.
-        Like ``compress``, each override is traced automatically: one
+        call this instead of ``compress`` + ``decompress``.  The SZ family
+        (its patch pass holds the reconstruction), ZFP's accuracy and
+        precision modes (the decoder recovers exactly the coded planes)
+        and every wrapper override it to skip the decode.  This default
+        round-trips; ZFP_R, FPZIP, GZIP and ISABELA still use it.  Like
+        ``compress``, each override is traced automatically: one
         ``compress`` span and event per call.
         """
         blob = self.compress(data, bound)

@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.compressors.base import Compressor, ErrorBound, RelativeBound
 from repro.compressors.sz.predictor import lorenzo_reconstruct, lorenzo_residual
-from repro.compressors.sz.quantizer import CLIP_INDEX, EB_SHRINK, RISKY_INDEX
-from repro.compressors.sz.sz import DEFAULT_RADIUS
-from repro.encoding import HuffmanCodec, deflate, inflate, zigzag_decode, zigzag_encode
+from repro.compressors.sz.quantizer import CLIP_INDEX, EB_SHRINK, RISKY_INDEX, residual_codes
+from repro.compressors.sz.sz import DEFAULT_RADIUS, _pack_payload, _unpack_payload
+from repro.encoding import HuffmanCodec, deflate, inflate
 from repro.utils.blocking import block_merge, block_partition
 
 __all__ = ["SZPointwiseRelative", "DEFAULT_BLOCKS"]
@@ -49,6 +49,13 @@ class SZPointwiseRelative(Compressor):
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound)[0]
+
+    def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        return self._compress_impl(data, bound)
+
+    def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        """Shared pipeline; returns ``(blob, exact decoder output)``."""
         self._check_bound(bound)
         data = self._check_input(data)
         br = float(bound.value)
@@ -80,9 +87,7 @@ class SZPointwiseRelative(Compressor):
         k = np.clip(kf, -CLIP_INDEX, CLIP_INDEX).astype(np.int64)
 
         q = lorenzo_residual(k, ndim)
-        escape = (np.abs(q) > self.radius) | risky
-        codes = np.where(escape, 0, q + (self.radius + 1)).ravel()
-        esc_q = q[escape]
+        codes, esc_q = residual_codes(q, risky, self.radius)
 
         # Verify against the per-block absolute bound and patch stragglers.
         recon = (k.astype(np.float64) * step).astype(data.dtype)
@@ -100,21 +105,13 @@ class SZPointwiseRelative(Compressor):
         box.put_shape("padded", padded_shape)
         box.put("eb_block", deflate(eb_block.tobytes()))
         box.put_u64("nblocks", nblocks)
+        _pack_payload(box, self._huffman, codes, esc_q, patch_idx, patch_val)
 
-        blob = self._huffman.encode(codes)
-        squeezed = deflate(blob)
-        if len(squeezed) < len(blob):
-            box.put_u64("stage3", 1)
-            blob = squeezed
-        else:
-            box.put_u64("stage3", 0)
-        box.put("codes", blob)
-        box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))
-        box.put_u64("n_esc", esc_q.size)
-        box.put("patch_idx", deflate(patch_idx.tobytes()))
-        box.put("patch_val", deflate(np.ascontiguousarray(patch_val).tobytes()))
-        box.put_u64("n_patch", patch_idx.size)
-        return box.to_bytes()
+        # The decoder's tiles are this reconstruction (its Lorenzo pass
+        # inverts the residuals exactly), patched, then merged.
+        final = recon.reshape(-1)
+        final[patch_idx.astype(np.int64)] = patch_val
+        return box.to_bytes(), block_merge(final, padded_shape, edge, data.shape)
 
     # -- decompression -----------------------------------------------------
 
@@ -130,29 +127,12 @@ class SZPointwiseRelative(Compressor):
         if eb_block.size != nblocks:
             raise ValueError("corrupt SZ_PWR stream: bound table size mismatch")
 
-        payload = box.get("codes")
-        if box.get_u64("stage3"):
-            payload = inflate(payload)
-        codes = self._huffman.decode(payload)
-
-        q = codes - (radius + 1)
-        escape = codes == 0
-        esc_q = zigzag_decode(np.frombuffer(inflate(box.get("escq")), dtype=np.uint64))
-        if esc_q.size != box.get_u64("n_esc") or int(escape.sum()) != esc_q.size:
-            raise ValueError("corrupt SZ_PWR stream: escape channel size mismatch")
-        q[escape] = esc_q
-
+        q, patch_idx, patch_val = _unpack_payload(box, self._huffman, dtype, radius, "SZ_PWR")
         q = q.reshape((nblocks,) + (edge,) * ndim)
         k = lorenzo_reconstruct(q, ndim)
         step = (2.0 * EB_SHRINK) * eb_block.reshape((nblocks,) + (1,) * ndim)
         tiles = (k.astype(np.float64) * step).astype(dtype)
 
-        patch_idx = np.frombuffer(inflate(box.get("patch_idx")), dtype=np.uint64)
-        patch_val = np.frombuffer(inflate(box.get("patch_val")), dtype=dtype)
-        if patch_idx.size != box.get_u64("n_patch") or patch_val.size != patch_idx.size:
-            raise ValueError("corrupt SZ_PWR stream: patch channel size mismatch")
         flat = tiles.reshape(-1)
         flat[patch_idx.astype(np.int64)] = patch_val
-        tiles = flat.reshape((nblocks,) + (edge,) * ndim)
-
-        return block_merge(tiles, padded_shape, edge, shape)
+        return block_merge(flat, padded_shape, edge, shape)

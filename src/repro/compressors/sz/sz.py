@@ -12,7 +12,10 @@ bit-exactly from the patch channel.
 
 Because the encoder materializes the decoder's exact output anyway (for
 the patch pass), :meth:`SZCompressor.compress_verified` hands it to
-verifying wrappers for free, sparing them a full decode.
+verifying wrappers for free, sparing them a full decode; SZ2, SZ3 and
+SZ_PWR do the same.  The entropy stage (Huffman, stage III, escape and
+patch channels) is this module's ``_pack_payload``/``_unpack_payload``,
+shared by all four codecs.
 """
 
 from __future__ import annotations
@@ -133,42 +136,16 @@ class SZCompressor(Compressor):
         box.put_u64("radius", self.radius)
         box.put_u64("order", self.order)
         with span("entropy-encode"):
-            self._pack_payload(box, codes, esc_q, patch_idx, patch_val)
+            _pack_payload(
+                box, self._huffman, codes, esc_q, patch_idx, patch_val, self.use_stage3
+            )
         with span("serialize") as sp:
             blob = box.to_bytes()
             sp.add_bytes(out=len(blob))
 
         final = recon.ravel()
-        if patch_idx.size:
-            final = final.copy()
-            final[patch_idx.astype(np.int64)] = patch_val
+        final[patch_idx.astype(np.int64)] = patch_val
         return blob, final.reshape(data.shape)
-
-    def _pack_payload(
-        self,
-        box: Container,
-        codes: np.ndarray,
-        esc_q: np.ndarray,
-        patch_idx: np.ndarray,
-        patch_val: np.ndarray,
-    ) -> None:
-        """Entropy-code the quantization codes and side channels into ``box``."""
-        with span("huffman-encode"):
-            blob = self._huffman.encode(codes)
-        if self.use_stage3:
-            with span("stage3-deflate"):
-                squeezed = deflate(blob)
-            if len(squeezed) < len(blob):
-                box.put_u64("stage3", 1)
-                blob = squeezed
-            else:
-                box.put_u64("stage3", 0)
-        else:
-            box.put_u64("stage3", 0)
-        box.put("codes", blob)
-        box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))
-        box.put_u64("n_esc", esc_q.size)
-        put_patch_sections(box, patch_idx, patch_val)
 
     # -- decompression -----------------------------------------------------
 
@@ -180,7 +157,7 @@ class SZCompressor(Compressor):
         radius = box.get_u64("radius")
         order = box.get_u64("order") if "order" in box else 1
         with span("entropy-decode"):
-            q, patch_idx, patch_val = self._unpack_payload(box, dtype, radius)
+            q, patch_idx, patch_val = _unpack_payload(box, self._huffman, dtype, radius, "SZ")
         with span("reconstruct", order=order):
             q = q.reshape(shape)
             k = lorenzo_reconstruct(q, len(shape), order)
@@ -189,21 +166,55 @@ class SZCompressor(Compressor):
             flat[patch_idx.astype(np.int64)] = patch_val
         return flat.reshape(shape)
 
-    def _unpack_payload(
-        self, box: Container, dtype: np.dtype, radius: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Recover the residual array and patch channel from ``box``."""
-        payload = box.get("codes")
-        if box.get_u64("stage3"):
-            payload = inflate(payload)
-        with span("huffman-decode"):
-            codes = self._huffman.decode(payload)
 
-        n_esc = box.get_u64("n_esc")
-        esc_q = zigzag_decode(np.frombuffer(inflate(box.get("escq")), dtype=np.uint64))
-        if esc_q.size != n_esc:
-            raise ValueError("corrupt SZ stream: escape channel size mismatch")
-        q = restore_residuals(codes, esc_q, radius)
+# -- SZ's entropy stage, shared by SZ_ABS, SZ2_ABS, SZ3_ABS and SZ_PWR ---------
 
-        patch_idx, patch_val = read_patch_sections(box, dtype, "SZ")
-        return q, patch_idx, patch_val
+
+def _pack_payload(
+    box: Container,
+    huffman: HuffmanCodec,
+    codes: np.ndarray,
+    esc_q: np.ndarray,
+    patch_idx: np.ndarray,
+    patch_val: np.ndarray,
+    use_stage3: bool = True,
+) -> None:
+    """Entropy-code the quantization codes and side channels into ``box``.
+
+    Sections, in this order: ``stage3``, ``codes`` (Huffman payload,
+    DEFLATEd when ``use_stage3`` and that shrinks it), ``escq``,
+    ``n_esc``, then the patch channel.
+    """
+    with span("huffman-encode"):
+        blob = huffman.encode(codes)
+    squeezed = False
+    if use_stage3:
+        with span("stage3-deflate"):
+            deflated = deflate(blob)
+        if len(deflated) < len(blob):
+            blob, squeezed = deflated, True
+    box.put_u64("stage3", int(squeezed))
+    box.put("codes", blob)
+    box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))
+    box.put_u64("n_esc", esc_q.size)
+    put_patch_sections(box, patch_idx, patch_val)
+
+
+def _unpack_payload(
+    box: Container, huffman: HuffmanCodec, dtype: np.dtype, radius: int, codec: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_pack_payload`: ``(flat residuals, patch_idx, patch_val)``.
+
+    ``codec`` labels the ``corrupt <codec> stream: ...`` messages.
+    """
+    payload = box.get("codes")
+    if box.get_u64("stage3"):
+        payload = inflate(payload)
+    with span("huffman-decode"):
+        codes = huffman.decode(payload)
+    esc_q = zigzag_decode(np.frombuffer(inflate(box.get("escq")), dtype=np.uint64))
+    if esc_q.size != box.get_u64("n_esc"):
+        raise ValueError(f"corrupt {codec} stream: escape channel size mismatch")
+    q = restore_residuals(codes, esc_q, radius, codec)
+    patch_idx, patch_val = read_patch_sections(box, dtype, codec)
+    return q, patch_idx, patch_val

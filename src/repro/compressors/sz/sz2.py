@@ -33,9 +33,8 @@ from repro.compressors.sz.quantizer import (
     lattice_quantize,
     lattice_reconstruct,
     residual_codes,
-    restore_residuals,
 )
-from repro.compressors.sz.sz import DEFAULT_RADIUS
+from repro.compressors.sz.sz import DEFAULT_RADIUS, _pack_payload, _unpack_payload
 from repro.encoding import HuffmanCodec, deflate, inflate, zigzag_decode, zigzag_encode
 from repro.utils.blocking import block_merge, block_partition
 
@@ -141,31 +140,13 @@ class SZ2Compressor(Compressor):
         box.put("selector", deflate(np.packbits(use_reg).tobytes()))
         box.put("coeffs", deflate(zigzag_encode(cq[use_reg].ravel()).tobytes()))
 
-        blob = self._huffman.encode(codes)
-        squeezed = deflate(blob)
-        if len(squeezed) < len(blob):
-            box.put_u64("stage3", 1)
-            blob = squeezed
-        else:
-            box.put_u64("stage3", 0)
-        box.put("codes", blob)
-        box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))
-        box.put_u64("n_esc", esc_q.size)
-        box.put("patch_idx", deflate(patch_idx.tobytes()))
-        box.put("patch_val", deflate(np.ascontiguousarray(patch_val).tobytes()))
-        box.put_u64("n_patch", patch_idx.size)
-        blob = box.to_bytes()
+        _pack_payload(box, self._huffman, codes, esc_q, patch_idx, patch_val)
 
         # Exact decoder output: patched reconstruction tiles, merged back
         # to the original shape.
         flat = recon.reshape(-1)
-        if patch_idx.size:
-            flat = flat.copy()
-            flat[patch_idx.astype(np.int64)] = patch_val
-        merged = block_merge(
-            flat.reshape((nblocks,) + (edge,) * ndim), padded_shape, edge, data.shape
-        )
-        return blob, merged
+        flat[patch_idx.astype(np.int64)] = patch_val
+        return box.to_bytes(), block_merge(flat, padded_shape, edge, data.shape)
 
     @staticmethod
     def _quantize_coeffs(coeffs: np.ndarray, eb: float, edge: int) -> np.ndarray:
@@ -208,14 +189,7 @@ class SZ2Compressor(Compressor):
         if cq_flat.size != int(use_reg.sum()) * ncoef:
             raise ValueError("corrupt SZ2 stream: coefficient table size mismatch")
 
-        payload = box.get("codes")
-        if box.get_u64("stage3"):
-            payload = inflate(payload)
-        codes = self._huffman.decode(payload)
-        esc_q = zigzag_decode(np.frombuffer(inflate(box.get("escq")), dtype=np.uint64))
-        if esc_q.size != box.get_u64("n_esc"):
-            raise ValueError("corrupt SZ2 stream: escape channel size mismatch")
-        q = restore_residuals(codes, esc_q, radius, codec="SZ2")
+        q, patch_idx, patch_val = _unpack_payload(box, self._huffman, dtype, radius, "SZ2")
         q = q.reshape((nblocks,) + (edge,) * ndim)
 
         # Lorenzo blocks: invert the in-block stencil.  Regression blocks:
@@ -233,11 +207,6 @@ class SZ2Compressor(Compressor):
             k[use_reg] = (q[use_reg].reshape(kp.shape[0], -1) + kp).reshape(sel_shape)
 
         tiles = (k.astype(np.float64) * step).astype(dtype)
-        patch_idx = np.frombuffer(inflate(box.get("patch_idx")), dtype=np.uint64)
-        patch_val = np.frombuffer(inflate(box.get("patch_val")), dtype=dtype)
-        if patch_idx.size != box.get_u64("n_patch") or patch_val.size != patch_idx.size:
-            raise ValueError("corrupt SZ2 stream: patch channel size mismatch")
         flat = tiles.reshape(-1)
         flat[patch_idx.astype(np.int64)] = patch_val
-        tiles = flat.reshape((nblocks,) + (edge,) * ndim)
-        return block_merge(tiles, padded_shape, edge, shape)
+        return block_merge(flat, padded_shape, edge, shape)

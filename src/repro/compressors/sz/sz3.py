@@ -23,9 +23,13 @@ import math
 import numpy as np
 
 from repro.compressors.base import AbsoluteBound, Compressor, ErrorBound
-from repro.compressors.sz.quantizer import lattice_quantize, lattice_reconstruct
-from repro.compressors.sz.sz import DEFAULT_RADIUS
-from repro.encoding import HuffmanCodec, deflate, inflate, zigzag_decode, zigzag_encode
+from repro.compressors.sz.quantizer import (
+    lattice_quantize,
+    lattice_reconstruct,
+    residual_codes,
+)
+from repro.compressors.sz.sz import DEFAULT_RADIUS, _pack_payload, _unpack_payload
+from repro.encoding import HuffmanCodec
 
 __all__ = ["SZ3Compressor"]
 
@@ -118,6 +122,13 @@ class SZ3Compressor(Compressor):
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound)[0]
+
+    def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        return self._compress_impl(data, bound)
+
+    def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        """Shared pipeline; returns ``(blob, exact decoder output)``."""
         self._check_bound(bound)
         data = self._check_input(data)
         eb = float(bound.value)
@@ -126,11 +137,10 @@ class SZ3Compressor(Compressor):
         level = _root_level(data.shape)
         q = np.zeros_like(k)
         _traverse(k, q, level, self.interp == "cubic", encode=True)
+        codes, esc_q = residual_codes(q, risky, self.radius)
 
-        escape = (np.abs(q) > self.radius) | risky
-        codes = np.where(escape, 0, q + (self.radius + 1)).ravel()
-        esc_q = q[escape]
-
+        # The decoder rebuilds this exact lattice (its traversal inverts
+        # the residuals exactly); patch the points it would get wrong.
         recon = lattice_reconstruct(k, eb, data.dtype)
         viol = np.abs(data.astype(np.float64) - recon.astype(np.float64)) > eb
         patch = (viol | risky).ravel()
@@ -142,21 +152,11 @@ class SZ3Compressor(Compressor):
         box.put_u64("radius", self.radius)
         box.put_u64("level", level)
         box.put_str("interp", self.interp)
+        _pack_payload(box, self._huffman, codes, esc_q, patch_idx, patch_val)
 
-        blob = self._huffman.encode(codes)
-        squeezed = deflate(blob)
-        if len(squeezed) < len(blob):
-            box.put_u64("stage3", 1)
-            blob = squeezed
-        else:
-            box.put_u64("stage3", 0)
-        box.put("codes", blob)
-        box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))
-        box.put_u64("n_esc", esc_q.size)
-        box.put("patch_idx", deflate(patch_idx.tobytes()))
-        box.put("patch_val", deflate(np.ascontiguousarray(patch_val).tobytes()))
-        box.put_u64("n_patch", patch_idx.size)
-        return box.to_bytes()
+        final = recon.ravel()
+        final[patch_idx.astype(np.int64)] = patch_val
+        return box.to_bytes(), final.reshape(data.shape)
 
     # -- decompression -----------------------------------------------------
 
@@ -167,26 +167,13 @@ class SZ3Compressor(Compressor):
         level = box.get_u64("level")
         cubic = box.get_str("interp") == "cubic"
 
-        payload = box.get("codes")
-        if box.get_u64("stage3"):
-            payload = inflate(payload)
-        codes = self._huffman.decode(payload)
-        q = codes - (radius + 1)
-        escape = codes == 0
-        esc_q = zigzag_decode(np.frombuffer(inflate(box.get("escq")), dtype=np.uint64))
-        if esc_q.size != box.get_u64("n_esc") or int(escape.sum()) != esc_q.size:
-            raise ValueError("corrupt SZ3 stream: escape channel size mismatch")
-        q[escape] = esc_q
+        q, patch_idx, patch_val = _unpack_payload(box, self._huffman, dtype, radius, "SZ3")
         q = q.reshape(shape)
 
         k = np.zeros(shape, dtype=np.int64)
         _traverse(k, q, level, cubic, encode=False)
 
         recon = lattice_reconstruct(k, eb, dtype)
-        patch_idx = np.frombuffer(inflate(box.get("patch_idx")), dtype=np.uint64)
-        patch_val = np.frombuffer(inflate(box.get("patch_val")), dtype=dtype)
-        if patch_idx.size != box.get_u64("n_patch") or patch_val.size != patch_idx.size:
-            raise ValueError("corrupt SZ3 stream: patch channel size mismatch")
         flat = recon.ravel()
         flat[patch_idx.astype(np.int64)] = patch_val
         return flat.reshape(shape)

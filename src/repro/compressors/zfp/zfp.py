@@ -18,6 +18,11 @@ Representability caveat (shared with the reference ZFP): the accuracy-mode
 guarantee requires the tolerance to be expressible in the *output* dtype,
 i.e. ``tolerance >= ulp(max |x|)`` -- a float32 array with values near 1e6
 cannot be reconstructed to 1e-6 absolute no matter what the codec does.
+
+In accuracy and precision modes the decoder reads back each block's coded
+planes and zeros below them, so ``compress_verified`` masks the encoder's
+coefficients alike and runs the decoder's inverse path on them.
+Rate mode (``ZFP_R``) cuts blocks at a bit budget, so it still decodes.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from repro.utils.blocking import block_merge, block_partition
 __all__ = ["ZFPCompressor", "planes_for_tolerance"]
 
 _BLOCK = 4
+_U1 = np.uint64(1)
 
 
 def planes_for_tolerance(
@@ -93,9 +99,37 @@ class ZFPCompressor(Compressor):
             "rate": (RateBound,),
         }[mode]
 
+    def _planes(
+        self, emax: np.ndarray, param: float, ndim: int, intprec: int
+    ) -> tuple[np.ndarray, int | None]:
+        """Bit planes per block, and the rate mode's bit budget per block."""
+        if self.mode == "accuracy":
+            return planes_for_tolerance(emax, param, ndim, intprec), None
+        if self.mode == "precision":
+            return np.where(emax == EMPTY_EMAX, 0, min(int(param), intprec)), None
+        # Fixed rate: code every plane, hard-cap each block's bits.
+        return np.where(emax == EMPTY_EMAX, 0, intprec), max(1, round(param * _BLOCK**ndim))
+
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound, decoded=False)[0]
+
+    def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        blob, recon = self._compress_impl(data, bound, decoded=True)
+        if recon is None:
+            # Rate mode cuts each block's stream at its bit budget, so
+            # only the decoder knows which planes survived.
+            recon = self.decompress(blob)
+        return blob, recon
+
+    def _compress_impl(
+        self, data: np.ndarray, bound: ErrorBound, decoded: bool
+    ) -> tuple[bytes, np.ndarray | None]:
+        """Shared pipeline; returns ``(blob, exact decoder output)``.
+
+        The array is ``None`` in rate mode and when not ``decoded``.
+        """
         self._check_bound(bound)
         data = self._check_input(data)
         ndim = data.ndim
@@ -111,15 +145,7 @@ class ZFPCompressor(Compressor):
             nb = negabinary_encode(coeffs[:, perm])
 
         with span("encode-planes", mode=self.mode):
-            maxbits = None
-            if self.mode == "accuracy":
-                nplanes = planes_for_tolerance(emax, float(bound.value), ndim, intprec)
-            elif self.mode == "precision":
-                nplanes = np.where(emax == EMPTY_EMAX, 0, min(bound.bits, intprec))
-            else:
-                # Fixed rate: code every plane, hard-cap each block's bits.
-                nplanes = np.where(emax == EMPTY_EMAX, 0, intprec)
-                maxbits = max(1, round(float(bound.value) * _BLOCK**ndim))
+            nplanes, maxbits = self._planes(emax, float(bound.value), ndim, intprec)
             payload, lens = encode_blocks(nb, nplanes, intprec, maxbits=maxbits)
 
         with span("serialize") as sp:
@@ -131,7 +157,14 @@ class ZFPCompressor(Compressor):
             box.put("payload", payload)
             blob = box.to_bytes()
             sp.add_bytes(out=len(blob))
-        return blob
+
+        if not decoded or maxbits is not None:
+            return blob, None
+        # The decoder reads back each block's top nplanes planes, zeros below.
+        planes = nplanes.astype(np.uint64)
+        kept = ((_U1 << planes) - _U1) << (np.uint64(intprec) - planes)
+        nb &= kept[:, None]
+        return blob, _decode_values(nb, emax, intprec, data.dtype, padded_shape, data.shape)
 
     # -- decompression -----------------------------------------------------
 
@@ -152,22 +185,23 @@ class ZFPCompressor(Compressor):
                 raise ValueError("corrupt ZFP stream: block table size mismatch")
 
             payload = box.get("payload")
-            if self.mode == "accuracy":
-                nplanes = planes_for_tolerance(emax, param, ndim, intprec)
-            elif self.mode == "precision":
-                nplanes = np.where(emax == EMPTY_EMAX, 0, min(int(param), intprec))
-            else:
-                nplanes = np.where(emax == EMPTY_EMAX, 0, intprec)
-                maxbits = max(1, round(param * ncoef))
-                payload, lens = expand_fixed_rate(
-                    payload, lens.size, maxbits, nplanes, ncoef
-                )
-
+            nplanes, maxbits = self._planes(emax, param, ndim, intprec)
+            if maxbits is not None:
+                payload, lens = expand_fixed_rate(payload, lens.size, maxbits, nplanes, ncoef)
             nb = decode_blocks(payload, lens, nplanes, intprec, ncoef)
-        with span("inverse-transform"):
-            _, inv_perm = sequency_order(ndim)
-            coeffs = negabinary_decode(nb)[:, inv_perm]
-            q = inv_xform(coeffs.reshape((-1,) + (_BLOCK,) * ndim))
-            tiles = dequantize_blocks(q, emax, intprec, dtype)
-        with span("block-merge"):
-            return block_merge(tiles, padded_shape, _BLOCK, shape)
+        return _decode_values(nb, emax, intprec, dtype, padded_shape, shape)
+
+
+def _decode_values(
+    nb: np.ndarray, emax: np.ndarray, intprec: int, dtype: np.dtype,
+    padded_shape: tuple[int, ...], shape: tuple[int, ...],
+) -> np.ndarray:
+    """The decoder's path from ``(nblocks, 4**d)`` negabinary blocks to the array."""
+    ndim = len(shape)
+    with span("inverse-transform"):
+        _, inv_perm = sequency_order(ndim)
+        coeffs = negabinary_decode(nb)[:, inv_perm]
+        q = inv_xform(coeffs.reshape((-1,) + (_BLOCK,) * ndim))
+        tiles = dequantize_blocks(q, emax, intprec, dtype)
+    with span("block-merge"):
+        return block_merge(tiles, padded_shape, _BLOCK, shape)

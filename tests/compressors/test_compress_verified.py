@@ -54,11 +54,40 @@ def _nonfinite() -> np.ndarray:
     return data
 
 
+def _ragged() -> np.ndarray:
+    """Partial blocks everywhere: ZFP's 4^3 and SZ_PWR's 8^3 both pad.
+
+    An all-zero slab fills whole ZFP blocks (they code nothing), a corner
+    block of tiny values gets 0 coded planes at an absolute bound, and
+    magnitudes span 1e-30 to 1e30 with +-finfo.max and a subnormal.
+    """
+    rng = np.random.default_rng(12)
+    data = (10.0 ** rng.uniform(-30, 30, (5, 6, 7))).astype(np.float32)
+    data[rng.random(data.shape) < 0.4] *= -1
+    data[:4, :4, :4] = 10.0 ** rng.uniform(-30, -20, (4, 4, 4))
+    data[4] = 0.0
+    top = np.finfo(np.float32)
+    data[0, 5, 6], data[1, 5, 6] = top.max, -top.max
+    data[2, 4, 5] = top.tiny / 8
+    return data
+
+
+def _line() -> np.ndarray:
+    """37 float64 points: a partial last block for every 1-D block size."""
+    rng = np.random.default_rng(13)
+    data = np.exp(rng.normal(0, 2, 37))
+    data[rng.random(37) < 0.3] *= -1
+    data[::9] = 0.0
+    return data
+
+
 INPUTS = {
     "f32": lambda: _field(np.float32),
     "f64": lambda: _field(np.float64),
     "empty": lambda: np.zeros((0, 5), dtype=np.float32),
     "nonfinite": _nonfinite,
+    "ragged": _ragged,
+    "line": _line,
 }
 
 

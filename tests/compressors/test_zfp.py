@@ -1,11 +1,13 @@
 """ZFP end-to-end: accuracy-mode bound, over-preservation, precision mode."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compressors import AbsoluteBound, PrecisionBound, ZFPCompressor
+from repro.compressors import AbsoluteBound, PrecisionBound, RateBound, ZFPCompressor
 
 
 def roundtrip(data, bound, mode="accuracy"):
@@ -98,3 +100,30 @@ class TestPrecisionMode:
     def test_names(self):
         assert ZFPCompressor("accuracy").name == "ZFP_A"
         assert ZFPCompressor("precision").name == "ZFP_P"
+
+
+class TestTopOfRange:
+    """Finite input never decodes to +-inf: a block holding +-finfo.max can
+    round past it, and the decoder clamps at finfo.max (as
+    ``LogTransform.inverse`` does), without an overflow warning."""
+
+    @staticmethod
+    def _extremes(dtype):
+        top = np.finfo(dtype)
+        tail = [top.max / 3] if dtype == np.float32 else [5e-324, 0.0]
+        return np.array([top.max, -top.max, 1.0, *tail] * 5, dtype=dtype)
+
+    @pytest.mark.parametrize(
+        "mode,bound",
+        [("precision", PrecisionBound(bits)) for bits in (4, 12, 20, 40)]
+        + [("rate", RateBound(4)), ("rate", RateBound(16)), ("accuracy", AbsoluteBound(1e-2))],
+        ids=lambda v: v if isinstance(v, str) else str(v.value),
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decodes_finite(self, dtype, mode, bound):
+        data = self._extremes(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, recon = roundtrip(data, bound, mode)
+        assert recon.dtype == dtype
+        assert np.isfinite(recon).all()

@@ -3,9 +3,11 @@
 The compress command grades the array the verify pass returns
 (``compress_verified``) instead of decoding the stream it has just
 written, so it must succeed with every decoder disabled and print the
-same numbers a decode would give.  Every ``compress_verified`` is traced
-like ``compress``: one ``compress`` event per codec level, in the order
-the levels finish.
+same numbers a decode would give.  Every SZ- and ZFP-family codec but
+ZFP_R builds that array in ``compress_verified`` from its encoder's
+state, so it too runs with every decoder disabled.  Every
+``compress_verified`` is traced like ``compress``: one ``compress`` event
+per codec level, in the order the levels finish.
 """
 
 import numpy as np
@@ -13,11 +15,20 @@ import pytest
 
 import repro
 import repro.cli
-from repro import Compressor, decompress
+from repro import (
+    AbsoluteBound,
+    Compressor,
+    PrecisionBound,
+    RelativeBound,
+    decompress,
+    get_compressor,
+)
 from repro.cli import main
+from repro.compressors.zfp import embedded as zfp_embedded
+from repro.compressors.zfp import zfp as zfp_codec
 from repro.core.chunked import iter_chunk_blobs
 from repro.data.generators import gaussian_random_field
-from repro.encoding import Container
+from repro.encoding import Container, HuffmanCodec
 from repro.metrics import bounded_fraction
 from repro.observe.events import install_event_log, read_events
 
@@ -53,13 +64,40 @@ def _compress(path, out, *extra) -> bytes:
 class TestCompressDecodesNothing:
     @pytest.fixture()
     def no_decoding(self, monkeypatch):
-        """Every decoder raises: ``repro.decompress`` and each class's."""
+        """Every decoder raises: ``repro.decompress``, each class's,
+        ``HuffmanCodec.decode`` and ZFP's ``decode_blocks``."""
         monkeypatch.setattr(repro, "decompress", _refuse)
         monkeypatch.setattr(repro.cli, "decompress", _refuse)
         for cls in _subclasses(Compressor):
             if "decompress" in vars(cls):
                 monkeypatch.setattr(cls, "decompress", _refuse)
+        monkeypatch.setattr(HuffmanCodec, "decode", _refuse)
+        for module in (zfp_embedded, zfp_codec):
+            monkeypatch.setattr(module, "decode_blocks", _refuse)
         return monkeypatch
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "name",
+        ["SZ_ABS", "SZ2_ABS", "SZ3_ABS", "SZ_PWR", "ZFP_A", "ZFP_P",
+         "SZ_T", "SZ2_T", "SZ3_T", "ZFP_T"],
+    )
+    def test_codec_derives_its_array(self, name, dtype, no_decoding):
+        """These codecs' ``compress_verified`` decodes nothing.
+
+        The rest still compress, then decode (the base class's default):
+        ZFP_R (its bit budget cuts blocks short, so only a decode knows
+        which planes survive), FPZIP, GZIP, ISABELA and third-party codecs.
+        """
+        data = gaussian_random_field((10, 11, 13), beta=3.0, seed=5).astype(dtype)
+        data[:, :, :4] = 0.0
+        comp = get_compressor(name)
+        bounds = (RelativeBound(BR), AbsoluteBound(1e-3), PrecisionBound(20))
+        bound = next(b for b in bounds if isinstance(b, comp.supported_bounds))
+        blob, recon = comp.compress_verified(data, bound)
+        no_decoding.undo()
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(recon.view(bits), decompress(blob).view(bits))
 
     @pytest.mark.parametrize(
         "extra",
