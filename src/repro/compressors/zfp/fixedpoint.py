@@ -77,21 +77,17 @@ def dequantize_blocks(q: np.ndarray, emax: np.ndarray, intprec: int, dtype: np.d
 
     Values are clamped to ``+-finfo(dtype).max``: a block at the top of
     the range can round past it, and a finite input must not decode to
-    ``+-inf``.
+    ``+-inf``.  The clamp changes no value that fits the dtype.
     """
     sexp = intprec - 4
     shift = (emax.astype(np.int64) - sexp).reshape((-1,) + (1,) * (q.ndim - 1))
     # Mirror of the encoder-side clamp (empty blocks carry the sentinel
     # exponent; their coefficients are zero regardless).
     scale = np.ldexp(1.0, np.clip(shift, -1000, 1000))
-    top = np.finfo(dtype)
-    # |q| < 2**63, so only a block whose emax is this high can leave the
-    # dtype's range; every other block skips the clamp.
-    if emax.size and int(emax.max()) - sexp + 63 >= top.maxexp - 1:
-        with np.errstate(over="ignore"):
-            x = q.astype(np.float64) * scale
-        return np.clip(x, -top.max, top.max).astype(dtype)
-    return (q.astype(np.float64) * scale).astype(dtype)
+    top = np.finfo(dtype).max
+    with np.errstate(over="ignore"):
+        x = q.astype(np.float64) * scale
+    return np.clip(x, -top, top, out=x).astype(dtype)
 
 
 def negabinary_encode(x: np.ndarray) -> np.ndarray:
