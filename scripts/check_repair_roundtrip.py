@@ -8,8 +8,9 @@ Usage::
 
 Each trial compresses a random field into a parity-bearing (v3) CHUNKED
 stream, injects a random fault pattern whose per-group losses stay
-within the parity budget -- chunk bit flips, tail truncation, or parity
-damage -- and asserts that :func:`repro.integrity.repair_stream` returns
+within the parity budget -- chunk bit flips, tail truncation, parity
+damage, or chunk headers whose codec-name length byte is zeroed -- and
+asserts that :func:`repro.integrity.repair_stream` returns
 the *byte-exact* original (so the stream CRC vouches for the repair).
 A final over-budget trial asserts clean degradation: losses reported,
 no crash, intact chunks still recoverable.
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro import RelativeBound, verify_stream
 from repro.core.chunked import ChunkedCompressor
+from repro.inspection import inspect_stream
 from repro.integrity import repair_stream
 from repro.testing import corrupt_chunk, corrupt_section, truncate
 
@@ -55,7 +57,18 @@ def make_stream(rng: np.random.Generator, parity: int, group_size: int):
 def inject(rng: np.random.Generator, blob: bytes, n_chunks: int,
            parity: int, group_size: int) -> tuple[bytes, str]:
     """One random repairable fault pattern: ``(damaged_bytes, label)``."""
-    kind = rng.choice(["chunks", "truncate", "parity"])
+    kind = rng.choice(["chunks", "truncate", "parity", "header"])
+    if kind == "header":
+        # One chunk per group loses its codec name: a header that names
+        # no codec at all, which readers must report, not trip over.
+        chunks = inspect_stream(blob).chunks
+        damaged = bytearray(blob)
+        hit = []
+        for g in range(0, n_chunks, group_size):
+            index = int(rng.integers(g, min(g + group_size, n_chunks)))
+            damaged[chunks[index].start + 5] = 0
+            hit.append(index)
+        return bytes(damaged), f"header{hit}"
     if kind == "truncate":
         # Cut into the last chunk only -- one erasure in the last group.
         cut = int(rng.integers(1, 200))

@@ -202,9 +202,13 @@ def _decoder_for(blob: bytes) -> Compressor:
         return get_compressor(codec_of(blob))
     except KeyError:
         pass
-    # Not a registered name: the verifying parse tells a damaged header
-    # (ChecksumError) from an ARCHIVE or a truly unknown codec.
-    codec = Container.from_bytes(blob).codec
+    # Not a registered name: damage raises as a verifying parse would;
+    # an intact stream is an ARCHIVE or names a truly unknown codec.
+    from repro.inspection import inspect_stream
+
+    model = inspect_stream(blob)
+    model.raise_if_damaged()
+    codec = model.codec
     if codec == "ARCHIVE":
         raise ValueError(
             "stream is a multi-field ARCHIVE; read it with "

@@ -62,19 +62,23 @@ def decompress_dataset(blob: bytes) -> dict[str, np.ndarray]:
 
 
 def archive_manifest(blob: bytes) -> dict[str, dict]:
-    """Per-field codec/shape/size summary without decompressing."""
-    box = Container.from_bytes(blob)
-    if box.codec != _CODEC:
-        raise ValueError(f"not an archive stream (codec {box.codec!r})")
+    """Per-field codec/shape/size summary without decompressing; raises on damage."""
+    from repro.inspection import inspect_stream
+
+    model = inspect_stream(blob)
+    model.raise_if_damaged()
+    if model.codec != _CODEC:
+        raise ValueError(f"not an archive stream (codec {model.codec!r})")
     manifest: dict[str, dict] = {}
-    for key in box.keys():
-        if not key.startswith("field:"):
+    for sec in model.sections:
+        if not sec.key.startswith("field:"):
             continue
-        inner = Container.from_bytes(box.get(key))
-        manifest[key[len("field:"):]] = {
+        inner = sec.child
+        inner.raise_if_damaged()
+        manifest[sec.key[len("field:"):]] = {
             "codec": inner.codec,
-            "shape": inner.get_shape("shape"),
-            "dtype": inner.get_dtype("dtype").name,
-            "nbytes": len(box.get(key)),
+            "shape": inner.box.get_shape("shape"),
+            "dtype": inner.box.get_dtype("dtype").name,
+            "nbytes": sec.nbytes,
         }
     return manifest

@@ -60,11 +60,11 @@ from repro import (
     StreamError,
     available_compressors,
     decompress,
-    get_compressor,
 )
 from repro.compressors.base import UnsupportedBound
 from repro.data.io import load_array, save_array
 from repro.metrics import bounded_fraction
+from repro.resilience.jobs import _wrapped_compressor
 from repro.resilience.policy import ResilienceError
 
 __all__ = ["main"]
@@ -213,18 +213,7 @@ def _cmd_compress(args) -> int:
     if args.journal is not None:
         return _journaled_compress(args, bound)
     data = load_array(args.input, args.shape, np.dtype(args.dtype))
-    compressor = get_compressor(args.compressor)
-    label = args.compressor
-    if args.safeguard:
-        from repro.safeguards import SafeguardedCompressor
-
-        compressor = SafeguardedCompressor(compressor, args.safeguard)
-        label = f"SAFE({args.compressor}; {'; '.join(args.safeguard)})"
-    if args.ladder:
-        from repro.resilience import DegradationLadder
-
-        compressor = DegradationLadder.with_fallbacks(compressor, args.ladder)
-        label = ">".join([label, *compressor.rung_names[1:]])
+    compressor, label = _wrapped_compressor(args.compressor, args.safeguard, args.ladder)
     rel_value = bound.value if isinstance(bound, RelativeBound) else None
     if rel_value is None and args.safeguard:
         # A declared rel:BR safeguard guarantees the bound even when the

@@ -108,13 +108,13 @@ class ChunkTimeoutError(TimeoutError):
     """
 
 
-def _fill_scalar(fill: float | str) -> float:
-    """The scalar planted in lost spans (``nearest`` resolves later)."""
+def _fill_scalar(fill: float | str) -> tuple[float, str]:
+    """The scalar planted in lost spans (``nearest`` resolves later), and its name."""
     if isinstance(fill, str):
         if fill not in _FILL_MODES:
             raise ValueError(f"fill must be a float or one of {_FILL_MODES}, got {fill!r}")
-        return 0.0 if fill == "zero" else float("nan")
-    return float(fill)
+        return (0.0 if fill == "zero" else float("nan")), fill
+    return float(fill), repr(float(fill))
 
 
 def _apply_nearest_fill(out: np.ndarray, lost_spans: list[tuple[int, int]]) -> None:
@@ -221,11 +221,6 @@ class RecoveryReport:
         if any(f.span is None for f in self.failures):
             return self.total_elements
         return sum(stop - start for f in self.failures for start, stop in [f.span])
-
-    @property
-    def filled_elements(self) -> int:
-        """Elements holding fill/interpolated values rather than data."""
-        return self.lost_elements
 
     @property
     def recovered_elements(self) -> int:
@@ -660,6 +655,20 @@ class ChunkedCompressor(Compressor):
 
     # -- chunk geometry ------------------------------------------------------
 
+    def _checked_chunks(self, data: np.ndarray, bound: ErrorBound) -> tuple[np.ndarray, list]:
+        """``(data, chunks)`` after the bound and input checks of every
+        compress path, the journaled job runner's included."""
+        self.inner._check_bound(bound)
+        data = np.asarray(data)
+        if data.size == 0:
+            if data.dtype not in (np.float32, np.float64):
+                raise TypeError(f"expected float32/float64 data, got {data.dtype}")
+            if data.ndim not in (1, 2, 3):
+                raise ValueError(f"expected 1-D/2-D/3-D data, got ndim={data.ndim}")
+            return data, []
+        data = self._check_input(data, getattr(self.inner, "allows_nonfinite", False))
+        return data, self._split(data)
+
     def _split(self, data: np.ndarray) -> list[np.ndarray]:
         """Cut ``data`` into C-contiguous spans of <= ``chunk_bytes``."""
         if data.ndim > 1:
@@ -697,23 +706,12 @@ class ChunkedCompressor(Compressor):
         # Cleared first, so a compress that raises (bound check, breaker,
         # watchdog, job deadline) never leaves the previous call's report.
         self.last_resilience = None
-        inner = self.inner
-        inner._check_bound(bound)
         self._job_started = time.perf_counter()
-        data = np.asarray(data)
-        if data.size == 0:
-            if data.dtype not in (np.float32, np.float64):
-                raise TypeError(f"expected float32/float64 data, got {data.dtype}")
-            if data.ndim not in (1, 2, 3):
-                raise ValueError(f"expected 1-D/2-D/3-D data, got ndim={data.ndim}")
-            chunks, blobs = [], []
-        else:
-            data = self._check_input(
-                data, allow_nonfinite=getattr(inner, "allows_nonfinite", False)
-            )
-            chunks = self._split(data)
+        data, chunks = self._checked_chunks(data, bound)
+        blobs = []
+        if chunks:
             audit_before = metrics().snapshot()
-            blobs = self._map(_compress_chunk, [(inner, c, bound, verified) for c in chunks])
+            blobs = self._map(_compress_chunk, [(self.inner, c, bound, verified) for c in chunks])
             self._build_audit(audit_before, bound)
         parts = None
         if verified:
@@ -818,10 +816,25 @@ class ChunkedCompressor(Compressor):
         if codec_of(blob) != self.name:
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
-        box, shape, dtype = self._open_container(blob, self.name)
+        shape, dtype, chunks, elems, trusted = self._read_chunks(blob)
+        if not chunks:
+            return np.zeros(shape, dtype=dtype)
+        parts = self._map(_decompress_chunk, [(chunk, trusted) for chunk in chunks])
+        metrics().counter("chunks.decompressed").inc(len(parts))
+        current_span().set(chunks=len(parts), workers=self.workers)
+        _check_chunk_sizes([p.size for p in parts], elems)
+        flat = np.concatenate([p.ravel() for p in parts])
+        return flat.astype(dtype, copy=False).reshape(shape)
+
+    @classmethod
+    def _read_chunks(cls, blob: bytes) -> tuple:
+        """``(shape, dtype, chunk streams, element counts, trusted)`` of a
+        CHUNKED stream, read strictly; the one reader behind decompress and
+        the journaled job, whose decoded chunks pass :func:`_check_chunk_sizes`."""
+        box, shape, dtype = cls._open_container(blob, cls.name)
         offs, lens, elems = read_chunk_table(box)
         if not lens.size:
-            return np.zeros(shape, dtype=dtype)
+            return shape, dtype, [], elems, False
         payload = box.get("payload")
         if offs[-1] + lens[-1] != len(payload):
             raise ContainerError("corrupt CHUNKED stream: payload length mismatch")
@@ -834,92 +847,24 @@ class ChunkedCompressor(Compressor):
         # Then the chunks skip their own CRCs; otherwise, and in v1
         # streams, each is checked.
         trusted = box.checksummed and box.stored_crc(blob, "payload") == nested_crc(*chunks)
-        jobs = [(chunk, trusted) for chunk in chunks]
-        parts = self._map(_decompress_chunk, jobs)
-        metrics().counter("chunks.decompressed").inc(len(jobs))
-        current_span().set(chunks=len(jobs), workers=self.workers)
-        for part, want in zip(parts, elems):
-            if part.size != want:
-                raise ContainerError("corrupt CHUNKED stream: chunk element mismatch")
-        flat = np.concatenate([p.ravel() for p in parts])
-        return flat.astype(dtype, copy=False).reshape(shape)
+        return shape, dtype, chunks, elems, trusted
 
     def decompress_partial(
-        self, blob: bytes, fill: float | str = "nan", repair: bool = True
+        self, blob: bytes, fill: float | str = "nan"
     ) -> tuple[np.ndarray, RecoveryReport]:
         """Decode every intact chunk of a damaged CHUNKED stream.
 
-        When the stream carries Reed-Solomon parity (a v3 record) and
-        ``repair`` is true, damaged chunks are first rebuilt byte-exactly
-        via :func:`repro.integrity.repair_stream`; only chunks the parity
-        could not cover are lost.  Lost chunks are replaced by ``fill``
-        across their span -- a float, or ``"nan"``/``"zero"``/``"nearest"``
-        (nearest surviving element) -- and reported in the returned
-        :class:`RecoveryReport`.  Raises :class:`StreamError` only when
-        the stream's *geometry* (shape, dtype, chunk table) is itself
-        unreadable -- without it there is nothing to recover into.
+        Damaged chunks that the stream's Reed-Solomon parity (a v3 record)
+        covers are first rebuilt as :func:`repro.integrity.repair_stream`
+        rebuilds them.  Lost chunks are replaced by ``fill`` across their
+        span -- a float, or ``"nan"``/``"zero"``/``"nearest"`` (nearest
+        surviving element) -- and reported in the returned
+        :class:`RecoveryReport`.  Raises :class:`StreamError` only when the
+        stream's *geometry* (shape, dtype, chunk table) is unreadable.
         """
         from repro.inspection import inspect_stream
 
-        fill_value = _fill_scalar(fill)
-        fill_mode = fill if isinstance(fill, str) else repr(float(fill))
-        model = inspect_stream(blob)
-        box = model.box
-        if box is None:
-            raise model.header_error
-        if box.codec != self.name:
-            raise ContainerError(
-                f"stream was produced by {box.codec!r}, expected {self.name!r}"
-            )
-        # The metadata sections must be individually intact; their CRCs
-        # are still trustworthy even when the stream CRC is not.
-        for key in _CHUNKED_META:
-            if key in box and not model.crc_ok(key):
-                raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
-        shape = box.get_shape("shape")
-        dtype = box.get_dtype("dtype")
-        total = math.prod(shape)
-        if model.table is None:
-            raise model.table_error
-        offs, lens, elems = model.table
-        n = lens.size
-        if n == 0:
-            return np.zeros(shape, dtype=dtype), RecoveryReport(0, 0, fill_mode=fill_mode)
-        repaired: tuple[int, ...] = ()
-        if repair and "parity_k" in box:
-            from repro.integrity import repair_stream
-
-            try:
-                fixed, rep = repair_stream(blob)
-            except StreamError:
-                pass  # parity metadata itself damaged: recover unrepaired
-            else:
-                if rep.repaired:
-                    blob = fixed
-                    repaired = rep.repaired
-                    box = Container.from_bytes(
-                        blob, verify_checksums=False, partial=True
-                    )
-        payload = box.get("payload") if "payload" in box else b""
-        starts = np.concatenate([[0], np.cumsum(elems)])
-        out = np.full(total, fill_value, dtype=dtype)
-        failures: list[ChunkFailure] = []
-        for i, (o, ln) in enumerate(zip(offs, lens)):
-            chunk_span = (int(starts[i]), int(starts[i + 1]))
-            try:
-                if o + ln > len(payload):
-                    raise ContainerError("chunk bytes missing (truncated payload)")
-                part = _decompress_chunk(payload[o : o + ln])
-                if part.size != elems[i]:
-                    raise ContainerError("chunk decoded to the wrong element count")
-                out[chunk_span[0] : chunk_span[1]] = part.ravel().astype(dtype, copy=False)
-            except StreamError as exc:
-                failures.append(ChunkFailure(i, chunk_span, str(exc)))
-        if fill == "nearest" and failures:
-            _apply_nearest_fill(out, [f.span for f in failures])
-        return out.reshape(shape), RecoveryReport(
-            int(n), total, tuple(failures), fill_mode=fill_mode, repaired_chunks=repaired
-        )
+        return _recover_chunked(inspect_stream(blob), fill)
 
 
 # -- stream geometry ---------------------------------------------------------
@@ -989,6 +934,12 @@ def read_chunk_table(box: Container) -> ChunkTable:
     return ChunkTable(offs, lens, elems)
 
 
+def _check_chunk_sizes(counts: list[int], elems: np.ndarray) -> None:
+    """Raise unless every decoded chunk holds the elements its table entry says."""
+    if any(count != want for count, want in zip(counts, elems)):
+        raise ContainerError("corrupt CHUNKED stream: chunk element mismatch")
+
+
 def read_parity_geometry(box: Container, table: ChunkTable) -> ParityGeometry:
     """The v3 parity geometry of a CHUNKED container, checked against its table.
 
@@ -1020,27 +971,84 @@ def read_parity_geometry(box: Container, table: ChunkTable) -> ParityGeometry:
 
 
 def iter_chunk_blobs(blob: bytes) -> Iterator[bytes]:
-    """Yield the complete per-chunk container streams of a CHUNKED blob."""
-    box = Container.from_bytes(blob)
-    if box.codec != ChunkedCompressor.name:
-        raise ValueError(f"stream was produced by {box.codec!r}, expected 'CHUNKED'")
-    offs, lens, _ = read_chunk_table(box)
-    payload = box.get("payload")
-    for o, ln in zip(offs.tolist(), lens.tolist()):
-        yield payload[o : o + ln]
+    """Yield the per-chunk container streams of a CHUNKED blob, read as decompress reads."""
+    yield from ChunkedCompressor._read_chunks(blob)[2]
 
 
 def chunk_patch_total(blob: bytes) -> int:
     """Sum of per-chunk patch-channel sizes (0 = Lemma 2 held everywhere)."""
+    from repro.inspection import inspect_stream
+
     total = 0
     for chunk in iter_chunk_blobs(blob):
-        box = Container.from_bytes(chunk)
-        if "n_patch" in box:
-            total += box.get_u64("n_patch")
+        model = inspect_stream(chunk)
+        model.raise_if_damaged()
+        total += model.meta("n_patch") or 0
     return total
 
 
 # -- damage-tolerant loading -------------------------------------------------
+
+
+def _chunked_meta_box(model, mismatch: str, extra: tuple = ()) -> Container:
+    """The container of an inspected, damaged CHUNKED stream whose metadata
+    sections (and ``extra`` ones) hold their CRCs -- what recovery and repair
+    need.  Another codec raises a :class:`ContainerError` ending in ``mismatch``."""
+    box = model.box
+    if box is None:
+        raise model.header_error
+    if box.codec != ChunkedCompressor.name:
+        raise ContainerError(f"stream was produced by {box.codec!r}{mismatch}")
+    for key in _CHUNKED_META + extra:
+        if key in box and not model.crc_ok(key):
+            raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
+    return box
+
+
+def _recover_chunked(model, fill: float | str) -> tuple[np.ndarray, RecoveryReport]:
+    """:meth:`ChunkedCompressor.decompress_partial` of an inspected stream."""
+    fill_value, fill_mode = _fill_scalar(fill)
+    box = _chunked_meta_box(model, f", expected {ChunkedCompressor.name!r}")
+    shape, dtype = box.get_shape("shape"), box.get_dtype("dtype")
+    total = math.prod(shape)
+    if model.table is None:
+        raise model.table_error
+    offs, lens, elems = model.table
+    if not lens.size:
+        return np.zeros(shape, dtype=dtype), RecoveryReport(0, 0, fill_mode=fill_mode)
+    payload = box.get("payload") if "payload" in box else b""
+    pieces = [payload[o : o + ln] for o, ln in zip(offs, lens)]
+    repaired: tuple[int, ...] = ()
+    if "parity_k" in box:
+        from repro.integrity import _rebuild_chunks
+
+        try:
+            with span("repair-stream", nbytes=model.nbytes):
+                rebuilt, rep = _rebuild_chunks(model)
+        except StreamError:
+            pass  # parity metadata itself damaged: recover unrepaired
+        else:
+            if rep.repaired:
+                pieces, repaired = rebuilt, rep.repaired
+    starts = np.concatenate([[0], np.cumsum(elems)])
+    out = np.full(total, fill_value, dtype=dtype)
+    failures: list[ChunkFailure] = []
+    for i, piece in enumerate(pieces):
+        chunk_span = (int(starts[i]), int(starts[i + 1]))
+        try:
+            if len(piece) < lens[i]:
+                raise ContainerError("chunk bytes missing (truncated payload)")
+            part = _decompress_chunk(piece)
+            if part.size != elems[i]:
+                raise ContainerError("chunk decoded to the wrong element count")
+            out[chunk_span[0] : chunk_span[1]] = part.ravel().astype(dtype, copy=False)
+        except StreamError as exc:
+            failures.append(ChunkFailure(i, chunk_span, str(exc)))
+    if fill == "nearest" and failures:
+        _apply_nearest_fill(out, [f.span for f in failures])
+    return out.reshape(shape), RecoveryReport(
+        len(pieces), total, tuple(failures), fill_mode=fill_mode, repaired_chunks=repaired
+    )
 
 
 def recover_array(
@@ -1050,32 +1058,31 @@ def recover_array(
 
     Clean streams return ``(array, None)``.  Damaged CHUNKED streams
     first rebuild what the stream's Reed-Solomon parity covers, then
-    recover the remaining intact chunks via
-    :meth:`ChunkedCompressor.decompress_partial`; unrecoverable spans are
-    filled per ``fill`` -- a float, or ``"nan"``/``"zero"``/``"nearest"``.
+    recover the remaining intact chunks as
+    :meth:`ChunkedCompressor.decompress_partial` does; unrecoverable spans
+    are filled per ``fill`` -- a float, or ``"nan"``/``"zero"``/``"nearest"``.
     Damaged monolithic streams whose shape/dtype header is still readable
     return a fully filled array; when even the geometry is gone the
     array is None.  Never raises on corrupt bytes.
     """
     from repro import decompress
+    from repro.inspection import inspect_stream
 
-    fill_value = _fill_scalar(fill)
-    fill_mode = fill if isinstance(fill, str) else repr(float(fill))
+    fill_value, fill_mode = _fill_scalar(fill)
     try:
         return decompress(blob), None
     except StreamError as exc:
         cause = f"{type(exc).__name__}: {exc}"
+    model = inspect_stream(blob)
     try:
-        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-        if box.codec == ChunkedCompressor.name:
-            return ChunkedCompressor(executor="serial").decompress_partial(blob, fill)
-        shape = box.get_shape("shape")
-        dtype = box.get_dtype("dtype")
+        if model.codec == ChunkedCompressor.name:
+            return _recover_chunked(model, fill)
+        shape, dtype = model.shape, model.dtype
+        if shape is None or dtype is None:
+            raise ContainerError("stream geometry unreadable")
+        total = math.prod(shape)
         report = RecoveryReport(
-            1,
-            math.prod(shape),
-            (ChunkFailure(None, (0, math.prod(shape)), cause),),
-            fill_mode=fill_mode,
+            1, total, (ChunkFailure(None, (0, total), cause),), fill_mode=fill_mode
         )
         # "nearest" has no survivors in a whole-stream loss; keep NaN so
         # the damage stays visible.

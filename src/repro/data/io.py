@@ -46,9 +46,12 @@ def write_raw(path: str, data: np.ndarray) -> None:
 
 def load_array(path: str, shape: tuple[int, ...] | None = None,
                dtype: np.dtype = np.float32) -> np.ndarray:
-    """Load ``.npy`` (self-describing) or raw binary (shape required)."""
+    """Load ``.npy`` (self-describing, float32/float64) or raw binary (shape required)."""
     if path.endswith(".npy"):
-        return np.load(path)
+        data = np.load(path)
+        if data.dtype not in (np.float32, np.float64):
+            raise ValueError(f"{path}: expected float32/float64 data, got {data.dtype}")
+        return data
     if shape is None:
         raise ValueError(f"{path}: raw binary input needs an explicit shape")
     return read_raw(path, shape, dtype)

@@ -492,6 +492,8 @@ def _read_text(view: memoryview, start: int, stop: int, what: str) -> str:
 def _read_codec(view: memoryview, end: int) -> tuple[str, int]:
     """Codec name after the 5-byte header, and the offset past it."""
     size, pos = _read_varint(view, 5, end)
+    if not size:
+        raise ContainerError("corrupt codec name: empty")
     if pos + size > end:
         raise TruncatedStreamError("truncated codec name")
     return _read_text(view, pos, pos + size, "codec name"), pos + size

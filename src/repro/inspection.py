@@ -23,6 +23,7 @@ Building the model never raises on bad bytes; every defect is recorded.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -218,8 +219,9 @@ class StreamModel:
 
         What ``repro-compress verify`` reports: structure, the stream CRC,
         every section CRC, the chunk table and its payload span, every
-        chunk and ``field:*`` sub-stream, the parity geometry and -- when
-        every chunk is intact -- the parity bytes against a re-encode.
+        chunk and ``field:*`` sub-stream, each intact chunk's element
+        count against the table, the parity geometry and -- when every
+        chunk is intact -- the parity bytes against a re-encode.
         """
         if self.error is not None:
             return (f"structure: {type(self.error).__name__}: {self.error}",)
@@ -253,11 +255,16 @@ class StreamModel:
             out.append(
                 f"payload holds {payload.nbytes} bytes but the chunk table spans {span}"
             )
-        for i, chunk in enumerate(self.chunks):
+        for i, (chunk, want) in enumerate(zip(self.chunks, self.table.elems.tolist())):
             if chunk is None:
                 out.append(f"chunk {i}: bytes missing from payload")
-            else:
+            elif chunk.problems:
                 out += [f"chunk {i}: {p}" for p in chunk.problems]
+            elif chunk.shape is not None and math.prod(chunk.shape) != want:
+                out.append(
+                    f"chunk {i}: holds {math.prod(chunk.shape)} elements, "
+                    f"chunk table says {want}"
+                )
         if self.box is not None and "parity_k" in self.box:
             if self.parity is None:
                 out.append(str(self.parity_error))

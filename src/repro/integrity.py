@@ -25,15 +25,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.chunked import _CHUNKED_META
-from repro.encoding.container import (
-    ChecksumError,
-    Container,
-    ContainerError,
-    StreamError,
-)
+from repro.core.chunked import _chunked_meta_box
+from repro.encoding.container import Container, ContainerError
 from repro.encoding.rs import InsufficientParityError, decode_blocks, encode_parity
-from repro.inspection import inspect_stream
+from repro.inspection import StreamModel, inspect_stream
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -201,15 +196,6 @@ class RepairReport:
         return f"{head}: {verdict}"
 
 
-def _chunk_intact(chunk: bytes) -> bool:
-    """True when ``chunk`` parses as a complete, checksum-clean stream."""
-    try:
-        Container.from_bytes(chunk)
-    except StreamError:
-        return False
-    return True
-
-
 def _rebuild_group(
     group: list[bytes | None],
     parity: list[bytes | None],
@@ -233,7 +219,7 @@ def _rebuild_group(
         except (InsufficientParityError, ValueError):
             continue
         out = {i: rebuilt[i] for i in missing}
-        if all(_chunk_intact(b) for b in out.values()):
+        if all(inspect_stream(b).damage() is None for b in out.values()):
             return out
     return None
 
@@ -250,22 +236,42 @@ def repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     parity-bearing CHUNKED record or its geometry is unreadable.
     """
     with span("repair-stream", nbytes=len(blob)):
-        return _repair_stream(blob)
+        model = inspect_stream(blob)
+        chunks, report = _rebuild_chunks(model)
+        box = model.box
+        k, m, plens = model.parity
+        # Reassemble in the canonical v3 section order, copying metadata
+        # section bytes verbatim.  With every chunk recovered the parity is
+        # re-encoded (deterministic, so it equals -- and if damaged, heals
+        # -- the original); with losses the original parity bytes are kept
+        # so a later, better-informed repair loses nothing.
+        out = Container(box.codec)
+        for key in box.keys():
+            if key not in ("parity", "payload"):
+                out.put(key, box.get(key))
+        if report.ok and chunks:
+            parity_out = b"".join(
+                b"".join(encode_parity(chunks[g : g + m], k)) for g in range(0, len(chunks), m)
+            )
+        else:
+            pbytes = box.get("parity") if "parity" in box else b""
+            parity_out = bytes(pbytes).ljust(int(k * plens.sum()), b"\0")
+        out.put("parity", parity_out)
+        # Each chunk's CRC comes from its own trailer: byte-identical to a
+        # fresh hash when every chunk is whole, while a lost chunk's kept
+        # bytes disagree with it, so the output still fails verification as
+        # a damaged stream (strict decoders trust chunks the outer CRC covers).
+        out.put_nested("payload", *chunks)
+        return out.to_bytes(version=3), report
 
 
-def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
+def _rebuild_chunks(model: StreamModel) -> tuple[list[bytes], RepairReport]:
+    """Every chunk of an inspected v3 stream, rebuilt where its group's
+    parity reaches, else damaged and zero-padded to its table length: the
+    one repair behind :func:`repair_stream` and recovery.  Raises as
+    :func:`repair_stream` does."""
     t0 = time.perf_counter()
-    model = inspect_stream(blob)
-    box = model.box
-    if box is None:
-        raise model.header_error
-    if box.codec != "CHUNKED":
-        raise ContainerError(
-            f"stream was produced by {box.codec!r}; only CHUNKED streams carry parity"
-        )
-    for key in _CHUNKED_META + _PARITY_META:
-        if key in box and not model.crc_ok(key):
-            raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
+    box = _chunked_meta_box(model, "; only CHUNKED streams carry parity", _PARITY_META)
     if "parity_k" not in box:
         raise ContainerError("stream carries no parity sections (not a v3 record)")
     if model.table is None:
@@ -273,9 +279,8 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     if model.parity is None:
         raise model.parity_error
     offs, lens, _ = model.table
-    k, m, plens = model.parity
+    m = model.parity.group_size
     n = int(lens.size)
-    n_groups = int(plens.size)
     payload = box.get("payload") if "payload" in box else b""
     pbytes = box.get("parity") if "parity" in box else b""
 
@@ -302,15 +307,13 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     group_parity = model.parity.blocks(pbytes)
 
     repairs: list[ChunkRepair] = []
-    for g in range(n_groups):
+    for g in range(len(group_parity)):
         idx = list(range(g * m, min((g + 1) * m, n)))
         missing = [i for i in idx if chunks[i] is None]
         if not missing:
             continue
         rebuilt = _rebuild_group(
-            [chunks[i] for i in idx],
-            group_parity[g],
-            [int(lens[i]) for i in idx],
+            [chunks[i] for i in idx], group_parity[g], [int(lens[i]) for i in idx]
         )
         for i in missing:
             if rebuilt is not None:
@@ -321,37 +324,12 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
                 repairs.append(ChunkRepair(i, "lost", damage[i]))
 
     report = RepairReport(
-        nbytes=len(blob),
+        nbytes=model.nbytes,
         n_chunks=n,
-        parity_k=k,
+        parity_k=model.parity.k,
         group_size=m,
         chunks=tuple(repairs),
     )
-
-    # Reassemble in the canonical v3 section order, copying metadata
-    # section bytes verbatim.  With every chunk recovered the parity is
-    # re-encoded (deterministic, so it equals -- and if damaged, heals --
-    # the original); with losses the original parity bytes are kept so a
-    # later, better-informed repair loses nothing.
-    final = [c if c is not None else raw[i] for i, c in enumerate(chunks)]
-    keys = [key for key in box.keys() if key not in ("parity", "payload")]
-    out = Container(box.codec)
-    for key in keys:
-        out.put(key, box.get(key))
-    if report.ok and n:
-        parity_out = b"".join(
-            b"".join(encode_parity(final[g * m : (g + 1) * m], k))
-            for g in range(n_groups)
-        )
-    else:
-        parity_out = bytes(pbytes).ljust(int(k * plens.sum()), b"\0")
-    out.put("parity", parity_out)
-    # Each chunk's CRC comes from its own trailer: byte-identical to a
-    # fresh hash when every chunk is whole, while a lost chunk's kept
-    # bytes disagree with it, so the output still fails verification as
-    # a damaged stream (strict decoders trust chunks the outer CRC covers).
-    out.put_nested("payload", *final)
-
     reg = metrics()
     reg.counter("parity.decode_s").inc(time.perf_counter() - t0)
     reg.counter("repair.streams").inc()
@@ -359,11 +337,11 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     reg.counter("repair.chunks_lost").inc(report.n_lost)
     emit_event(
         "repair-stream",
-        nbytes=len(blob),
+        nbytes=model.nbytes,
         n_chunks=n,
         n_damaged=report.n_damaged,
         n_repaired=report.n_repaired,
         n_lost=report.n_lost,
         ok=report.ok,
     )
-    return out.to_bytes(version=3), report
+    return [c if c is not None else raw[i] for i, c in enumerate(chunks)], report

@@ -335,9 +335,10 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
 def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
     """Full quality assessment of ``blob`` against ``original``."""
     from repro import decompress
+    from repro.inspection import inspect_stream
 
-    box = Container.from_bytes(blob)
     recon = decompress(blob)
+    model = inspect_stream(blob)
     original = np.asarray(original)
     if recon.shape != original.shape:
         raise ValueError(
@@ -345,7 +346,7 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
         )
 
     errors = dist = None
-    bound_kind, bound_value = stream_bound(box)
+    bound_kind, bound_value = model.bound
     if bound_kind in ("abs", "rel"):
         errors = measure_errors(original, recon, (bound_kind, bound_value))
     if bound_kind == "abs":
@@ -358,7 +359,7 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
     # guarantee: report the knob, grade nothing against it.
 
     return QualityReport(
-        codec=box.codec,
+        codec=model.codec,
         original_nbytes=original.nbytes,
         compressed_nbytes=len(blob),
         ratio=compression_ratio(original.nbytes, len(blob)),

@@ -31,6 +31,7 @@ from repro.compressors.base import (
     ErrorBound,
     PrecisionBound,
     RelativeBound,
+    get_compressor,
 )
 from repro.data.io import load_array
 from repro.encoding.crc import crc32c
@@ -96,6 +97,22 @@ class JobResult:
         )
 
 
+def _wrapped_compressor(name: str, safeguards=None, ladder=None):
+    """``(compressor, label)``: codec ``name`` inside its safeguards, then
+    its ladder -- the one wrapping of every CLI compress and journaled job."""
+    inner = get_compressor(name)
+    label = name
+    if safeguards:
+        from repro.safeguards import SafeguardedCompressor
+
+        inner = SafeguardedCompressor(inner, list(safeguards))
+        label = f"SAFE({label}; {'; '.join(safeguards)})"
+    if ladder:
+        inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
+        label = ">".join([label, *inner.rung_names[1:]])
+    return inner, label
+
+
 def build_job_compressor(header: dict):
     """(ChunkedCompressor, inner label) for a job header's specs.
 
@@ -105,18 +122,9 @@ def build_job_compressor(header: dict):
     """
     from repro.core.chunked import ChunkedCompressor
 
-    inner: object = header.get("compressor", "SZ_T")
-    label = str(inner)
-    safeguards = header.get("safeguards") or []
-    if safeguards:
-        from repro.safeguards import SafeguardedCompressor
-
-        inner = SafeguardedCompressor(inner, list(safeguards))
-        label = f"SAFE({label}; {'; '.join(safeguards)})"
-    ladder = header.get("ladder") or []
-    if ladder:
-        inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
-        label = ">".join([label, *inner.rung_names[1:]])
+    inner, label = _wrapped_compressor(
+        str(header.get("compressor", "SZ_T")), header.get("safeguards"), header.get("ladder")
+    )
     kwargs = {}
     for key in ("chunk_bytes", "workers", "parity", "group_size", "executor"):
         if header.get(key) is not None:
@@ -187,16 +195,7 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
     shape = tuple(header["shape"]) if header.get("shape") else None
     data = load_array(header["input"], shape, np.dtype(header.get("dtype", "float32")))
     bound = _bound_from_dict(header["bound"])
-    inner = chunked.inner
-    inner._check_bound(bound)
-    if data.size == 0:
-        chunks: list[np.ndarray] = []
-    else:
-        data = np.asarray(data)
-        data = chunked._check_input(
-            data, allow_nonfinite=getattr(inner, "allows_nonfinite", False)
-        )
-        chunks = chunked._split(data)
+    data, chunks = chunked._checked_chunks(data, bound)
     from repro.core.chunked import _compress_chunk
 
     chunked._job_started = time.perf_counter()
@@ -204,7 +203,7 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
     pending = [i for i in range(n) if journal.chunk_blob(i) is None]
     for wave in _waves(pending, chunked.workers):
         blobs = chunked._map(
-            _compress_chunk, [(inner, chunks[i], bound) for i in wave]
+            _compress_chunk, [(chunked.inner, chunks[i], bound) for i in wave]
         )
         journal.record_chunks(list(zip(wave, blobs)))
     blobs = []
@@ -225,11 +224,11 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
 # -- decompress --------------------------------------------------------------
 
 
-def _decompress_chunk_bytes(blob: bytes, dtype: str) -> bytes:
+def _decompress_chunk_bytes(blob: bytes, dtype: str, trusted: bool) -> bytes:
     """Module-level so process-pool workers can unpickle the task."""
     from repro.core.chunked import _decompress_chunk
 
-    return _decompress_chunk(blob).ravel().astype(np.dtype(dtype), copy=False).tobytes()
+    return _decompress_chunk(blob, trusted).ravel().astype(np.dtype(dtype), copy=False).tobytes()
 
 
 def run_decompress_job(
@@ -253,8 +252,8 @@ def run_decompress_job(
 
 
 def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
-    from repro.core.chunked import ChunkedCompressor, iter_chunk_blobs
-    from repro.encoding.container import Container, peek_codec
+    from repro.core.chunked import ChunkedCompressor, _check_chunk_sizes
+    from repro.encoding.container import peek_codec
 
     header = journal.header
     out_path = header["output"]
@@ -272,9 +271,8 @@ def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
         journal.record_commit(nbytes=recon.nbytes)
         journal.remove()
         return JobResult(out_path, recon.nbytes, 1, redone=1, resumed=resumed)
-    box = Container.from_bytes(stream)
-    shape, dtype = box.get_shape("shape"), box.get_dtype("dtype")
-    chunk_blobs = list(iter_chunk_blobs(stream))
+    # decompress's reader and size check: the same chunks trusted and rejected.
+    shape, dtype, chunk_blobs, elems, trusted = ChunkedCompressor._read_chunks(stream)
     n = len(chunk_blobs)
     chunked = ChunkedCompressor(
         executor="thread", workers=int(header.get("workers") or 1)
@@ -283,11 +281,12 @@ def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
     for wave in _waves(pending, chunked.workers):
         parts = chunked._map(
             _decompress_chunk_bytes,
-            [(chunk_blobs[i], dtype.name) for i in wave],
+            [(chunk_blobs[i], dtype.name, trusted) for i in wave],
         )
         journal.record_chunks(list(zip(wave, parts)))
-    flat = b"".join(journal.chunk_blob(i) for i in range(n))
-    recon = np.frombuffer(flat, dtype=dtype).reshape(shape)
+    parts = [journal.chunk_blob(i) for i in range(n)]
+    _check_chunk_sizes([len(p) // dtype.itemsize for p in parts], elems)
+    recon = np.frombuffer(b"".join(parts), dtype=dtype).reshape(shape)
     reach("job.assembled", nbytes=recon.nbytes)
     _write_array_atomic(out_path, recon)
     reach("job.output-written", path=out_path)

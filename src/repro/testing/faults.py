@@ -39,6 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.encoding.container import Container, ContainerError, section_byte_ranges
+from repro.inspection import StreamModel, inspect_stream
 
 __all__ = [
     "CrashingExecutor",
@@ -93,13 +94,21 @@ def truncate(blob: bytes, keep: int | float) -> bytes:
     return blob[:keep]
 
 
+def _sound_model(blob: bytes) -> StreamModel:
+    """``blob`` inspected; raises if its framing is broken (checksums may fail)."""
+    model = inspect_stream(blob)
+    if model.error is not None:
+        raise model.error
+    return model
+
+
 def drop_section(blob: bytes, key: str) -> bytes:
     """Remove a named section and re-serialize (checksums made valid again).
 
     Models a buggy writer rather than wire damage: the resulting stream
     is self-consistent, so only structural validation can reject it.
     """
-    box = Container.from_bytes(blob, verify_checksums=False)
+    box = _sound_model(blob).box
     if key not in box:
         raise ContainerError(f"stream has no section {key!r} to drop")
     out = Container(box.codec)
@@ -123,17 +132,13 @@ def corrupt_section(blob: bytes, key: str, n_bits: int = 1, seed: int = 0) -> by
 
 def corrupt_chunk(blob: bytes, index: int, n_bits: int = 1, seed: int = 0) -> bytes:
     """Flip ``n_bits`` random bits inside chunk ``index`` of a CHUNKED stream."""
-    box = Container.from_bytes(blob, verify_checksums=False)
-    if box.codec != "CHUNKED":
-        raise ContainerError(f"stream is {box.codec!r}, not CHUNKED")
-    offs = box.get_array("offs").astype(np.int64)
-    lens = box.get_array("lens").astype(np.int64)
-    if not 0 <= index < offs.size:
-        raise ValueError(f"chunk index {index} outside table of {offs.size} chunks")
-    start = box.spans["payload"][1] + int(offs[index])
-    return flip_random_bits(
-        blob, n=n_bits, seed=seed, start=start, stop=start + int(lens[index])
-    )
+    model = _sound_model(blob)
+    if model.codec != "CHUNKED":
+        raise ContainerError(f"stream is {model.codec!r}, not CHUNKED")
+    chunk = model.chunks[index] if 0 <= index < len(model.chunks) else None
+    if chunk is None:
+        raise ValueError(f"chunk {index} not in the payload ({len(model.chunks)} in the table)")
+    return flip_random_bits(blob, n=n_bits, seed=seed, start=chunk.start, stop=chunk.stop)
 
 
 def corrupt_safeguards(blob: bytes, n_bits: int = 1, seed: int = 0) -> bytes:
@@ -146,7 +151,7 @@ def corrupt_safeguards(blob: bytes, n_bits: int = 1, seed: int = 0) -> bytes:
     must raise a clean ``StreamError``; a guaranteed property silently not
     holding is the one failure mode the safeguards layer may never have.
     """
-    box = Container.from_bytes(blob, verify_checksums=False)
+    box = _sound_model(blob).box
     if box.codec != "SAFE":
         raise ContainerError(f"stream is {box.codec!r}, not SAFE")
     targets = [

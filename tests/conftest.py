@@ -73,3 +73,26 @@ def all_archetypes(
         "rough_1d": rough_1d,
         "wide_range_3d": wide_range_3d,
     }
+
+
+@pytest.fixture(scope="session", params=[(5, 8), (5, 7)], ids=["sizes-13", "sizes-12"])
+def mismatched_chunks(request) -> bytes:
+    """A CHUNKED stream of shape (12,) whose chunk table says 6 + 6
+    elements while its two chunks hold ``request.param`` -- whatever the
+    sum, no reader may return an array from it."""
+    from repro import Container, RelativeBound, compress
+
+    parts = [
+        compress(np.linspace(1.0, 2.0, n, dtype=np.float32), RelativeBound(1e-3))
+        for n in request.param
+    ]
+    box = Container("CHUNKED")
+    box.put_dtype("dtype", np.float32)
+    box.put_shape("shape", (12,))
+    box.put_str("inner_codec", "SZ_T")
+    box.put_u64("n_chunks", 2)
+    box.put_array("offs", np.array([0, len(parts[0])], dtype=np.uint64))
+    box.put_array("lens", np.array([len(p) for p in parts], dtype=np.uint64))
+    box.put_array("elems", np.array([6, 6], dtype=np.uint64))
+    box.put_nested("payload", *parts)
+    return box.to_bytes()

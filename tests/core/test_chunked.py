@@ -9,6 +9,7 @@ from repro import (
     AbsoluteBound,
     ChunkedCompressor,
     RelativeBound,
+    StreamError,
     compress,
     decompress,
     get_compressor,
@@ -63,6 +64,23 @@ class TestBoundGuarantee:
         blob = comp.compress(smooth_positive_3d, RelativeBound(1e-4))
         assert comp.last_chunk_count > 1
         assert chunk_patch_total(blob) == 0
+
+    def test_patch_total_raises_on_a_damaged_chunk(self, smooth_positive_3d):
+        from repro.testing import corrupt_chunk
+
+        blob = ChunkedCompressor("SZ_T", chunk_bytes=8 * 1024, executor="serial").compress(
+            smooth_positive_3d, RelativeBound(1e-4)
+        )
+        damaged = corrupt_chunk(blob, 1)
+        with pytest.raises(StreamError):
+            chunk_patch_total(damaged)
+        # Outer CRCs made whole again: the chunk's own CRC still fails.
+        box = Container.from_bytes(damaged, verify_checksums=False)
+        rehashed = Container(box.codec)
+        for key in box.keys():
+            rehashed.put(key, box.get(key))
+        with pytest.raises(StreamError):
+            chunk_patch_total(rehashed.to_bytes())
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([512, 4096, 65536]))
     def test_property_chunked_bound_signed_with_zeros(self, seed, chunk_bytes):

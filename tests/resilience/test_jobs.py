@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.compressors.base import RelativeBound
 from repro.core.chunked import ChunkedCompressor
+from repro.encoding.container import ContainerError
 from repro.resilience import (
     JobJournal,
     JournalError,
@@ -179,6 +180,30 @@ class TestCompressJob:
                              **compress_spec(chunk_timeout=30.0))
         assert not os.path.exists(out + ".journal")
 
+    @pytest.mark.parametrize("dtype,shape,exc", [
+        ("int32", (0,), TypeError),
+        ("float32", (0, 2, 2, 2), ValueError),
+    ])
+    def test_rejects_empty_input_compress_rejects(self, tmp_path, dtype, shape, exc):
+        src = tmp_path / "empty.raw"
+        src.write_bytes(b"")
+        out = str(tmp_path / "out.rpz")
+        plain = ChunkedCompressor("SZ_T", chunk_bytes=1024, executor="serial")
+        with pytest.raises(exc):
+            plain.compress(np.zeros(shape, dtype=dtype), BOUND)
+        with pytest.raises(exc):
+            run_compress_job(str(src), out, BOUND, shape=shape, dtype=dtype,
+                             **compress_spec())
+        assert not os.path.exists(out)
+
+    def test_rejects_non_float_npy(self, tmp_path):
+        src = str(tmp_path / "ints.npy")
+        np.save(src, np.arange(64, dtype=np.int32))
+        out = str(tmp_path / "out.rpz")
+        with pytest.raises(ValueError, match="float32/float64"):
+            run_compress_job(src, out, BOUND, **compress_spec())
+        assert not os.path.exists(out)
+
 
 class TestDecompressJob:
     def test_round_trip_raw_output(self, tmp_path, field_2d, field_file):
@@ -223,6 +248,17 @@ class TestDecompressJob:
         assert result.resumed
         recon = np.fromfile(out, dtype=np.float32).reshape(field_2d.shape)
         assert np.all(np.abs(recon - field_2d) <= BOUND.value * np.abs(field_2d))
+
+    def test_chunk_table_mismatch_rejected_like_decompress(self, tmp_path,
+                                                         mismatched_chunks):
+        rpz = tmp_path / "bad.rpz"
+        rpz.write_bytes(mismatched_chunks)
+        out = str(tmp_path / "back.raw")
+        with pytest.raises(ContainerError, match="chunk element mismatch"):
+            repro.decompress(mismatched_chunks)
+        with pytest.raises(ContainerError, match="chunk element mismatch"):
+            run_decompress_job(str(rpz), out)
+        assert not os.path.exists(out)
 
 
 class TestResumeErrors:

@@ -44,6 +44,24 @@ class TestArchive:
         assert manifest["density"]["dtype"] == "float32"
         assert manifest["density"]["nbytes"] > 0
 
+    def test_manifest_raises_on_damage(self, fields):
+        from repro import ChecksumError, Container
+        from repro.inspection import inspect_stream
+        from repro.testing import flip_bit
+
+        blob = compress_dataset(fields, RelativeBound(1e-2))
+        field = inspect_stream(blob).section("field:velocity")
+        damaged = flip_bit(blob, 8 * field.payload_start + 100)
+        with pytest.raises(ChecksumError):
+            archive_manifest(damaged)
+        # Outer CRCs made whole again: the field's own CRC still fails.
+        box = Container.from_bytes(damaged, verify_checksums=False)
+        rehashed = Container(box.codec)
+        for key in box.keys():
+            rehashed.put(key, box.get(key))
+        with pytest.raises(ChecksumError):
+            archive_manifest(rehashed.to_bytes())
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compress_dataset({}, RelativeBound(1e-2))

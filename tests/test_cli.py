@@ -140,6 +140,18 @@ class TestExitCodes:
                      str(tmp_path / "b.f32")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("journal", [False, True], ids=["plain", "journal"])
+    def test_decompress_chunk_table_mismatch_exits_2(self, mismatched_chunks, journal,
+                                                     tmp_path, capsys):
+        bad = tmp_path / "bad.rpz"
+        bad.write_bytes(mismatched_chunks)
+        argv = ["decompress", str(bad), str(tmp_path / "b.f32")]
+        if journal:
+            argv += ["--journal", str(tmp_path / "b.journal")]
+        assert main(argv) == 2
+        assert "chunk element mismatch" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "b.f32")
+
     def test_info_on_garbage_exits_2(self, tmp_path, capsys):
         bad = str(tmp_path / "garbage.rpz")
         with open(bad, "wb") as fh:
@@ -163,6 +175,14 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "problem" in text
         assert "chunk 1" in text
+
+    def test_chunk_table_mismatch_is_a_problem(self, mismatched_chunks, tmp_path,
+                                               capsys):
+        bad = tmp_path / "bad.rpz"
+        bad.write_bytes(mismatched_chunks)
+        assert main(["verify", str(bad)]) == 2
+        text = capsys.readouterr().out
+        assert "chunk 0: holds 5 elements, chunk table says 6" in text
 
 
 class TestStatsCommand:
@@ -516,6 +536,14 @@ class TestFailureContract:
         ("unsupported-bound", 1, lambda d: [
             "compress", str(d / "tiny.f32"), str(d / "o.rpz"),
             "--shape", "4,4", "--precision", "16"]),
+        ("compress-int-npy", 1, lambda d: [
+            "compress", str(d / "ints.npy"), str(d / "o.rpz"), "--rel-bound", "1e-2"]),
+        ("compress-int-npy-chunked", 1, lambda d: [
+            "compress", str(d / "ints.npy"), str(d / "o.rpz"), "--rel-bound", "1e-2",
+            "--chunk-size", "4K"]),
+        ("compress-int-npy-journal", 1, lambda d: [
+            "compress", str(d / "ints.npy"), str(d / "o.rpz"), "--rel-bound", "1e-2",
+            "--journal", str(d / "o.journal")]),
     ]
 
     @pytest.mark.parametrize("name,code,argv", CASES,
@@ -524,6 +552,7 @@ class TestFailureContract:
                                             tmp_path, capsys):
         (tmp_path / "garbage.bin").write_bytes(b"not a stream at all")
         np.ones((4, 4), dtype=np.float32).tofile(tmp_path / "tiny.f32")
+        np.save(tmp_path / "ints.npy", np.arange(16, dtype=np.int32).reshape(4, 4))
         assert main(argv(tmp_path)) == code
         captured = capsys.readouterr()
         assert "error:" in captured.err

@@ -70,6 +70,8 @@ class TestBitFlipDetection:
             else:
                 with pytest.raises(ChecksumError):
                     decompress(damaged)
+            # The one reader never raises: every flip is a reported problem.
+            assert verify_stream(damaged).problems, bit
         np.testing.assert_array_equal(decompress(blob), baseline)
 
     def test_multi_bit_flips_caught(self, chunked_blob):
@@ -81,6 +83,54 @@ class TestBitFlipDetection:
     def test_flip_bit_is_an_involution(self, chunked_blob):
         bit = (SEED * 2654435761 + 7) % (8 * len(chunked_blob))
         assert flip_bit(flip_bit(chunked_blob, bit), bit) == chunked_blob
+
+
+def _containers(model):
+    """``model`` and every container nested in it: ``inner``, chunks, fields."""
+    yield model
+    for sec in model.sections:
+        if sec.child is not None:
+            yield from _containers(sec.child)
+    for chunk in model.chunks:
+        yield from _containers(chunk)
+
+
+class TestHeaderFlips:
+    """Every bit of every container's first 16 bytes -- magic, version,
+    codec name, section count, first section framing -- flipped in turn:
+    the reader reports each flip as a problem and never raises, and
+    repair rebuilds a flip inside a parity-covered chunk byte-exactly."""
+
+    @pytest.fixture(scope="class")
+    def streams(self, field):
+        from repro.archive import compress_dataset
+        from repro.safeguards import SafeguardedCompressor
+
+        small = field[:300]
+        safe = SafeguardedCompressor("SZ_T", ["rel:0.01", "sign"]).compress(small, BOUND)
+        archive = compress_dataset({"a": small, "b": field[300:500]}, BOUND)
+        v3 = ChunkedCompressor(
+            chunk_bytes=600, parity=1, group_size=2, executor="serial"
+        ).compress(small, BOUND)
+        return {"SAFE": safe, "ARCHIVE": archive, "CHUNKED": v3}
+
+    @pytest.mark.parametrize("kind", ["SAFE", "ARCHIVE", "CHUNKED"])
+    def test_every_header_bit(self, streams, kind):
+        from repro.inspection import inspect_stream
+        from repro.integrity import repair_stream
+
+        blob = streams[kind]
+        containers = list(_containers(inspect_stream(blob)))
+        assert len(containers) >= 3
+        for sub in containers:
+            for bit in range(8 * min(16, sub.nbytes)):
+                damaged = flip_bit(blob, 8 * sub.start + bit)
+                assert verify_stream(damaged).problems, (sub.name, bit)
+                if kind != "CHUNKED" or sub is containers[0]:
+                    continue
+                # Inside chunk[i]: one damaged chunk per parity group.
+                fixed, report = repair_stream(damaged)
+                assert report.ok and fixed == blob, (sub.name, bit)
 
 
 class TestChunkRecovery:
@@ -345,7 +395,7 @@ class TestFillModes:
         assert (arr.ravel()[start:stop] == 0.0).all()
         assert not np.isnan(arr).any()
         assert report.fill_mode == "zero"
-        assert report.filled_elements == stop - start
+        assert report.lost_elements == stop - start
 
     def test_fill_nearest_copies_survivors(self, field, chunked_blob):
         damaged = corrupt_chunk(chunked_blob, 1, seed=SEED)

@@ -274,6 +274,17 @@ class TestDecompressPartialRepairs:
         assert report.complete and report.repaired_chunks == (4,)
         np.testing.assert_array_equal(arr, decompress(parity_blob))
 
+    def test_recover_array_rebuilds_chunk_with_empty_codec_name(self, parity_blob):
+        from repro.inspection import inspect_stream
+
+        damaged = bytearray(parity_blob)
+        damaged[inspect_stream(parity_blob).chunks[3].start + 5] = 0  # name length
+        arr, report = recover_array(bytes(damaged))
+        assert report is not None
+        assert report.complete and report.repaired_chunks == (3,)
+        np.testing.assert_array_equal(arr, decompress(parity_blob))
+        assert repair_stream(bytes(damaged))[0] == parity_blob
+
     def test_v2_and_v1_streams_still_parse(self, field):
         v2 = ChunkedCompressor(chunk_bytes=4000, executor="serial").compress(
             field, BOUND
