@@ -27,6 +27,7 @@ import pytest
 from repro import RelativeBound
 from repro.core.chunked import ChunkedCompressor
 from repro.integrity import repair_stream
+from repro.observe import call_report
 from repro.observe.metrics import metrics
 from repro.testing import corrupt_chunk
 
@@ -105,12 +106,13 @@ def test_armed_watchdog_is_free(benchmark, field):
     plain_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    got = benchmark.pedantic(
-        armed.compress, args=(field, RelativeBound(BOUND)), rounds=1, iterations=1
-    )
+    with call_report() as rec:
+        got = benchmark.pedantic(
+            armed.compress, args=(field, RelativeBound(BOUND)), rounds=1, iterations=1
+        )
     armed_s = time.perf_counter() - t0
     assert got == want
-    assert armed.last_timed_out_chunks == 0
+    assert rec.resilience.timed_out == 0
     benchmark.extra_info["nbytes"] = field.nbytes
     benchmark.extra_info["overhead_frac"] = round(armed_s / plain_s - 1.0, 4)
     # Allow generous noise; the point is "no pathological slowdown".

@@ -64,6 +64,7 @@ from repro import (
 from repro.compressors.base import UnsupportedBound
 from repro.data.io import load_array, save_array
 from repro.metrics import bounded_fraction
+from repro.observe.audit import call_report
 from repro.resilience.jobs import _wrapped_compressor
 from repro.resilience.policy import ResilienceError
 
@@ -234,19 +235,20 @@ def _cmd_compress(args) -> int:
         compressor = ChunkedCompressor(compressor, **kwargs)
     # A printed bound is graded on the array the verify pass returns, so
     # no compress decodes the stream it has just written.
-    if rel_value is None:
-        blob, recon = compressor.compress(data, bound), None
-    else:
-        blob, recon = compressor.compress_verified(data, bound)
+    with call_report() as rec:
+        if rel_value is None:
+            blob, recon = compressor.compress(data, bound), None
+        else:
+            blob, recon = compressor.compress_verified(data, bound)
     if isinstance(compressor, ChunkedCompressor):
+        resilience = rec.resilience
         label = (
-            f"{label} ({compressor.last_chunk_count} chunks x "
+            f"{label} ({resilience.n_chunks} chunks x "
             f"{compressor.workers} workers"
             + (f", k={compressor.parity} parity" if compressor.parity else "")
             + ")"
         )
-        resilience = compressor.last_resilience
-        if resilience is not None and not resilience.quiet:
+        if not resilience.quiet:
             print(f"resilience: {resilience.summary()}", file=sys.stderr)
     with open(args.output, "wb") as fh:
         fh.write(blob)

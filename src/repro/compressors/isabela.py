@@ -100,7 +100,10 @@ class IsabelaCompressor(Compressor):
         sorted_vals = np.take_along_axis(padded, order, axis=1)
 
         design, pinv = _basis(w, self.ncoeff)
-        coeffs = (sorted_vals @ pinv.T).astype(np.float32)
+        # Coefficients past float32's range become +-inf; their windows'
+        # points fail the check below and are patched.
+        with np.errstate(over="ignore"):
+            coeffs = (sorted_vals @ pinv.T).astype(np.float32)
         approx = coeffs.astype(np.float64) @ design.T
 
         # Geometric ratio quantization: x_hat = s * (1 + 2 eb)^code.
@@ -112,8 +115,10 @@ class IsabelaCompressor(Compressor):
         bad = (ratio <= 0) | ~np.isfinite(ratio) | (np.abs(codes) > _MAX_CODE)
         codes[bad] = 0
 
-        # Verify in the output dtype (the final cast may round either way).
-        recon = (approx * np.exp(codes * log_step)).astype(data.dtype).astype(np.float64)
+        # Verify in the output dtype (the final cast may round either way;
+        # a value past its range becomes +-inf and is patched).
+        with np.errstate(over="ignore"):
+            recon = (approx * np.exp(codes * log_step)).astype(data.dtype).astype(np.float64)
         viol = bad | (np.abs(recon - sorted_vals) > br * np.abs(sorted_vals))
         patch_idx = np.flatnonzero(viol.ravel()).astype(np.uint64)
         patch_val = sorted_vals.ravel()[patch_idx.astype(np.int64)].astype(data.dtype)

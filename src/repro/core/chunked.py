@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.compressors.base import Compressor, ErrorBound, RelativeBound
+from repro.compressors.base import Compressor, ErrorBound
 from repro.encoding.container import (
     ChecksumError,
     Container,
@@ -51,6 +51,7 @@ from repro.encoding.container import (
     peek_codec,
 )
 from repro.encoding.rs import MAX_GROUP_BLOCKS, encode_parity
+from repro.observe.audit import CallReport, call_report, current_report
 from repro.observe.events import emit as emit_event
 from repro.resilience.policy import (
     ChunkIncident,
@@ -150,15 +151,17 @@ def _available_workers() -> int:
 
 def _compress_chunk(
     inner: Compressor, chunk: np.ndarray, bound: ErrorBound, verified: bool = False
-) -> bytes | tuple[bytes, np.ndarray]:
+) -> tuple[bytes | tuple[bytes, np.ndarray], CallReport]:
     """Module-level so process-pool workers can unpickle the task.
 
-    With ``verified``, the chunk's stream and the exact array its decoder
-    yields (``inner.compress_verified``).
+    Returns the chunk's stream -- with ``verified``, the stream and the
+    exact array its decoder yields (``inner.compress_verified``) -- and the
+    record of the chunk's call, which travels back with it from any worker.
     """
-    if verified:
-        return inner.compress_verified(chunk, bound)
-    return inner.compress(chunk, bound)
+    with call_report() as rec:
+        if verified:
+            return inner.compress_verified(chunk, bound), rec
+        return inner.compress(chunk, bound), rec
 
 
 def _decompress_chunk(blob: bytes, trusted: bool = False) -> np.ndarray:
@@ -293,9 +296,14 @@ class ChunkedCompressor(Compressor):
 
     A worker failure that is not a :class:`StreamError` (a crashed
     process pool, a transient executor fault) does not fail the array:
-    the affected chunks are re-run serially in the parent process, and
-    :attr:`last_retried_chunks` reports how many needed that.  The bytes
-    produced are identical either way.
+    the affected chunks are re-run serially in the parent process.  The
+    bytes produced are identical either way.
+
+    Each compress and decompress puts a
+    :class:`~repro.resilience.ResilienceReport` (chunks, retries,
+    timeouts, fallbacks) in the open :func:`repro.observe.call_report`
+    record; a compress also adds each chunk's audit entries in chunk
+    order, whichever executor ran the chunks.
     """
 
     name = "CHUNKED"
@@ -340,25 +348,11 @@ class ChunkedCompressor(Compressor):
                 self._inner = DegradationLadder.with_fallbacks(
                     self._inner, self.policy.ladder
                 )
-        self._job_started: float | None = None
-        self._incidents: list[ChunkIncident] = []
-        #: Resilience outcome of the most recent compress() call (None
-        #: until one has run).
-        self.last_resilience: ResilienceReport | None = None
-        #: Chunk count of the most recent compress() call.
+        #: Chunk count of the most recent compress() call.  Per-instance
+        #: state, kept only because the end-to-end benchmark reads it; it
+        #: goes away in the change that moves the benchmark onto
+        #: :func:`repro.observe.call_report` (``resilience.n_chunks``).
         self.last_chunk_count = 0
-        #: Chunks the most recent _map had to re-run serially after a
-        #: worker/executor failure.
-        self.last_retried_chunks = 0
-        #: Chunks whose worker hit the watchdog deadline in the most
-        #: recent _map (each was cancelled and retried on a fresh worker).
-        self.last_timed_out_chunks = 0
-        #: Aggregated bound audit of the most recent compress() call,
-        #: rebuilt from the ``audit.*`` registry delta the chunk workers'
-        #: verify passes moved (and telemetry propagation merged back),
-        #: so it covers process-pool runs too.  None until a compress
-        #: with a verifying inner codec has run.
-        self.last_audit = None
 
     # -- configuration -------------------------------------------------------
 
@@ -426,14 +420,13 @@ class ChunkedCompressor(Compressor):
             for proc in list(procs.values()):
                 proc.terminate()
 
-    def _job_deadline_at(self) -> float | None:
-        """Absolute perf-counter time the whole job must finish by."""
-        if self.policy.job_timeout_s is None or self._job_started is None:
+    def _deadline(self) -> float | None:
+        """Absolute perf-counter time a job starting now must finish by."""
+        if self.policy.job_timeout_s is None:
             return None
-        return self._job_started + self.policy.job_timeout_s
+        return time.perf_counter() + self.policy.job_timeout_s
 
-    def _check_job_deadline(self) -> None:
-        deadline = self._job_deadline_at()
+    def _check_job_deadline(self, deadline: float | None) -> None:
         if deadline is not None and time.perf_counter() > deadline:
             metrics().counter("resilience.job_deadline").inc()
             emit_event("job-deadline", codec=self.name,
@@ -442,14 +435,11 @@ class ChunkedCompressor(Compressor):
                 f"job exceeded its {self.policy.job_timeout_s}s deadline"
             )
 
-    def _wait(self, fut: Future, submitted_at: float):
-        """``fut.result()`` honouring the chunk watchdog and job deadline."""
-        deadlines = []
+    def _wait(self, fut: Future, submitted_at: float, deadline: float | None):
+        """``fut.result()`` honouring the chunk watchdog and job ``deadline``."""
+        deadlines = [] if deadline is None else [deadline]
         if self.policy.chunk_timeout_s is not None:
             deadlines.append(submitted_at + self.policy.chunk_timeout_s)
-        job_deadline = self._job_deadline_at()
-        if job_deadline is not None:
-            deadlines.append(job_deadline)
         if not deadlines:
             return fut.result()
         try:
@@ -457,10 +447,10 @@ class ChunkedCompressor(Compressor):
         except FuturesTimeoutError:
             # Distinguish "this chunk's worker hung" (retryable) from
             # "the whole job is out of budget" (fatal).
-            self._check_job_deadline()
+            self._check_job_deadline(deadline)
             raise
 
-    def _retry_timed_out(self, fn, job, index: int, parent) -> object:
+    def _retry_timed_out(self, fn, job, index: int, parent, deadline: float | None) -> object:
         """Bounded fresh-worker retry of a chunk whose worker hung.
 
         Each attempt gets its own single-slot pool and the full chunk
@@ -471,7 +461,7 @@ class ChunkedCompressor(Compressor):
         reg = metrics()
         timeout, retries = self.policy.chunk_timeout_s, self.policy.retries
         for attempt in range(1, retries + 1):
-            self._check_job_deadline()
+            self._check_job_deadline(deadline)
             pause = self.policy.backoff_for(attempt, index)
             if pause:
                 time.sleep(pause)
@@ -483,7 +473,7 @@ class ChunkedCompressor(Compressor):
             t0 = time.perf_counter()
             fut = worker.submit(run_traced, fn, *job)
             try:
-                result, telem = self._wait(fut, t0)
+                result, telem = self._wait(fut, t0, deadline)
             except FuturesTimeoutError:
                 fut.cancel()
                 self._shutdown_pool(worker, abandon=True)
@@ -512,8 +502,12 @@ class ChunkedCompressor(Compressor):
             f"{retries + 1} worker(s) (initial + {retries} retries)"
         )
 
-    def _map(self, fn, jobs: list) -> list:
-        """Run ``fn(*job)`` for every job, retrying worker failures serially.
+    def _map(
+        self, fn, jobs: list, deadline: float | None
+    ) -> tuple[list, list[ChunkIncident]]:
+        """``fn(*job)`` for every job, retrying worker failures serially,
+        and the retry/timeout incidents; ``deadline`` is the job's
+        (:meth:`_deadline`).
 
         A :class:`StreamError` from a worker is deterministic (corrupt
         chunk bytes) and propagates immediately.  Anything else -- a
@@ -526,19 +520,17 @@ class ChunkedCompressor(Compressor):
         result, and this thread stitches them under the open dispatching
         span as ``chunk`` children carrying queue-wait and execute times.
         """
-        self.last_retried_chunks = 0
-        self.last_timed_out_chunks = 0
-        self._incidents = []
+        incidents: list[ChunkIncident] = []
         breaker = self.policy.breaker()
         reg = metrics()
         pool = self._make_pool(len(jobs))
         if pool is None:
             out = []
             for i, job in enumerate(jobs):
-                self._check_job_deadline()
+                self._check_job_deadline(deadline)
                 with span("chunk", index=i):
                     out.append(fn(*job))
-            return out
+            return out, incidents
         parent = current_span()
         results: list = [None] * len(jobs)
         done = [False] * len(jobs)
@@ -555,7 +547,7 @@ class ChunkedCompressor(Compressor):
                 pass  # pool died mid-submit; unsubmitted jobs retry below
             for i, fut in futures.items():
                 try:
-                    results[i], telem = self._wait(fut, submitted[i])
+                    results[i], telem = self._wait(fut, submitted[i], deadline)
                     done[i] = True
                 except FuturesTimeoutError:
                     # Hung worker: cancel the straggler and hand the chunk
@@ -583,7 +575,6 @@ class ChunkedCompressor(Compressor):
                     reg.histogram("chunk.queue_wait_s").observe(wait)
         finally:
             self._shutdown_pool(pool, abandon=bool(timed_out) or hard_stop)
-        self.last_timed_out_chunks = len(timed_out)
         if timed_out:
             parent.set(timed_out=len(timed_out))
         pending = [
@@ -604,54 +595,24 @@ class ChunkedCompressor(Compressor):
                            detail=breaker.describe())
                 raise CircuitOpenError(breaker.describe())
         for i in timed_out:
-            self._incidents.append(ChunkIncident(
+            incidents.append(ChunkIncident(
                 i, "timeout", f"worker hung past {self.policy.chunk_timeout_s}s"
             ))
-            self._check_job_deadline()
-            results[i] = self._retry_timed_out(fn, jobs[i], i, parent)
+            self._check_job_deadline(deadline)
+            results[i] = self._retry_timed_out(fn, jobs[i], i, parent, deadline)
             done[i] = True
-        self.last_retried_chunks = len(pending)
         if pending:
             reg.counter("chunks.retried").inc(len(pending))
             parent.set(retried=len(pending))
         for i in pending:
-            self._incidents.append(ChunkIncident(
+            incidents.append(ChunkIncident(
                 i, "retry", "worker lost; re-run in-process"
             ))
-            self._check_job_deadline()
+            self._check_job_deadline(deadline)
             emit_event("chunk-retry", index=i, codec=self.name)
             with span("chunk", index=i, retried=True):
                 results[i] = fn(*jobs[i])
-        return results
-
-    def _build_audit(self, before: dict, bound: ErrorBound) -> None:
-        """Rebuild the pool-wide audit aggregate from the registry delta.
-
-        Worker processes' verify passes move the ``audit.*`` counters and
-        histograms -- and a safeguarded inner codec moves ``safeguard.*`` per
-        chunk; :func:`repro.observe.run_traced` ships the deltas back
-        and :func:`absorb` merges them into this process's registry, so by
-        the time ``_map`` returns the delta since ``before`` is the whole
-        run's audit -- whichever executor ran the chunks.
-        """
-        from repro.observe.audit import AuditReport
-
-        delta = {
-            k: v
-            for k, v in metrics().diff(before).items()
-            if k.startswith(("audit.", "safeguard.", "quality."))
-        }
-        if delta:
-            bound_value = (
-                float(bound.value) if isinstance(bound, RelativeBound) else None
-            )
-            if bound_value is None:
-                # A safeguarded inner codec guarantees its declared relative
-                # bound regardless of the bound kind handed to it.
-                bound_value = getattr(self.inner, "declared_rel_bound", None)
-            self.last_audit = AuditReport.from_metrics(
-                delta, codec=self.name, bound_value=bound_value
-            )
+        return results, incidents
 
     # -- chunk geometry ------------------------------------------------------
 
@@ -703,41 +664,57 @@ class ChunkedCompressor(Compressor):
         self, data: np.ndarray, bound: ErrorBound, verified: bool
     ) -> tuple[bytes, list[np.ndarray] | None]:
         """The CHUNKED stream and, when ``verified``, each chunk's array."""
-        # Cleared first, so a compress that raises (bound check, breaker,
-        # watchdog, job deadline) never leaves the previous call's report.
-        self.last_resilience = None
-        self._job_started = time.perf_counter()
+        deadline = self._deadline()
         data, chunks = self._checked_chunks(data, bound)
-        blobs = []
+        blobs, incidents = [], []
         if chunks:
-            audit_before = metrics().snapshot()
-            blobs = self._map(_compress_chunk, [(self.inner, c, bound, verified) for c in chunks])
-            self._build_audit(audit_before, bound)
+            blobs, incidents = self._run_chunks(chunks, bound, verified, deadline)
         parts = None
         if verified:
             parts = [part for _, part in blobs]
             blobs = [blob for blob, _ in blobs]
-        self._build_resilience(blobs)
-        return self._assemble(data, chunks, blobs), parts
+        stream = self._assemble(data, chunks, blobs)
+        self._report_resilience(len(blobs), incidents, self._chunk_codecs(blobs))
+        return stream, parts
 
-    def _build_resilience(self, blobs: list[bytes]) -> None:
-        """Summarize what the resilience machinery did for this compress."""
-        incidents = list(self._incidents)
-        degraded = 0
-        codecs = self._chunk_codecs(blobs)
+    def _run_chunks(
+        self, chunks: list[np.ndarray], bound: ErrorBound, verified: bool,
+        deadline: float | None, indices: list[int] | None = None,
+    ) -> tuple[list, list[ChunkIncident]]:
+        """:meth:`_map` of :func:`_compress_chunk` over ``chunks``, whose
+        records join the open call record in chunk order, each entry stamped
+        with its chunk's index (``indices``, default ``0..n-1``)."""
+        jobs = [(self.inner, c, bound, verified) for c in chunks]
+        done, incidents = self._map(_compress_chunk, jobs, deadline)
+        rec = current_report()
+        if rec is not None:
+            for i, (_, sub) in zip(indices or range(len(chunks)), done):
+                rec.add(sub, index=i)
+        return [out for out, _ in done], incidents
+
+    def _report_resilience(
+        self, n_chunks: int, incidents: list[ChunkIncident],
+        codecs: list[str] | None = None,
+    ) -> None:
+        """Put the call's :class:`ResilienceReport` in the open call record:
+        ``_map``'s incidents plus, for a ladder, each chunk that fell back."""
+        rec = current_report()
+        if rec is None:
+            return
+        incidents = list(incidents)
         if codecs is not None:
             primary = self.inner.rung_names[0]
-            for i, codec in enumerate(codecs):
-                if codec != primary:
-                    degraded += 1
-                    incidents.append(
-                        ChunkIncident(i, "fallback", f"{primary} -> {codec}")
-                    )
-        self.last_resilience = ResilienceReport(
-            n_chunks=len(blobs),
-            retried=self.last_retried_chunks,
-            timed_out=self.last_timed_out_chunks,
-            fallbacks=degraded,
+            incidents += [
+                ChunkIncident(i, "fallback", f"{primary} -> {codec}")
+                for i, codec in enumerate(codecs)
+                if codec != primary
+            ]
+        kinds = [i.kind for i in incidents]
+        rec.resilience = ResilienceReport(
+            n_chunks=n_chunks,
+            retried=kinds.count("retry"),
+            timed_out=kinds.count("timeout"),
+            fallbacks=kinds.count("fallback"),
             incidents=tuple(incidents),
         )
 
@@ -812,17 +789,21 @@ class ChunkedCompressor(Compressor):
     # -- decompression -------------------------------------------------------
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        self._job_started = time.perf_counter()
+        deadline = self._deadline()
         if codec_of(blob) != self.name:
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
         shape, dtype, chunks, elems, trusted = self._read_chunks(blob)
         if not chunks:
+            self._report_resilience(0, [])
             return np.zeros(shape, dtype=dtype)
-        parts = self._map(_decompress_chunk, [(chunk, trusted) for chunk in chunks])
+        parts, incidents = self._map(
+            _decompress_chunk, [(chunk, trusted) for chunk in chunks], deadline
+        )
         metrics().counter("chunks.decompressed").inc(len(parts))
         current_span().set(chunks=len(parts), workers=self.workers)
         _check_chunk_sizes([p.size for p in parts], elems)
+        self._report_resilience(len(parts), incidents)
         flat = np.concatenate([p.ravel() for p in parts])
         return flat.astype(dtype, copy=False).reshape(shape)
 

@@ -10,10 +10,11 @@ Eight parts (see ``docs/observability.md``):
 * :mod:`repro.observe.propagate` -- plumbing that carries spans and
   counters across thread/process pool boundaries, so parallel chunk
   workers report into the dispatching span;
-* :mod:`repro.observe.audit` -- error-bound conformance auditing: a
-  streaming :class:`BoundAuditor` fed by the compressor verify hooks and
-  :func:`audit_stream` for offline stream audits (Theorem 1 / Lemma 2 /
-  Theorem 3 checks), surfaced as :class:`AuditReport`;
+* :mod:`repro.observe.audit` -- error-bound conformance auditing: the
+  per-call record of :func:`call_report`, which the compressor verify
+  hooks, wrappers and chunk workers fill, and :func:`audit_stream` for
+  offline stream audits (Theorem 1 / Lemma 2 / Theorem 3 checks), both
+  surfaced as :class:`AuditReport`;
 * :mod:`repro.observe.export` / :mod:`repro.observe.events` -- renderers
   for standard formats (OpenMetrics text, JSON lines) and a structured
   JSON-lines event log (``REPRO_EVENTS=<path>``) whose records carry
@@ -40,13 +41,11 @@ enough to stay on unconditionally.
 
 from repro.observe.audit import (
     AuditReport,
-    BoundAuditor,
+    CallReport,
     ChunkAudit,
     Theorem3Check,
     audit_stream,
-    auditing,
-    get_auditor,
-    install_auditor,
+    call_report,
     theorem3_check,
 )
 from repro.observe.events import (
@@ -96,8 +95,6 @@ from repro.observe.quality import (
     explain_stream,
     mad_outliers,
     quality_enabled,
-    quality_summary_from_metrics,
-    record_quality_metrics,
     record_quality_snapshot,
     set_quality_enabled,
 )
@@ -119,8 +116,8 @@ from repro.observe.tracer import (
 
 __all__ = [
     "AuditReport",
-    "BoundAuditor",
     "ByteNode",
+    "CallReport",
     "ChunkAudit",
     "Counter",
     "ErrorHistogram",
@@ -139,18 +136,16 @@ __all__ = [
     "append_entry",
     "attribute_bytes",
     "audit_stream",
-    "auditing",
+    "call_report",
     "current_span",
     "explain_stream",
     "emit",
     "enable_tracing",
     "event_log_enabled",
     "export_spans",
-    "get_auditor",
     "get_event_log",
     "get_profiler",
     "get_tracer",
-    "install_auditor",
     "install_event_log",
     "install_profiler",
     "machine_fingerprint",
@@ -163,10 +158,8 @@ __all__ = [
     "profiler_active",
     "profiling",
     "quality_enabled",
-    "quality_summary_from_metrics",
     "read_events",
     "read_ledger",
-    "record_quality_metrics",
     "record_quality_snapshot",
     "render_spans",
     "render_top_spans",

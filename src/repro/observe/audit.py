@@ -6,14 +6,14 @@ bound shrunk by Lemma 2 to absorb mapping round-off, with quantization
 indices that deviate across bases by no more than Theorem 3's ceiling.
 This module continuously *watches* that guarantee:
 
-* :class:`BoundAuditor` -- a streaming per-chunk auditor.  The verify
-  step of :class:`~repro.core.pwr.TransformedCompressor` feeds it (when
-  installed via :func:`install_auditor` / :func:`auditing`), and always
-  feeds the cheap aggregate counters (``audit.points``,
-  ``audit.violations``, ``audit.max_rel`` ...) in the global metrics
-  registry -- which already travel across thread/process pools via
-  :mod:`repro.observe.propagate`, so chunked parallel runs aggregate for
-  free.
+* :func:`call_report` -- the per-call record.  The verify step of
+  :class:`~repro.core.pwr.TransformedCompressor` adds one
+  :class:`ChunkAudit` to the innermost open record of its thread (or
+  context), wrappers fold their children's records into their own, and
+  chunk workers hand theirs back beside each chunk's result, so one
+  record covers one call whichever executor ran it.  The same pass moves
+  the cheap aggregate ``audit.*`` counters of the metrics registry, which
+  ``--metrics-out`` exports.
 * :func:`audit_stream` -- offline audit of a serialized stream: per
   chunk, the max point-wise relative error and bounded fraction against
   the original (when given), the effective ``b_a'`` actually recorded in
@@ -32,8 +32,11 @@ digest.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,15 +49,17 @@ from repro.observe.quality import (
     record_quality_snapshot,
 )
 
+if TYPE_CHECKING:
+    from repro.resilience.policy import ResilienceReport
+
 __all__ = [
     "AuditReport",
-    "BoundAuditor",
+    "CallReport",
     "ChunkAudit",
     "Theorem3Check",
     "audit_stream",
-    "auditing",
-    "get_auditor",
-    "install_auditor",
+    "call_report",
+    "current_report",
     "theorem3_check",
 ]
 
@@ -255,13 +260,7 @@ class AuditReport:
                 safeguards = c.safeguards
             for spec, count in (c.safeguard_violations or {}).items():
                 sg_viol[spec] = sg_viol.get(spec, 0) + count
-        error_summary = None
-        hists = [c.error_hist for c in chunks if c.error_hist]
-        if hists:
-            merged = ErrorHistogram.from_snapshot(hists[0])
-            for snap in hists[1:]:
-                merged.merge(snap)
-            error_summary = merged.summary()
+        merged = merged_digest(chunks)
         return cls(
             codec=codec,
             bound_kind=first.bound_kind if first else None,
@@ -280,100 +279,86 @@ class AuditReport:
             notes=notes,
             safeguards=safeguards,
             safeguard_violations=sg_viol,
-            error_summary=error_summary,
-        )
-
-    @classmethod
-    def from_metrics(
-        cls, delta: dict[str, dict], codec: str = "?",
-        bound_value: float | None = None,
-    ) -> "AuditReport":
-        """Aggregate-only report from a registry diff.
-
-        This is how a parallel run's audit survives the pool boundary:
-        workers move the ``audit.*`` counters/histograms, the existing
-        telemetry propagation merges them, and the dispatching side
-        rebuilds the aggregate (per-chunk detail stays worker-local).
-        """
-
-        def val(name: str) -> float:
-            snap = delta.get(name)
-            return float(snap.get("value", 0.0)) if snap else 0.0
-
-        # A safeguarded wrapper moves safeguard.* counters; its inner codec
-        # (when it audits itself, like SZ_T) moves audit.* for the same
-        # points.  Prefer the inner audit's coverage, fall back to the
-        # safeguard pass, and count patches from both layers.
-        from repro.observe.quality import quality_summary_from_metrics
-
-        h = delta.get("audit.max_rel") or {}
-        hs = delta.get("safeguard.max_rel") or {}
-        ha = delta.get("audit.max_abs") or {}
-        n_points = int(val("audit.points")) or int(val("safeguard.points"))
-        violations = int(val("audit.violations"))
-        maxima = [float(src["max"]) for src in (h, hs) if "max" in src]
-        return cls(
-            codec=codec,
-            bound_kind="rel" if bound_value is not None else None,
-            bound_value=bound_value,
-            n_points=n_points,
-            n_chunks=max(int(h.get("n", 0)), int(hs.get("n", 0))),
-            violations=violations,
-            max_rel=max(maxima) if maxima else None,
-            max_abs=float(ha["max"]) if "max" in ha else None,
-            bounded_fraction=(
-                1.0 - violations / n_points if n_points else None
-            ),
-            zeros=int(val("audit.zeros")),
-            negatives=int(val("audit.negatives")),
-            patched=int(val("audit.patched")) + int(val("safeguard.patched")),
-            error_summary=quality_summary_from_metrics(delta),
+            error_summary=merged.summary() if merged is not None else None,
         )
 
 
-class BoundAuditor:
-    """Streaming per-chunk bound auditor.
+def merged_digest(chunks: list[ChunkAudit]) -> ErrorHistogram | None:
+    """The chunks' error digests merged into one (None when none has one)."""
+    hists = [c.error_hist for c in chunks if c.error_hist]
+    if not hists:
+        return None
+    merged = ErrorHistogram.from_snapshot(hists[0])
+    for snap in hists[1:]:
+        merged.merge(snap)
+    return merged
 
-    ``record`` accumulates one :class:`ChunkAudit` (the verify pass of
-    :class:`~repro.core.pwr.TransformedCompressor` records one per chunk)
-    and moves the ``audit.*`` metrics in ``registry`` (the process-global
-    one by default), which is what makes parallel aggregation work: the
-    registry already propagates across thread/process pools.
+
+@dataclass
+class CallReport:
+    """What one compress or decompress call did, filled in while it runs.
+
+    ``entries`` holds one :class:`ChunkAudit` per verified array -- one
+    per chunk of a chunked call, in chunk order; ``resilience`` the
+    chunked pipeline's :class:`~repro.resilience.policy.ResilienceReport`
+    (retries, timeouts, fallbacks); ``fallbacks`` the degradation-ladder
+    rungs the call abandoned.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
-        self._chunks: list[ChunkAudit] = []
-        self._registry = registry
+    entries: list[ChunkAudit] = field(default_factory=list)
+    resilience: ResilienceReport | None = None
+    fallbacks: int = 0
 
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else _metrics()
+    def audit(self, codec: str = "?") -> AuditReport:
+        """The call's bound audit: :meth:`AuditReport.from_chunks` of the entries."""
+        return AuditReport.from_chunks(self.entries, codec=codec)
 
-    def record(self, audit: ChunkAudit) -> ChunkAudit:
-        with self._lock:
-            self._chunks.append(audit)
-        record_audit_metrics(audit, self.registry)
-        return audit
+    def add(self, other: CallReport, index: int | None = None) -> None:
+        """Fold a nested call's record into this one, stamping its entries
+        with chunk ``index`` when one is given."""
+        if index is None:
+            self.entries += other.entries
+        else:
+            self.entries += [replace(e, index=index) for e in other.entries]
+        self.fallbacks += other.fallbacks
+        if other.resilience is not None:
+            self.resilience = other.resilience
 
-    def chunks(self) -> list[ChunkAudit]:
-        with self._lock:
-            return list(self._chunks)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._chunks.clear()
+_CALL: ContextVar[CallReport | None] = ContextVar("repro_call_report", default=None)
 
-    def report(self, codec: str = "?") -> AuditReport:
-        return AuditReport.from_chunks(self.chunks(), codec=codec)
+
+@contextmanager
+def call_report() -> Iterator[CallReport]:
+    """Record the calls made inside the block in a fresh :class:`CallReport`.
+
+    The record lives in a :class:`contextvars.ContextVar`, so each thread
+    -- each SPMD rank -- has its own, and a nested block shadows the outer
+    one until it closes:
+
+    >>> with call_report() as rec:
+    ...     blob = compress(data, RelativeBound(1e-3))
+    >>> rec.audit().ok
+    """
+    rec = CallReport()
+    token = _CALL.set(rec)
+    try:
+        yield rec
+    finally:
+        _CALL.reset(token)
+
+
+def current_report() -> CallReport | None:
+    """The innermost open :func:`call_report` record, or None."""
+    return _CALL.get()
 
 
 def record_audit_metrics(audit: ChunkAudit, registry: MetricsRegistry | None = None) -> None:
     """Move the aggregate ``audit.*`` metrics for one chunk audit.
 
-    Called unconditionally from the encoder-side verify hook (cheap), so
-    the aggregate survives pool boundaries even when no detailed
-    :class:`BoundAuditor` is installed in the worker process.
+    Called from the encoder-side verify hook (cheap); these counters are
+    what ``--metrics-out`` exports, merged across thread/process pools
+    with the rest of the telemetry.
     """
     reg = registry if registry is not None else _metrics()
     reg.counter("audit.points").inc(audit.n)
@@ -388,46 +373,7 @@ def record_audit_metrics(audit: ChunkAudit, registry: MetricsRegistry | None = N
     if audit.max_abs is not None:
         reg.histogram("audit.max_abs").observe(audit.max_abs)
     if audit.error_hist:
-        # The per-chunk quality digest rides the same registry road as the
-        # audit counters, so it too survives thread/process pools.
         record_quality_snapshot(audit.error_hist, reg)
-
-
-# -- global auditor hook ------------------------------------------------------
-
-_AUDITOR: BoundAuditor | None = None
-
-
-def install_auditor(auditor: BoundAuditor | None) -> BoundAuditor | None:
-    """Install (or with ``None``, remove) the process-global auditor."""
-    global _AUDITOR
-    _AUDITOR = auditor
-    return auditor
-
-
-def get_auditor() -> BoundAuditor | None:
-    return _AUDITOR
-
-
-class auditing:
-    """Context manager: install a fresh auditor, yield it, restore.
-
-    >>> with auditing() as auditor:
-    ...     compress(data, RelativeBound(1e-3))
-    >>> auditor.report().ok
-    """
-
-    def __init__(self) -> None:
-        self.auditor = BoundAuditor()
-        self._prev: BoundAuditor | None = None
-
-    def __enter__(self) -> BoundAuditor:
-        self._prev = get_auditor()
-        install_auditor(self.auditor)
-        return self.auditor
-
-    def __exit__(self, *exc) -> None:
-        install_auditor(self._prev)
 
 
 # -- Theorem 3 ----------------------------------------------------------------
@@ -524,12 +470,17 @@ def _recheck_safeguards(
 
 
 def _audit_one(
-    model, blob: bytes, original: np.ndarray | None, index: int | None
+    model, blob: bytes, original: np.ndarray | None, index: int | None,
+    elems: int | None = None,
 ) -> ChunkAudit:
-    """Audit one self-contained (non-CHUNKED) stream: ``model`` of ``blob``."""
+    """Audit one self-contained (non-CHUNKED) stream: ``model`` of ``blob``,
+    a chunk whose table entry says ``elems`` elements when one is given."""
     from repro import decompress
+    from repro.core.chunked import _check_chunk_sizes
 
     recon = decompress(blob)
+    if elems is not None:
+        _check_chunk_sizes([recon.size], [elems])
     kind, value = model.bound
     if original is not None and original.size != recon.size:
         raise ValueError(
@@ -634,7 +585,9 @@ def audit_model(
             )
         for i, chunk in enumerate(model.chunks):
             part = flat[starts[i] : starts[i + 1]] if flat is not None else None
-            chunks.append(_audit_one(chunk, blob[chunk.start : chunk.stop], part, i))
+            chunks.append(
+                _audit_one(chunk, blob[chunk.start : chunk.stop], part, i, int(elems[i]))
+            )
     else:
         chunks.append(_audit_one(model, blob, original, None))
 

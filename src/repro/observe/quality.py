@@ -10,13 +10,11 @@ pieces:
   errors: log-binned relative and absolute magnitudes (``QUALITY_SCALE``
   buckets per octave, so p50/p90/p99 resolve to ~9% instead of 2x), a
   signed-error accumulator whose mean is the reconstruction *bias*, and
-  exact min/max.  Digests merge associatively, so per-chunk records
-  aggregate across thread/process pools exactly like the ``audit.*``
-  metrics: :func:`record_quality_metrics` folds a digest into the metrics
-  registry as scaled histograms, ``run_traced``/``absorb`` ship them over
-  the pool boundary, and :func:`quality_summary_from_metrics` turns the
-  merged delta back into percentiles via
-  :func:`~repro.observe.metrics.percentile_from_snapshot`.
+  exact min/max.  Digests merge associatively: each chunk's digest rides
+  its audit entry in the per-call record
+  (:func:`~repro.observe.audit.call_report`), and
+  :func:`record_quality_snapshot` also folds it into the metrics
+  registry as scaled ``quality.*`` histograms for ``--metrics-out``.
 
 * :func:`attribute_bytes` -- a byte-attribution tree decomposing any
   v1--v4 container into who-owns-each-byte: framing, CRCs, Huffman table
@@ -66,8 +64,7 @@ __all__ = [
     "explain_stream",
     "mad_outliers",
     "quality_enabled",
-    "quality_summary_from_metrics",
-    "record_quality_metrics",
+    "record_quality_snapshot",
     "set_quality_enabled",
 ]
 
@@ -279,8 +276,7 @@ class ErrorHistogram:
     :meth:`summary` expose systematic over/under-shoot, which single
     max-error scalars hide.
 
-    Not thread-safe: build one per chunk and :meth:`merge`, or go through
-    :func:`record_quality_metrics` and the (thread-safe) registry.
+    Not thread-safe: build one per chunk and :meth:`merge`.
     """
 
     __slots__ = ("scale", "zeros", "nonfinite", "rel", "abs")
@@ -408,31 +404,16 @@ def _summary(rel: dict, abs_: dict, zeros: int, nonfinite: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# registry plumbing (pool-boundary aggregation, same road as audit.*)
+# registry export
 # ---------------------------------------------------------------------------
 
 
-def record_quality_metrics(hist: ErrorHistogram, registry=None) -> None:
-    """Fold a digest into the metrics registry as ``quality.*`` entries.
-
-    The registry already survives thread/process pools (``run_traced``
-    ships ``diff``, ``absorb`` merges), so per-chunk digests recorded here
-    aggregate across workers with no extra machinery -- identical to how
-    the ``audit.*`` counters travel.
-    """
-    if hist.points == 0 and hist.zeros == 0:
-        return
-    record_quality_snapshot(hist.snapshot(), registry)
-
-
 def record_quality_snapshot(snap: dict, registry=None) -> None:
-    """Fold an :class:`ErrorHistogram` *snapshot* into the registry.
+    """Fold an :class:`ErrorHistogram` snapshot into the registry as
+    ``quality.*`` entries (the ``--metrics-out`` export).
 
-    Same effect as inflating the snapshot with
-    :meth:`ErrorHistogram.from_snapshot` and calling
-    :func:`record_quality_metrics`, minus the inflate/re-snapshot round
-    trip -- this runs per chunk on the compress verify path, where the
-    snapshot dict is already in hand.
+    Runs per chunk on the compress verify path, where the snapshot dict
+    is already in hand.
     """
     rel = snap.get("rel") or {}
     abs_ = snap.get("abs") or {}
@@ -448,52 +429,6 @@ def record_quality_snapshot(snap: dict, registry=None) -> None:
     if nonfinite:
         reg.counter("quality.nonfinite").inc(nonfinite)
     reg.merge({_REL_METRIC: rel, _ABS_METRIC: abs_})
-
-
-def _clamp_to_buckets(snap: dict) -> dict:
-    """Run-scope a registry *diff* histogram's min/max.
-
-    ``MetricsRegistry.diff`` reports a histogram's post-state min/max
-    (bounds cannot be un-observed), so in a long-lived process they can
-    belong to an earlier run.  The delta's *buckets* are run-scoped,
-    though: the run's observations all lie within the occupied buckets'
-    edges, so cap min/max there.  Costs at most one bucket (~9% at the
-    quality scale) of precision, and only when the same process
-    previously saw more extreme errors.
-    """
-    buckets = snap.get("buckets")
-    if not buckets:
-        return snap
-    scale = int(snap.get("scale", 1)) or 1
-    keys = [int(k) for k, _ in buckets]
-    lo_key, hi_key = min(keys), max(keys)
-    nonpos = _NONPOS_BUCKET * scale
-    out = dict(snap)
-    if "max" in out and hi_key != nonpos and hi_key <= 1023 * scale:
-        out["max"] = min(float(out["max"]), 2.0 ** (hi_key / scale))
-    if "min" in out:
-        floor = 0.0 if lo_key == nonpos else 2.0 ** ((lo_key - 1) / scale)
-        out["min"] = max(float(out["min"]), floor)
-    return out
-
-
-def quality_summary_from_metrics(delta: dict) -> dict | None:
-    """Rebuild the flat quality summary from a registry snapshot/diff.
-
-    Returns ``None`` when the delta carries no ``quality.*`` histograms
-    (collection off, or nothing compressed).  Percentiles come from
-    :func:`percentile_from_snapshot` on the merged scaled histograms;
-    min/max are run-scoped via :func:`_clamp_to_buckets`.
-    """
-    rel = _clamp_to_buckets(delta.get(_REL_METRIC) or {})
-    abs_ = _clamp_to_buckets(delta.get(_ABS_METRIC) or {})
-    if not rel.get("n") and not abs_.get("n"):
-        return None
-
-    def counter(name: str) -> int:
-        return int((delta.get(name) or {}).get("value", 0))
-
-    return _summary(rel, abs_, counter("quality.zeros"), counter("quality.nonfinite"))
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,13 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
 
     errors = dist = None
     bound_kind, bound_value = model.bound
+    if model.codec == "CHUNKED":
+        # The wrapper carries no bound; its chunks do (a ladder's lossless
+        # fallback chunks carry none, so take the first that has one).
+        bound_kind, bound_value = next(
+            (c.bound for c in model.chunks if c is not None and c.bound[0] is not None),
+            (None, None),
+        )
     if bound_kind in ("abs", "rel"):
         errors = measure_errors(original, recon, (bound_kind, bound_value))
     if bound_kind == "abs":

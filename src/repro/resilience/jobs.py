@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io as _io
 import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,14 +195,12 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
     data = load_array(header["input"], shape, np.dtype(header.get("dtype", "float32")))
     bound = _bound_from_dict(header["bound"])
     data, chunks = chunked._checked_chunks(data, bound)
-    from repro.core.chunked import _compress_chunk
-
-    chunked._job_started = time.perf_counter()
+    deadline = chunked._deadline()
     n = len(chunks)
     pending = [i for i in range(n) if journal.chunk_blob(i) is None]
     for wave in _waves(pending, chunked.workers):
-        blobs = chunked._map(
-            _compress_chunk, [(chunked.inner, chunks[i], bound) for i in wave]
+        blobs, _ = chunked._run_chunks(
+            [chunks[i] for i in wave], bound, False, deadline, indices=wave
         )
         journal.record_chunks(list(zip(wave, blobs)))
     blobs = []
@@ -279,9 +276,10 @@ def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
     )
     pending = [i for i in range(n) if journal.chunk_blob(i) is None]
     for wave in _waves(pending, chunked.workers):
-        parts = chunked._map(
+        parts, _ = chunked._map(
             _decompress_chunk_bytes,
             [(chunk_blobs[i], dtype.name, trusted) for i in wave],
+            deadline=None,
         )
         journal.record_chunks(list(zip(wave, parts)))
     parts = [journal.chunk_blob(i) for i in range(n)]

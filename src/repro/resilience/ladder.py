@@ -15,7 +15,9 @@ of an environment failure.
 
 Fallbacks are observable: each one bumps the ``resilience.fallbacks``
 counter and emits a ``codec-fallback`` event (both propagate back from
-process-pool workers), and :class:`~repro.core.chunked.ChunkedCompressor`
+process-pool workers), the open :func:`~repro.observe.call_report` record
+counts them and keeps only the winning rung's audit entries, and
+:class:`~repro.core.chunked.ChunkedCompressor`
 records the per-chunk winning codec in the stream itself (the
 ``chunk_codecs`` section) so ``stats``/``explain``/``info`` can show
 which chunks degraded long after the run.
@@ -27,6 +29,7 @@ import numpy as np
 
 from repro.compressors.base import Compressor, ErrorBound, RelativeBound
 from repro.metrics.error import measure_errors
+from repro.observe.audit import call_report, current_report
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
 from repro.resilience.policy import LadderExhaustedError
@@ -77,8 +80,6 @@ class DegradationLadder(Compressor):
             raise ValueError("a degradation ladder needs at least one rung")
         self._rungs = rungs
         self.verify = bool(verify)
-        #: Fallbacks taken by the most recent compress() in this process.
-        self.last_fallbacks = 0
 
     # -- configuration -------------------------------------------------------
 
@@ -142,7 +143,7 @@ class DegradationLadder(Compressor):
         self, data: np.ndarray, bound: ErrorBound, verified: bool
     ) -> tuple[bytes, np.ndarray | None]:
         self._check_bound(bound)
-        self.last_fallbacks = 0
+        fallbacks = 0
         failures: list[str] = []
         rungs = self.rungs
         grade = self.verify and isinstance(bound, RelativeBound)
@@ -152,10 +153,11 @@ class DegradationLadder(Compressor):
                     raise TypeError(
                         f"{rung.name} does not accept {type(bound).__name__}"
                     )
-                if verified or grade:
-                    blob, recon = rung.compress_verified(data, bound)
-                else:
-                    blob, recon = rung.compress(data, bound), None
+                with call_report() as sub:
+                    if verified or grade:
+                        blob, recon = rung.compress_verified(data, bound)
+                    else:
+                        blob, recon = rung.compress(data, bound), None
                 if grade:
                     self._verify(rung, recon, data, bound)
             except Exception as exc:  # noqa: BLE001 - each rung failure is a
@@ -164,7 +166,7 @@ class DegradationLadder(Compressor):
                 reason = f"{type(exc).__name__}: {exc}"
                 failures.append(f"{rung.name}: {reason}")
                 if pos + 1 < len(rungs):
-                    self.last_fallbacks += 1
+                    fallbacks += 1
                     metrics().counter("resilience.fallbacks").inc()
                     emit_event(
                         "codec-fallback",
@@ -175,6 +177,10 @@ class DegradationLadder(Compressor):
                 continue
             if pos:
                 metrics().counter("resilience.degraded_chunks").inc()
+            rec = current_report()
+            if rec is not None:
+                rec.add(sub)
+                rec.fallbacks += fallbacks
             return blob, recon
         raise LadderExhaustedError(
             "every rung of the degradation ladder failed: " + "; ".join(failures)

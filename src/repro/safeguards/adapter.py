@@ -13,6 +13,8 @@ section — see ``docs/safeguards.md`` for the model.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.compressors.base import (
@@ -22,6 +24,13 @@ from repro.compressors.base import (
 )
 from repro.encoding.container import Container, ContainerError, peek_codec
 from repro.metrics.error import max_rel_error
+from repro.observe.audit import (
+    AuditReport,
+    ChunkAudit,
+    call_report,
+    current_report,
+    merged_digest,
+)
 from repro.observe.events import emit as _emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -115,13 +124,14 @@ class SafeguardedCompressor(Compressor):
             if not getattr(inner, "allows_nonfinite", False):
                 sanitized = np.where(nonfinite, 0.0, data).astype(data.dtype, copy=False)
 
-        inner_blob, recon = inner.compress_verified(sanitized, bound)
+        with call_report() as sub:
+            inner_blob, recon = inner.compress_verified(sanitized, bound)
         with span("safeguard-verify", codec=inner.name, n=int(data.size)):
             channel = compute_patch_channel(stack, data, recon)
         final = np.ascontiguousarray(recon.astype(data.dtype, copy=bool(channel.size)))
         if channel.size:
             final.ravel()[channel.patch_idx.astype(np.int64)] = channel.patch_val
-        self._record(data, final, stack, channel, inner.name)
+        self._record(data, final, stack, channel, inner.name, sub)
 
         box = self._new_container(self.name, data)
         box.put_str("safeguards", ";".join(sg.spec() for sg in stack))
@@ -145,7 +155,11 @@ class SafeguardedCompressor(Compressor):
         )
         return box.to_bytes(version=SAFEGUARD_VERSION)
 
-    def _record(self, data, final, stack, channel, inner_name) -> None:
+    def _record(self, data, final, stack, channel, inner_name, sub) -> None:
+        """Move the ``safeguard.*`` metrics, and fold ``sub``, the inner
+        call's record, into the open one: its entries become this array's
+        one entry, with the patches of both layers and the declared rel
+        bound."""
         reg = metrics()
         reg.counter("safeguard.points").inc(data.size)
         reg.counter("safeguard.patched").inc(channel.size)
@@ -155,9 +169,26 @@ class SafeguardedCompressor(Compressor):
             kind = spec_to_kind.get(spec_, spec_)
             by_kind[kind] = by_kind.get(kind, 0) + count
             reg.counter(f"safeguard.patched.{kind}").inc(count)
-        if self.declared_rel_bound is not None:
+        rel = self.declared_rel_bound
+        max_rel = None
+        if rel is not None:
             # Post-patch: patched points are stored exactly in ``final``.
-            reg.histogram("safeguard.max_rel").observe(max_rel_error(data, final))
+            max_rel = max_rel_error(data, final)
+            reg.histogram("safeguard.max_rel").observe(max_rel)
+        rec = current_report()
+        if rec is not None:
+            entry = _fold(sub.entries, int(data.size))
+            if max_rel is not None:
+                # The patch channel has just enforced the declared bound.
+                entry = replace(
+                    entry, bound_kind="rel", bound_value=rel, violations=0,
+                    bounded_fraction=1.0, max_rel=max(max_rel, entry.max_rel or 0.0),
+                )
+            entry = replace(
+                entry, codec=self.name, patched=(entry.patched or 0) + channel.size,
+                safeguards=tuple(sg.spec() for sg in stack),
+            )
+            rec.add(replace(sub, entries=[entry]))
         if channel.size:
             _emit_event(
                 "safeguard-patch",
@@ -206,6 +237,24 @@ class SafeguardedCompressor(Compressor):
         with span("patch-apply", codec=self.name):
             apply_patch_sections(flat, box, dtype, self.name)
         return flat.reshape(shape)
+
+
+def _fold(entries: list[ChunkAudit], n: int) -> ChunkAudit:
+    """One audit entry standing for ``entries``, the inner codec's verify
+    passes over an array of ``n`` points (none: a codec that audits nothing)."""
+    if len(entries) == 1:
+        return entries[0]
+    agg = AuditReport.from_chunks(entries)
+    digest = merged_digest(entries)
+    return ChunkAudit(
+        index=None, codec=agg.codec, n=agg.n_points or n,
+        bound_kind=agg.bound_kind, bound_value=agg.bound_value,
+        max_rel=agg.max_rel, max_abs=agg.max_abs,
+        bounded_fraction=agg.bounded_fraction, violations=agg.violations,
+        zeros=agg.zeros, negatives=agg.negatives, patched=agg.patched,
+        effective_ba=None, theorem2_ba=None, lemma2_ba=None, lemma2_ok=None,
+        error_hist=digest.snapshot() if digest is not None else None,
+    )
 
 
 def read_stream_safeguards(box: Container) -> tuple[Safeguard, ...]:

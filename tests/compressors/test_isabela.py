@@ -1,5 +1,7 @@
 """ISABELA: bound guarantee, index overhead ceiling, window handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ class TestBound:
     def test_zeros_preserved(self, zero_heavy_3d):
         _, recon = roundtrip(zero_heavy_3d, 1e-2)
         np.testing.assert_array_equal(recon[zero_heavy_3d == 0], 0.0)
+
+    def test_float32_extremes_compress_without_warnings(self):
+        """+-finfo.max overflows two float32 casts in the encoder; the
+        points it touches are patched, with no overflow warning."""
+        x = np.random.default_rng(3).lognormal(size=1024).astype(np.float32)
+        big = np.finfo(np.float32).max
+        x[[7, 300, 301, 1000]] = [big, -big, big, -big]
+        comp = IsabelaCompressor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            blob, verified = comp.compress_verified(x, RelativeBound(1e-3))
+            recon = comp.decompress(blob)
+        assert np.isfinite(recon).all()
+        x64 = x.astype(np.float64)
+        assert (np.abs(recon.astype(np.float64) - x64) <= 1e-3 * np.abs(x64)).all()
+        np.testing.assert_array_equal(recon, verified)
 
     def test_shapes_and_dtype_restored(self, signed_2d):
         _, recon = roundtrip(signed_2d, 1e-2)

@@ -1,18 +1,21 @@
-"""Bound-conformance auditing: BoundAuditor, audit_stream, Theorem 3."""
+"""Bound-conformance auditing: the per-call record, audit_stream, Theorem 3."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import RelativeBound, decompress, get_compressor
+from repro.core.chunked import ChunkedCompressor
 from repro.core.pwr import make_sz_t
 from repro.metrics.error import measure_errors
 from repro.observe.audit import (
-    AuditReport,
-    BoundAuditor,
     ChunkAudit,
     audit_stream,
-    auditing,
-    get_auditor,
+    call_report,
+    current_report,
+    record_audit_metrics,
     theorem3_check,
 )
 from repro.observe.metrics import MetricsRegistry, metrics
@@ -30,21 +33,11 @@ def _chunk(x, xd, rel_bound, index=None):
     )
 
 
-class TestBoundAuditor:
-    def test_record_moves_audit_metrics(self):
-        reg = MetricsRegistry()
-        aud = BoundAuditor(registry=reg)
-        x = np.linspace(1.0, 2.0, 100)
-        aud.record(_chunk(x, x, rel_bound=1e-3))
-        assert reg.counter("audit.points").value == 100
-        assert reg.counter("audit.violations").value == 0
-        assert reg.histogram("audit.max_rel").n == 1
-        assert reg.histogram("audit.max_abs").n == 1
-
-    def test_compress_feeds_installed_auditor(self, smooth_positive_3d):
-        with auditing() as aud:
+class TestCallReport:
+    def test_compress_feeds_open_record(self, smooth_positive_3d):
+        with call_report() as rec:
             get_compressor("SZ_T").compress(smooth_positive_3d, RelativeBound(1e-3))
-        chunks = aud.chunks()
+        chunks = rec.entries
         assert len(chunks) == 1
         (c,) = chunks
         assert c.n == smooth_positive_3d.size
@@ -52,28 +45,113 @@ class TestBoundAuditor:
         assert c.violations == 0
         assert c.lemma2_ok is True
         assert c.ok
-        rep = aud.report(codec="SZ_T")
+        rep = rec.audit(codec="SZ_T")
         assert rep.ok and rep.n_points == smooth_positive_3d.size
 
     def test_chunked_compress_feeds_one_audit_per_chunk(self, smooth_positive_3d):
-        from repro.core.chunked import ChunkedCompressor
-
         comp = ChunkedCompressor("SZ_T", chunk_bytes=8192, executor="serial")
-        with auditing() as aud:
+        with call_report() as rec:
             comp.compress(smooth_positive_3d, RelativeBound(1e-2))
-        assert len(aud.chunks()) == comp.last_chunk_count > 1
-        rep = aud.report()
+        assert len(rec.entries) == comp.last_chunk_count > 1
+        rep = rec.audit()
         assert rep.n_points == smooth_positive_3d.size
         assert rep.ok
 
-    def test_context_manager_restores_previous_auditor(self):
-        prev = get_auditor()
-        with auditing() as aud:
-            assert get_auditor() is aud
-            with auditing() as inner:
-                assert get_auditor() is inner
-            assert get_auditor() is aud
-        assert get_auditor() is prev
+    def test_nested_record_restores_outer(self):
+        prev = current_report()
+        with call_report() as rec:
+            assert current_report() is rec
+            with call_report() as inner:
+                assert current_report() is inner
+            assert current_report() is rec
+        assert current_report() is prev
+
+    def test_chunked_record_survives_pool_boundary(self, smooth_positive_3d):
+        comp = ChunkedCompressor("SZ_T", chunk_bytes=8192, executor="process", workers=2)
+        with call_report() as rec:
+            comp.compress(smooth_positive_3d, RelativeBound(1e-2))
+        rep = rec.audit()
+        assert rec.entries
+        assert rep.n_points == smooth_positive_3d.size
+        assert rep.n_chunks == comp.last_chunk_count
+        assert rep.bound_value == 1e-2
+        assert rep.ok
+
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
+    def test_chunked_record_formats(self, smooth_positive_3d, executor, workers):
+        comp = ChunkedCompressor(
+            "SZ_T", chunk_bytes=8192, executor=executor, workers=workers
+        )
+        with call_report() as rec:
+            comp.compress(smooth_positive_3d, RelativeBound(1e-2))
+        rep = rec.audit()
+        assert rep.max_abs is not None and rep.max_abs > 0
+        text = rep.format()
+        assert "max abs:" in text and "PASS" in text
+
+    def test_two_ranks_share_one_instance(self):
+        """Two SPMD ranks compress different fields through one shared
+        instance; each call's record holds that call's field only."""
+        comp = ChunkedCompressor("SZ_T", chunk_bytes=16 << 10, executor="thread",
+                                 workers=2)
+        t = np.linspace(0.0, 40.0, 40_000)
+        fields = {
+            "big": (2.0 + np.sin(t)).astype(np.float32),
+            "small": (2.0 + np.cos(t[:10_000])).astype(np.float32),
+        }
+        want_chunks = {"big": 10, "small": 3}
+        barrier = threading.Barrier(2)
+        seen: dict[str, list] = {"big": [], "small": []}
+
+        def rank(name):
+            barrier.wait()
+            for _ in range(20):
+                with call_report() as rec:
+                    comp.compress(fields[name], RelativeBound(1e-3))
+                audit = rec.audit()
+                seen[name].append(
+                    (audit.n_points, audit.n_chunks, rec.resilience.n_chunks)
+                )
+
+        threads = [threading.Thread(target=rank, args=(n,)) for n in fields]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the ranks as often as possible
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for name, x in fields.items():
+            want = (x.size, want_chunks[name], want_chunks[name])
+            assert seen[name] == [want] * 20
+
+
+class TestRegistryExport:
+    """The ``audit.*`` counters stay the ``--metrics-out`` export."""
+
+    def test_record_moves_audit_metrics(self):
+        reg = MetricsRegistry()
+        x = np.linspace(1.0, 2.0, 100)
+        record_audit_metrics(_chunk(x, x, rel_bound=1e-3), reg)
+        assert reg.counter("audit.points").value == 100
+        assert reg.counter("audit.violations").value == 0
+        assert reg.histogram("audit.max_rel").n == 1
+        assert reg.histogram("audit.max_abs").n == 1
+
+    def test_verify_hook_feeds_global_registry_without_record(self, smooth_positive_3d):
+        before = metrics().snapshot()
+        get_compressor("SZ_T").compress(smooth_positive_3d, RelativeBound(1e-3))
+        delta = metrics().diff(before)
+        # Counters in the delta are exact; the histogram's max is the
+        # registry's post-state max (bounds cannot be un-observed), so only
+        # its presence is asserted here.
+        assert delta["audit.points"]["value"] == smooth_positive_3d.size
+        assert delta.get("audit.violations", {"value": 0})["value"] == 0  # 0: unmoved
+        assert delta["audit.max_rel"]["n"] == 1
+        assert delta["quality.points"]["value"] == smooth_positive_3d.size
 
 
 class TestAuditStream:
@@ -106,8 +184,6 @@ class TestAuditStream:
         assert c.patched == 0  # Lemma-2 shrink leaves the patch channel empty
 
     def test_chunked_stream_audited_per_chunk(self, smooth_positive_3d):
-        from repro.core.chunked import ChunkedCompressor
-
         comp = ChunkedCompressor("SZ_T", chunk_bytes=8192, executor="serial")
         blob = comp.compress(smooth_positive_3d, RelativeBound(1e-2))
         rep = audit_stream(blob, smooth_positive_3d, check_theorem3=False)
@@ -189,7 +265,10 @@ class TestAuditStream:
 class TestCompressPathMatchesOffline:
     """The verify pass and ``audit_stream`` measure one stream identically."""
 
-    @pytest.mark.parametrize("kind", ["zero-free", "zero-heavy", "nonfinite"])
+    @pytest.mark.parametrize("kind", [
+        "zero-free", "zero-heavy", "nonfinite",
+        "chunked-serial", "chunked-thread", "chunked-process",
+    ])
     def test_digest_and_counts_agree(self, kind):
         rng = np.random.default_rng(4)
         n = 40_000  # past the digest's 32Ki-point bucket sample
@@ -201,24 +280,33 @@ class TestCompressPathMatchesOffline:
         elif kind == "nonfinite":
             x[[5, 17, 18, 300]] = [np.nan, np.inf, -np.inf, 0.0]
             comp = make_sz_t(nonfinite="preserve")
-        with auditing() as aud:
+        elif kind.startswith("chunked-"):
+            # One record whichever executor ran the 10 chunks.
+            comp = ChunkedCompressor("SZ_T", chunk_bytes=16 << 10, workers=2,
+                                     executor=kind.split("-")[1])
+        with call_report() as rec:
             blob = comp.compress(x, RelativeBound(1e-3))
-        (online,) = aud.chunks()
-        (offline,) = audit_stream(blob, x, check_theorem3=False).chunks
-        assert online.error_hist is not None
-        assert online.error_hist == offline.error_hist
-        assert online.zeros == offline.zeros
-        assert online.negatives == offline.negatives
-        assert (online.max_rel, online.max_abs) == (offline.max_rel, offline.max_abs)
+        online = rec.audit()
+        offline = audit_stream(blob, x, check_theorem3=False)
+        assert (online.n_points, online.n_chunks) == (offline.n_points, offline.n_chunks)
+        assert online.n_chunks == (10 if kind.startswith("chunked-") else 1)
+        for got, want in zip(online.chunks, offline.chunks):
+            assert got.index == want.index
+            assert got.error_hist is not None
+            assert got.error_hist == want.error_hist
+            assert got.zeros == want.zeros
+            assert got.negatives == want.negatives
+            assert (got.max_rel, got.max_abs) == (want.max_rel, want.max_abs)
         if kind == "nonfinite":
-            assert online.zeros == 1 and online.error_hist["nonfinite"] == 3
+            (got,) = online.chunks
+            assert got.zeros == 1 and got.error_hist["nonfinite"] == 3
 
     def test_compress_path_bias_is_exact(self):
         rng = np.random.default_rng(6)
         x = rng.lognormal(0.0, 2.0, 40_000).astype(np.float32)
-        with auditing() as aud:
+        with call_report() as rec:
             blob = get_compressor("SZ_T").compress(x, RelativeBound(1e-3))
-        (online,) = aud.chunks()
+        (online,) = rec.entries
         x64 = x.astype(np.float64)
         rel = (decompress(blob).astype(np.float64) - x64) / np.abs(x64)
         summary = ErrorHistogram.from_snapshot(online.error_hist).summary()
@@ -244,70 +332,3 @@ class TestTheorem3:
         # Theorem 3: the 1,3,7 progression of Lorenzo corner counts.
         assert c2 / c1 == pytest.approx(3.0)
         assert c3 / c1 == pytest.approx(7.0)
-
-
-class TestFromMetrics:
-    def test_round_trip_through_isolated_registry(self):
-        reg = MetricsRegistry()
-        aud = BoundAuditor(registry=reg)
-        before = reg.snapshot()
-        rng = np.random.default_rng(5)
-        xs = []
-        for i in range(3):
-            x = rng.lognormal(size=500)
-            xs.append(x)
-            aud.record(_chunk(x, x * (1.0 + 4e-4), rel_bound=1e-3, index=i))
-        rep = AuditReport.from_metrics(reg.diff(before), codec="SZ_T", bound_value=1e-3)
-        assert rep.n_points == 1500
-        assert rep.n_chunks == 3
-        assert rep.violations == 0
-        assert rep.max_rel == pytest.approx(4e-4)
-        assert rep.max_abs == pytest.approx(4e-4 * max(v.max() for v in xs))
-        assert rep.bound_kind == "rel" and rep.bound_value == 1e-3
-        assert rep.bounded_fraction == 1.0
-        assert rep.ok
-
-    def test_verify_hook_feeds_global_registry_without_auditor(self, smooth_positive_3d):
-        before = metrics().snapshot()
-        get_compressor("SZ_T").compress(smooth_positive_3d, RelativeBound(1e-3))
-        delta = metrics().diff(before)
-        rep = AuditReport.from_metrics(delta, codec="SZ_T", bound_value=1e-3)
-        # Counters in the delta are exact; the histogram's max is the
-        # registry's post-state max (bounds cannot be un-observed), so only
-        # its presence is asserted here.
-        assert rep.n_points == smooth_positive_3d.size
-        assert rep.violations == 0
-        assert rep.max_rel is not None
-        assert rep.bounded_fraction == 1.0
-        assert rep.ok
-
-    def test_chunked_last_audit_survives_pool_boundary(self, smooth_positive_3d):
-        from repro.core.chunked import ChunkedCompressor
-
-        comp = ChunkedCompressor("SZ_T", chunk_bytes=8192, executor="process", workers=2)
-        comp.compress(smooth_positive_3d, RelativeBound(1e-2))
-        rep = comp.last_audit
-        assert rep is not None
-        assert rep.n_points == smooth_positive_3d.size
-        assert rep.n_chunks == comp.last_chunk_count
-        assert rep.bound_value == 1e-2
-        assert rep.ok
-
-    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
-    def test_chunked_last_audit_formats(self, smooth_positive_3d, executor, workers):
-        from repro.core.chunked import ChunkedCompressor
-
-        comp = ChunkedCompressor(
-            "SZ_T", chunk_bytes=8192, executor=executor, workers=workers
-        )
-        comp.compress(smooth_positive_3d, RelativeBound(1e-2))
-        rep = comp.last_audit
-        assert rep.max_abs is not None and rep.max_abs > 0
-        text = rep.format()
-        assert "max abs:" in text and "PASS" in text
-
-    def test_empty_delta_is_well_defined(self):
-        rep = AuditReport.from_metrics({}, codec="X")
-        assert rep.n_points == 0 and rep.n_chunks == 0
-        assert rep.max_rel is None and rep.bounded_fraction is None
-        assert rep.ok

@@ -11,8 +11,6 @@ from repro.observe.quality import (
     explain_stream,
     mad_outliers,
     quality_enabled,
-    record_quality_metrics,
-    quality_summary_from_metrics,
     section_kind_map,
     set_quality_enabled,
 )
@@ -95,22 +93,6 @@ class TestErrorHistogram:
         a.merge(b.snapshot())
         assert a.summary()["n"] == field.size
 
-    def test_metrics_funnel_roundtrip(self, field):
-        from repro.observe.metrics import MetricsRegistry
-
-        hist = ErrorHistogram()
-        hist.observe(field, _approx_recon(field))
-        reg = MetricsRegistry()
-        before = reg.snapshot()
-        record_quality_metrics(hist, reg)
-        summary = quality_summary_from_metrics(reg.diff(before))
-        assert summary is not None
-        assert summary["n"] == hist.summary()["n"]
-        assert summary["rel_p99"] == hist.summary()["rel_p99"]
-
-    def test_empty_metrics_delta_summarizes_to_none(self):
-        assert quality_summary_from_metrics({}) is None
-
 
 class TestQualityGate:
     def test_env_and_force_override(self, monkeypatch):
@@ -137,17 +119,20 @@ class TestQualityGate:
         assert off == on
 
     def test_process_pool_merges_quality(self, field):
+        from repro.observe import audit_stream, call_report
+
         comp = ChunkedCompressor(
             "SZ_T", chunk_bytes=1 << 15, executor="process", workers=2
         )
-        comp.compress(field, RelativeBound(BOUND))
-        summary = comp.last_audit.error_summary
+        with call_report() as rec:
+            blob = comp.compress(field, RelativeBound(BOUND))
+        summary = rec.audit().error_summary
         assert summary is not None
         assert summary["n"] == field.size
-        # The summary is rebuilt from a registry diff whose max is clamped
-        # to the occupied buckets' upper edge -- allow one bucket (2^(1/8))
-        # of resolution on top of the bound.
-        assert summary["max_rel"] <= BOUND * 1.1
+        # Each chunk's own digest comes back with its record, so the merged
+        # maximum is exact: the offline audit's digest, within the bound.
+        offline = audit_stream(blob, field, check_theorem3=False).error_summary
+        assert summary["max_rel"] == offline["max_rel"] <= BOUND
 
 
 def _v1(blob):

@@ -9,6 +9,7 @@ import repro
 from repro.compressors.base import PrecisionBound, RelativeBound, UnsupportedBound
 from repro.core.chunked import ChunkedCompressor
 from repro.encoding.container import Container, peek_codec
+from repro.observe import call_report
 from repro.observe.events import install_event_log, read_events
 from repro.observe.metrics import metrics
 from repro.resilience import DegradationLadder, LadderExhaustedError
@@ -17,18 +18,20 @@ from repro.resilience import DegradationLadder, LadderExhaustedError
 class TestFallback:
     def test_primary_wins_when_healthy(self, brittle, field_2d):
         ladder = DegradationLadder(["BRITTLE", "GZIP"])
-        blob = ladder.compress(field_2d, RelativeBound(1e-3))
+        with call_report() as rec:
+            blob = ladder.compress(field_2d, RelativeBound(1e-3))
         assert peek_codec(blob) == "BRITTLE"
-        assert ladder.last_fallbacks == 0
+        assert rec.fallbacks == 0
         np.testing.assert_array_equal(ladder.decompress(blob), field_2d)
 
     def test_falls_through_on_failure(self, brittle, field_2d):
         brittle.fail_on = frozenset({1})
         ladder = DegradationLadder(["BRITTLE", "GZIP"])
         before = metrics().counter("resilience.fallbacks").value
-        blob = ladder.compress(field_2d, RelativeBound(1e-3))
+        with call_report() as rec:
+            blob = ladder.compress(field_2d, RelativeBound(1e-3))
         assert peek_codec(blob) == "GZIP"
-        assert ladder.last_fallbacks == 1
+        assert rec.fallbacks == 1
         assert metrics().counter("resilience.fallbacks").value == before + 1
         np.testing.assert_array_equal(repro.decompress(blob), field_2d)
 
@@ -58,9 +61,10 @@ class TestFallback:
         # ZFP_P takes only PrecisionBound: under a RelativeBound it must
         # be skipped (counted as a fallback), landing on GZIP.
         ladder = DegradationLadder(["ZFP_P", "GZIP"])
-        blob = ladder.compress(field_2d, RelativeBound(1e-3))
+        with call_report() as rec:
+            blob = ladder.compress(field_2d, RelativeBound(1e-3))
         assert peek_codec(blob) == "GZIP"
-        assert ladder.last_fallbacks == 1
+        assert rec.fallbacks == 1
 
     def test_ladder_union_of_supported_bounds(self):
         ladder = DegradationLadder(["ZFP_P", "SZ_T"])
@@ -85,10 +89,12 @@ class TestChunkedIntegration:
         brittle.fail_on = frozenset({2, 3})
         ck = ChunkedCompressor("BRITTLE", chunk_bytes=1024, executor="serial",
                                policy="ladder=GZIP")
-        return ck, ck.compress(field_2d, self.bound())
+        with call_report() as rec:
+            blob = ck.compress(field_2d, self.bound())
+        return rec, blob
 
     def test_mixed_stream_records_codecs_and_ladder(self, brittle, field_2d):
-        ck, blob = self.compress_mixed(brittle, field_2d)
+        _, blob = self.compress_mixed(brittle, field_2d)
         box = Container.from_bytes(blob)
         assert box.get_str("ladder") == "BRITTLE>GZIP"
         assert box.get_str("chunk_codecs").split(";") == [
@@ -97,8 +103,8 @@ class TestChunkedIntegration:
         np.testing.assert_array_equal(repro.decompress(blob), field_2d)
 
     def test_resilience_report_counts_fallbacks(self, brittle, field_2d):
-        ck, _ = self.compress_mixed(brittle, field_2d)
-        rep = ck.last_resilience
+        rec, _ = self.compress_mixed(brittle, field_2d)
+        rep = rec.resilience
         assert rep is not None and rep.fallbacks == 2
         assert [i.index for i in rep.incidents if i.kind == "fallback"] == [1, 2]
         assert "2 fell back" in rep.summary()

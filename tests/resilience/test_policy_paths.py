@@ -11,6 +11,7 @@ import pytest
 
 from repro.compressors.base import AbsoluteBound, RelativeBound, UnsupportedBound
 from repro.core.chunked import ChunkedCompressor
+from repro.observe import call_report
 from repro.observe.metrics import metrics
 from repro.resilience import CircuitOpenError, JobDeadlineError, MemoryBudgetError
 from repro.testing import CrashingExecutor, StallingExecutor
@@ -43,20 +44,22 @@ class TestCircuitBreaker:
         crash_on: list[int] = []
         ck = ChunkedCompressor(chunk_bytes=2048, workers=2, policy="breaker=0.5/4",
                                executor=crashing(crash_on))
-        ck.compress(eight_chunks, BOUND)
-        assert ck.last_resilience.summary() == "all 8 chunks clean on the first attempt"
-        crash_on.extend(range(1, 9))
-        with pytest.raises(CircuitOpenError):
+        with call_report() as rec:
             ck.compress(eight_chunks, BOUND)
-        assert ck.last_resilience is None
+        assert rec.resilience.summary() == "all 8 chunks clean on the first attempt"
+        crash_on.extend(range(1, 9))
+        with call_report() as rec, pytest.raises(CircuitOpenError):
+            ck.compress(eight_chunks, BOUND)
+        assert rec.resilience is None
 
     def test_rejected_bound_leaves_no_stale_report(self, eight_chunks):
         ck = ChunkedCompressor(chunk_bytes=2048, executor="serial")
-        ck.compress(eight_chunks, BOUND)
-        assert ck.last_resilience is not None
-        with pytest.raises(UnsupportedBound):
+        with call_report() as rec:
+            ck.compress(eight_chunks, BOUND)
+        assert rec.resilience is not None
+        with call_report() as rec, pytest.raises(UnsupportedBound):
             ck.compress(eight_chunks, AbsoluteBound(1e-3))
-        assert ck.last_resilience is None
+        assert rec.resilience is None
 
 
 class TestJobDeadline:
@@ -114,8 +117,9 @@ class TestWatchdogBackoff:
         fresh = iter([StallingExecutor(ThreadPoolExecutor(1), stall_on=1),
                       ThreadPoolExecutor(1)])
         ck._fresh_worker = lambda: next(fresh)
-        blob = ck.compress(field, BOUND)
+        with call_report() as rec:
+            blob = ck.compress(field, BOUND)
         assert pauses == [0.05, 0.1]
-        assert ck.last_resilience.timed_out == 1
+        assert rec.resilience.timed_out == 1
         reference = ChunkedCompressor(chunk_bytes=1 << 20, executor="serial")
         assert blob == reference.compress(field, BOUND)

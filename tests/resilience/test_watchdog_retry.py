@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.compressors.base import RelativeBound
 from repro.core.chunked import ChunkedCompressor, ChunkTimeoutError
+from repro.observe import call_report
 
 BOUND = RelativeBound(1e-3)
 
@@ -35,11 +36,12 @@ class TestHungThenCrashingWorker:
             policy="retries=2;chunk-timeout=0.25;backoff=0.01",
         )
         t0 = time.perf_counter()
-        blob = ck.compress(one_chunk_field, BOUND)
+        with call_report() as rec:
+            blob = ck.compress(one_chunk_field, BOUND)
         elapsed = time.perf_counter() - t0
         assert elapsed < 4.0, "job waited for the hung worker"
         np.testing.assert_array_equal(repro.decompress(blob), one_chunk_field)
-        rep = ck.last_resilience
+        rep = rec.resilience
         assert rep is not None and not rep.quiet
         assert any(i.kind == "timeout" for i in rep.incidents)
 

@@ -226,15 +226,17 @@ class TestChunkedIntegration:
         err = np.abs(recon.astype(np.float64) - x64)
         assert (err <= 1e-3 * np.abs(x64)).all()
 
-    def test_last_audit_merges_safeguard_counts(self):
+    def test_record_merges_safeguard_counts(self):
         from repro.core.chunked import ChunkedCompressor
+        from repro.observe import call_report
 
         data = field((8192,), np.float32, seed=6)
         safe = SafeguardedCompressor(EvilCodec("perturb"), ["rel:1e-3"])
         chunked = ChunkedCompressor(safe, chunk_bytes=4096, workers=2)
-        chunked.compress(data, BOUND)
-        audit = chunked.last_audit
-        assert audit is not None
+        with call_report() as rec:
+            chunked.compress(data, BOUND)
+        audit = rec.audit()
+        assert rec.entries
         assert audit.n_points == data.size
         assert audit.patched > 0
         # The rel safeguard's declared bound stands in for the (absolute)

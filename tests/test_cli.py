@@ -65,6 +65,18 @@ class TestCompressCommand:
         recon = load_array(back, (16, 16, 16))
         assert np.all(np.abs(recon - data) <= 1e-2 * np.abs(data))
 
+    def test_chunked_report_grades_the_chunks_bound(self, tmp_path, capsys):
+        src = str(tmp_path / "f.npy")
+        rng = np.random.default_rng(0)
+        np.save(src, np.exp(rng.normal(0, 2, 4096)).astype(np.float32))
+        assert main(["compress", src, str(tmp_path / "o.rpz"), "--rel-bound", "1e-3",
+                     "--chunk-size", "4K", "--report"]) == 0
+        out = capsys.readouterr().out
+        assert "(4 chunks x" in out
+        assert "bound:            rel 0.001   bounded: 100%" in out
+        assert "point-wise error:" in out
+        assert "error shape:" in out
+
     def test_bad_chunk_size_rejected(self, field, tmp_path):
         path, _ = field
         with pytest.raises(SystemExit):
@@ -341,6 +353,19 @@ class TestAuditCommand:
         assert main(["audit", bad]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("original", [False, True], ids=["bare", "original"])
+    def test_chunk_table_mismatch_exits_2(self, mismatched_chunks, original, tmp_path,
+                                          capsys):
+        bad = tmp_path / "bad.rpz"
+        bad.write_bytes(mismatched_chunks)
+        argv = ["audit", str(bad)]
+        if original:
+            path = tmp_path / "orig.npy"
+            np.save(path, np.linspace(1.0, 2.0, 12, dtype=np.float32))
+            argv += ["--original", str(path)]
+        assert main(argv) == 2
+        assert "chunk element mismatch" in capsys.readouterr().err
+
 
 class TestExplainCommand:
     def test_clean_stream_markdown(self, stream, field, capsys):
@@ -417,14 +442,20 @@ class TestMetricsExportFlags:
     def test_compress_exports_audit_counters(self, field, tmp_path):
         from repro.observe import parse_openmetrics
 
-        path, _ = field
+        path, data = field
         out = str(tmp_path / "f.rpz")
         dest = str(tmp_path / "metrics.om")
-        assert main(["compress", path, out, "--shape", "16,16,16",
-                     "--rel-bound", "1e-2", "--metrics-out", "openmetrics",
-                     "--metrics-path", dest]) == 0
-        families = parse_openmetrics(open(dest).read())
-        assert "repro_audit_points" in families
+        # Whole, and in 4K chunks on a 2-worker pool, whose workers' counters
+        # come back with the rest of the telemetry.
+        for chunking in ([], ["--chunk-size", "4K", "--workers", "2"]):
+            assert main(["compress", path, out, "--shape", "16,16,16",
+                         "--rel-bound", "1e-2", "--metrics-out", "openmetrics",
+                         "--metrics-path", dest, *chunking]) == 0
+            families = parse_openmetrics(open(dest).read())
+            assert "repro_audit_points" in families
+            for family in ("repro_audit_points", "repro_quality_points"):
+                (value,) = [v for _, _, v in families[family]["samples"]]
+                assert value == data.size, (chunking, family)
 
 
 class TestResilienceFlags:

@@ -21,6 +21,7 @@ from repro import (
     verify_stream,
 )
 from repro.core.chunked import ChunkedCompressor
+from repro.observe import call_report
 from repro.parallel.runner import atomic_write_bytes, dump_file_per_process
 from repro.testing import (
     CrashingExecutor,
@@ -247,8 +248,9 @@ class TestWorkerCrashRetry:
                 ThreadPoolExecutor(max_workers=n), crash_on=crash_on
             ),
         )
-        assert cc.compress(field, BOUND) == want
-        assert cc.last_retried_chunks == 1
+        with call_report() as rec:
+            assert cc.compress(field, BOUND) == want
+        assert rec.resilience.retried == 1
 
     def test_decompression_survives_worker_crash(self, field, chunked_blob):
         cc = ChunkedCompressor(
@@ -257,10 +259,11 @@ class TestWorkerCrashRetry:
                 ThreadPoolExecutor(max_workers=n), crash_on=(1, 2)
             ),
         )
-        np.testing.assert_allclose(
-            cc.decompress(chunked_blob), field, rtol=1.01e-2
-        )
-        assert cc.last_retried_chunks == 2
+        with call_report() as rec:
+            np.testing.assert_allclose(
+                cc.decompress(chunked_blob), field, rtol=1.01e-2
+            )
+        assert rec.resilience.retried == 2
 
     def test_corrupt_chunk_still_raises_under_crashy_pool(self, chunked_blob):
         # Deterministic damage must not be mistaken for a transient fault.

@@ -32,6 +32,7 @@ from repro import (
 )
 from repro.core.chunked import ChunkedCompressor, ChunkTimeoutError
 from repro.integrity import RepairReport, repair_stream
+from repro.observe import call_report
 from repro.observe.metrics import metrics
 from repro.parallel.runner import dump_file_per_process, load_file_per_process
 from repro.resilience import JobDeadlineError
@@ -306,9 +307,10 @@ class TestWatchdog:
             field, BOUND
         )
         t0 = time.perf_counter()
-        blob = cc.compress(field, BOUND)
+        with call_report() as rec:
+            blob = cc.compress(field, BOUND)
         wall = time.perf_counter() - t0
-        assert cc.last_timed_out_chunks == 1
+        assert rec.resilience.timed_out == 1
         # Acceptance: killed and retried within 2x the timeout.
         assert wall < 2 * timeout
         assert blob == reference
@@ -332,8 +334,9 @@ class TestWatchdog:
                 ThreadPoolExecutor(n), stall_on=1, delay_s=0.05
             ),
         )
-        blob = cc.compress(field, BOUND)
-        assert cc.last_timed_out_chunks == 0
+        with call_report() as rec:
+            blob = cc.compress(field, BOUND)
+        assert rec.resilience.timed_out == 0
         np.testing.assert_array_equal(decompress(blob), decompress(blob))
 
     def test_serial_mode_with_timeout_enforces_deadline(self, field):
