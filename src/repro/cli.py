@@ -25,9 +25,10 @@ pipeline span tree, stage times as percentages of the root) and
 Raw binaries need ``--shape`` (and ``--dtype`` when not float32); ``.npy``
 inputs are self-describing.  ``compress`` reports the achieved ratio and,
 under a relative bound (``--rel-bound``, or a declared ``rel:`` safeguard),
-the bounded fraction and maximum point-wise relative error.  It grades the
-array the encoder's verify pass returns (``compress_verified``), which is
-bit for bit what ``decompress`` yields, so it never runs a decoder.
+the bounded fraction and maximum point-wise relative error.  It reads them
+from the call record (``repro.observe.call_report``), where the layer that
+enforced the bound graded the array ``decompress`` yields, so it neither
+runs a decoder nor measures the array again.
 
 ``compress``/``decompress`` accept ``--journal DIR`` (crash-safe
 write-ahead journaling; an interrupted job is finished by
@@ -63,8 +64,8 @@ from repro import (
 )
 from repro.compressors.base import UnsupportedBound
 from repro.data.io import load_array, save_array
-from repro.metrics import bounded_fraction
-from repro.observe.audit import call_report
+from repro.metrics.error import bounded_label
+from repro.observe.audit import CallReport, call_report
 from repro.resilience.jobs import _wrapped_compressor
 from repro.resilience.policy import ResilienceError
 
@@ -186,40 +187,60 @@ def _read_blob(path: str) -> bytes:
 # -- commands ----------------------------------------------------------------
 
 
-def _journaled_compress(args, bound) -> int:
+def _report_call(rec: CallReport, rel_value: float | None) -> str:
+    """Print the call's resilience line, if it has one worth printing, and
+    return the compress line's ``bounded …, max rel err …`` suffix (empty
+    without a relative bound), both read from the call record."""
+    resilience = rec.resilience
+    if resilience is not None and not resilience.quiet:
+        print(f"resilience: {resilience.summary()}", file=sys.stderr)
+    if rel_value is None:
+        return ""
+    audit = rec.audit()
+    label = bounded_label(audit.violations, audit.n_points, audit.zeros_modified)
+    # A call over no points leaves no error to report.
+    return f", bounded {label}, max rel err {audit.max_rel or 0.0:.3e}"
+
+
+def _journaled_compress(args, bound, rel_value) -> int:
     from repro.resilience import run_compress_job
 
-    result = run_compress_job(
-        args.input,
-        args.output,
-        bound,
-        journal_dir=args.journal,
-        shape=args.shape,
-        dtype=args.dtype,
-        compressor=args.compressor,
-        safeguards=list(args.safeguard) if args.safeguard else None,
-        ladder=args.ladder,
-        policy=args.policy,
-        chunk_bytes=args.chunk_size,
-        workers=args.workers,
-        parity=args.parity,
-        group_size=args.group_size if args.parity is not None else None,
-    )
-    print(f"{args.input}: {result.summary()}")
+    with call_report() as rec:
+        result = run_compress_job(
+            args.input,
+            args.output,
+            bound,
+            journal_dir=args.journal,
+            shape=args.shape,
+            dtype=args.dtype,
+            compressor=args.compressor,
+            safeguards=list(args.safeguard) if args.safeguard else None,
+            ladder=args.ladder,
+            policy=args.policy,
+            chunk_bytes=args.chunk_size,
+            workers=args.workers,
+            parity=args.parity,
+            group_size=args.group_size if args.parity is not None else None,
+        )
+    line = f"{args.input}: {result.summary()}"
+    if result.redone == result.n_chunks:
+        # This call compressed every chunk, so its record covers the array.
+        line += _report_call(rec, rel_value)
+    print(line)
     return 0
 
 
 def _cmd_compress(args) -> int:
     bound = _bound_from(args)
-    if args.journal is not None:
-        return _journaled_compress(args, bound)
-    data = load_array(args.input, args.shape, np.dtype(args.dtype))
     compressor, label = _wrapped_compressor(args.compressor, args.safeguard, args.ladder)
     rel_value = bound.value if isinstance(bound, RelativeBound) else None
     if rel_value is None and args.safeguard:
         # A declared rel:BR safeguard guarantees the bound even when the
         # inner codec was driven by an absolute/precision bound.
         rel_value = getattr(compressor, "declared_rel_bound", None)
+    if args.journal is not None:
+        return _journaled_compress(args, bound, rel_value)
+    data = load_array(args.input, args.shape, np.dtype(args.dtype))
     chunked_opts = (args.chunk_size, args.workers, args.parity, args.policy)
     if any(v is not None for v in chunked_opts):
         kwargs = {}
@@ -233,33 +254,24 @@ def _cmd_compress(args) -> int:
         if args.policy is not None:
             kwargs["policy"] = args.policy
         compressor = ChunkedCompressor(compressor, **kwargs)
-    # A printed bound is graded on the array the verify pass returns, so
-    # no compress decodes the stream it has just written.
+    # The layer that enforces a relative bound grades the array it
+    # produced into the call record, which the printed bound is read from.
     with call_report() as rec:
-        if rel_value is None:
-            blob, recon = compressor.compress(data, bound), None
-        else:
-            blob, recon = compressor.compress_verified(data, bound)
+        blob = compressor.compress(data, bound)
     if isinstance(compressor, ChunkedCompressor):
-        resilience = rec.resilience
         label = (
-            f"{label} ({resilience.n_chunks} chunks x "
+            f"{label} ({rec.resilience.n_chunks} chunks x "
             f"{compressor.workers} workers"
             + (f", k={compressor.parity} parity" if compressor.parity else "")
             + ")"
         )
-        if not resilience.quiet:
-            print(f"resilience: {resilience.summary()}", file=sys.stderr)
     with open(args.output, "wb") as fh:
         fh.write(blob)
-    line = (
+    print(
         f"{args.input}: {data.nbytes} -> {len(blob)} bytes "
         f"({data.nbytes / len(blob):.2f}x) with {label}"
+        + _report_call(rec, rel_value)
     )
-    if rel_value is not None:
-        stats = bounded_fraction(data, recon, rel_value)
-        line += f", bounded {stats.bounded_label()}, max rel err {stats.max_rel:.3e}"
-    print(line)
     if args.report:
         from repro.report import quality_report
 

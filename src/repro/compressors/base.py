@@ -260,14 +260,14 @@ class Compressor(abc.ABC):
 
         The bytes equal ``compress``'s and the array equals
         ``decompress(blob)`` bit for bit.  Verifying wrappers (e.g. the
-        transformed compressor's bound check) and the CLI's bound report
+        transformed compressor's bound check and the safeguards adapter)
         call this instead of ``compress`` + ``decompress``.  The SZ family
         (its patch pass holds the reconstruction), ZFP's accuracy and
-        precision modes (the decoder recovers exactly the coded planes)
-        and every wrapper override it to skip the decode.  This default
-        round-trips; ZFP_R, FPZIP, GZIP and ISABELA still use it.  Like
-        ``compress``, each override is traced automatically: one
-        ``compress`` span and event per call.
+        precision modes (the decoder recovers exactly the coded planes),
+        ISABELA (it unsorts its verified reconstruction) and every wrapper
+        override it to skip the decode.  This default round-trips; ZFP_R,
+        FPZIP and GZIP still use it.  Like ``compress``, each override is
+        traced automatically: one ``compress`` span and event per call.
         """
         blob = self.compress(data, bound)
         return blob, self.decompress(blob)

@@ -39,6 +39,7 @@ from repro.encoding import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.observe.audit import file_audit, grade
 
 __all__ = ["IsabelaCompressor"]
 
@@ -87,6 +88,13 @@ class IsabelaCompressor(Compressor):
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound)[0]
+
+    def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        return self._compress_impl(data, bound)
+
+    def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        """Shared pipeline; returns ``(blob, exact decoder output)``."""
         self._check_bound(bound)
         data = self._check_input(data)
         br = float(bound.value)
@@ -135,7 +143,17 @@ class IsabelaCompressor(Compressor):
         box.put("patch_idx", deflate(patch_idx.tobytes()))
         box.put("patch_val", deflate(np.ascontiguousarray(patch_val).tobytes()))
         box.put_u64("n_patch", patch_idx.size)
-        return box.to_bytes()
+
+        # The decoder's array: the verified reconstruction (already in the
+        # output dtype's values) with the patches applied, unsorted and
+        # cast once.
+        flat_sorted = recon.reshape(-1)
+        flat_sorted[patch_idx.astype(np.int64)] = patch_val
+        out = np.empty_like(recon)
+        np.put_along_axis(out, order, recon, axis=1)
+        final = out.reshape(-1)[:n].astype(data.dtype).reshape(data.shape)
+        file_audit(grade(data, final, ("rel", br), self.name, patched=int(patch_idx.size)))
+        return box.to_bytes(), final
 
     # -- decompression -----------------------------------------------------
 

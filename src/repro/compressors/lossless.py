@@ -8,7 +8,9 @@ with an optional byte-transpose filter (shuffle, as in blosc/HDF5) that
 groups the more-compressible exponent bytes together.
 
 Being lossless, it vacuously satisfies any error bound, so it accepts
-every bound kind (and ``None``).
+every bound kind (and ``None``).  Under a relative bound it grades its
+input against itself, so a ladder's lossless last rung reports like any
+other codec.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.compressors.base import (
     RelativeBound,
 )
 from repro.encoding import deflate, inflate
+from repro.observe.audit import file_audit, grade
 
 __all__ = ["LosslessDeflate"]
 
@@ -55,6 +58,8 @@ class LosslessDeflate(Compressor):
         box = self._new_container(self.name, data)
         box.put_u64("shuffle", int(self.shuffle))
         box.put("payload", deflate(raw, self.level))
+        if isinstance(bound, RelativeBound):
+            file_audit(grade(data, data, ("rel", bound.value), self.name))
         return box.to_bytes()
 
     def decompress(self, blob: bytes) -> np.ndarray:

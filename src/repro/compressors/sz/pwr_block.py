@@ -22,6 +22,7 @@ from repro.compressors.sz.predictor import lorenzo_reconstruct, lorenzo_residual
 from repro.compressors.sz.quantizer import CLIP_INDEX, EB_SHRINK, RISKY_INDEX, residual_codes
 from repro.compressors.sz.sz import DEFAULT_RADIUS, _pack_payload, _unpack_payload
 from repro.encoding import HuffmanCodec, deflate, inflate
+from repro.observe.audit import file_audit, grade
 from repro.utils.blocking import block_merge, block_partition
 
 __all__ = ["SZPointwiseRelative", "DEFAULT_BLOCKS"]
@@ -89,12 +90,13 @@ class SZPointwiseRelative(Compressor):
         q = lorenzo_residual(k, ndim)
         codes, esc_q = residual_codes(q, risky, self.radius)
 
-        # Verify against the per-block absolute bound and patch stragglers.
+        # Verify against the per-block absolute bound and patch stragglers,
+        # and every -0.0, which quantizes to +0.0.
         recon = (k.astype(np.float64) * step).astype(data.dtype)
         viol = np.abs(tiles64 - recon.astype(np.float64)) > eb_block.reshape(
             (nblocks,) + (1,) * ndim
         )
-        patch = (viol | risky).reshape(-1)
+        patch = (viol | risky | ((tiles == 0) & np.signbit(tiles))).reshape(-1)
         patch_idx = np.flatnonzero(patch).astype(np.uint64)
         patch_val = tiles.reshape(-1)[patch_idx.astype(np.int64)]
 
@@ -111,7 +113,9 @@ class SZPointwiseRelative(Compressor):
         # inverts the residuals exactly), patched, then merged.
         final = recon.reshape(-1)
         final[patch_idx.astype(np.int64)] = patch_val
-        return box.to_bytes(), block_merge(final, padded_shape, edge, data.shape)
+        final = block_merge(final, padded_shape, edge, data.shape)
+        file_audit(grade(data, final, ("rel", br), self.name, patched=int(patch_idx.size)))
+        return box.to_bytes(), final
 
     # -- decompression -----------------------------------------------------
 

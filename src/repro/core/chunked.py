@@ -35,7 +35,7 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -682,14 +682,17 @@ class ChunkedCompressor(Compressor):
         deadline: float | None, indices: list[int] | None = None,
     ) -> tuple[list, list[ChunkIncident]]:
         """:meth:`_map` of :func:`_compress_chunk` over ``chunks``, whose
-        records join the open call record in chunk order, each entry stamped
-        with its chunk's index (``indices``, default ``0..n-1``)."""
+        records join the open call record in chunk order, each entry and
+        incident stamped with its chunk's index (``indices``, default
+        ``0..n-1``)."""
+        indices = indices or list(range(len(chunks)))
         jobs = [(self.inner, c, bound, verified) for c in chunks]
         done, incidents = self._map(_compress_chunk, jobs, deadline)
         rec = current_report()
         if rec is not None:
-            for i, (_, sub) in zip(indices or range(len(chunks)), done):
+            for i, (_, sub) in zip(indices, done):
                 rec.add(sub, index=i)
+        incidents = [replace(inc, index=indices[inc.index]) for inc in incidents]
         return [out for out, _ in done], incidents
 
     def _report_resilience(

@@ -35,7 +35,6 @@ from repro.compressors.base import (
 from repro.core.error_bounds import abs_bound_for, adjusted_abs_bound, machine_eps0
 from repro.core.transform import LogTransform
 from repro.encoding import decode_sign_bitmap, encode_sign_bitmap
-from repro.metrics.error import measure_errors
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
 from repro.safeguards.engine import (
@@ -60,8 +59,6 @@ class TransformedCompressor(Compressor):
         quality (Theorem 3 / Lemma 4) and picks 2 for speed (Table III).
     name:
         Experiment-table name; defaults to ``<family>_T``.
-    verify:
-        Enable the encoder-side verification + patch channel (step 5).
     apply_lemma2:
         Apply Lemma 2's round-off shrink to the absolute bound.  Disabling
         it (used by the round-off ablation) makes the bound mapping the
@@ -87,7 +84,6 @@ class TransformedCompressor(Compressor):
         inner: Compressor,
         base: float = 2.0,
         name: str | None = None,
-        verify: bool = True,
         apply_lemma2: bool = True,
         nonfinite: str = "error",
     ) -> None:
@@ -102,7 +98,6 @@ class TransformedCompressor(Compressor):
         self.inner = inner
         self.transform = LogTransform(base)
         self.name = name if name is not None else f"{inner.name.split('_')[0]}_T"
-        self.verify = verify
         self.apply_lemma2 = apply_lemma2
         self.nonfinite = nonfinite
         self.allows_nonfinite = nonfinite == "preserve"
@@ -123,41 +118,36 @@ class TransformedCompressor(Compressor):
     ) -> tuple[bytes, np.ndarray]:
         """Compress and return the exact array ``decompress`` yields.
 
-        With ``verify`` on, the bound check already materializes the
-        decoder's reconstruction (the inner codec hands back its own
-        decode, the inverse transform is deterministic, and the patch
-        channel is applied on top) — so the round trip the base-class
-        default would run is pure waste.  Wrappers like the safeguards
-        adapter rely on this to keep compliant-codec overhead near zero.
+        The bound check already materializes the decoder's reconstruction
+        (the inner codec hands back its own decode, the inverse transform
+        is deterministic, and the patch channel is applied on top) — so
+        the round trip the base-class default would run is pure waste.
+        Wrappers like the safeguards adapter rely on this to keep
+        compliant-codec overhead near zero.
         """
-        blob, final = self._compress_impl(data, bound)
-        if final is None:
-            return blob, self.decompress(blob)
-        return blob, final
+        return self._compress_impl(data, bound)
 
     def _compress_impl(
         self, data: np.ndarray, bound: ErrorBound
-    ) -> tuple[bytes, np.ndarray | None]:
+    ) -> tuple[bytes, np.ndarray]:
         self._check_bound(bound)
         br = float(bound.value)
         tf = self.transform
         data = np.asarray(data)
         if data.size == 0:
-            return self._compress_empty(data, br), np.zeros(data.shape, data.dtype)
+            return self._compress_empty(data, br)
         data = self._check_input(data, allow_nonfinite=self.allows_nonfinite)
         reg = metrics()
 
         # Non-finite points cannot ride the log transform; sanitize them to
-        # 0.0 (the exact-zero sentinel path) and remember where they were --
-        # their original bit patterns are merged into the patch channel.
-        nonfinite_idx = np.zeros(0, dtype=np.uint64)
+        # 0.0 (the exact-zero sentinel path).  The verify pass's safeguard
+        # stack stores their original bit patterns in the patch channel.
         original = data
         if self.allows_nonfinite:
             nf = ~np.isfinite(data)
             if nf.any():
-                nonfinite_idx = np.flatnonzero(nf.ravel()).astype(np.uint64)
                 data = np.where(nf, 0.0, data)
-                reg.counter("transform.nonfinite_points").inc(nonfinite_idx.size)
+                reg.counter("transform.nonfinite_points").inc(int(np.count_nonzero(nf)))
 
         with span("sign-encode") as sp:
             magnitudes = np.abs(data)
@@ -187,38 +177,29 @@ class TransformedCompressor(Compressor):
             n_zeros = int(magnitudes.size - np.count_nonzero(magnitudes))
         reg.counter("transform.exact_zeros").inc(n_zeros)
 
-        patch_idx = np.zeros(0, dtype=np.uint64)
-        patch_val = np.zeros(0, dtype=data.dtype)
-        final: np.ndarray | None = None
-        if self.verify:
-            # The inner codec hands back the exact array its decoder will
-            # produce (SZ materializes it anyway for its own patch pass),
-            # so verification costs one inverse transform instead of a
-            # full second decode of the blob just produced.  The patch set
-            # is the safeguard stack's: relative bound + non-finite
-            # preservation evaluated against the pristine input.
-            inner_blob, d_rec = self.inner.compress_verified(d, AbsoluteBound(ba))
-            with span("verify"):
-                recon = self._postprocess(
-                    d_rec, ba, data.shape, data.dtype, all_nonneg, sign_payload
-                )
-                stack = (RelErrorSafeguard(br), NonFiniteSafeguard())
-                channel = compute_patch_channel(stack, original, recon)
-                patch_idx, patch_val = channel.patch_idx, channel.patch_val
-                # What decompress() will produce: the verified reconstruction
-                # with the patch channel applied on top.
-                final = np.ascontiguousarray(recon)
-                if patch_idx.size:
-                    final.ravel()[patch_idx.astype(np.int64)] = patch_val
-                self._feed_audit(
-                    original, final, br, channel.counts.get(stack[0].spec(), 0),
-                    ba, ba0, eps0, max_log,
-                )
-        else:
-            inner_blob = self.inner.compress(d, AbsoluteBound(ba))
-            if nonfinite_idx.size:
-                patch_idx = nonfinite_idx
-                patch_val = original.ravel()[patch_idx.astype(np.int64)]
+        # The inner codec hands back the exact array its decoder will
+        # produce (SZ materializes it anyway for its own patch pass), so
+        # verification costs one inverse transform instead of a full second
+        # decode of the blob just produced.  The patch set is the safeguard
+        # stack's: relative bound + non-finite preservation evaluated
+        # against the pristine input.
+        inner_blob, d_rec = self.inner.compress_verified(d, AbsoluteBound(ba))
+        with span("verify"):
+            recon = self._postprocess(
+                d_rec, ba, data.shape, data.dtype, all_nonneg, sign_payload
+            )
+            stack = (RelErrorSafeguard(br), NonFiniteSafeguard())
+            channel = compute_patch_channel(stack, original, recon)
+            patch_idx, patch_val = channel.patch_idx, channel.patch_val
+            # What decompress() will produce: the verified reconstruction
+            # with the patch channel applied on top.
+            final = np.ascontiguousarray(recon)
+            if patch_idx.size:
+                final.ravel()[patch_idx.astype(np.int64)] = patch_val
+            self._feed_audit(
+                original, final, br, channel.counts.get(stack[0].spec(), 0),
+                ba, ba0, eps0, max_log,
+            )
         self.last_patch_count = int(patch_idx.size)
         reg.counter("transform.patched_points").inc(self.last_patch_count)
 
@@ -246,66 +227,46 @@ class TransformedCompressor(Compressor):
         eps0: float,
         max_log: float,
     ) -> None:
-        """Record the verify pass's findings for this array.
+        """Grade this array once and file the entry with its Lemma-2 facts.
 
-        Runs whenever verify does: the :class:`~repro.observe.audit.ChunkAudit`
-        joins the open :func:`~repro.observe.audit.call_report` record, if
-        any, and the cheap ``audit.*`` registry counters always move.
         ``final`` is the array decompress() yields, patch channel applied,
-        so the entry is the stream's conformance and equals what
-        ``audit_stream`` finds offline.  The violation count is the
-        safeguard engine's, which has just enforced the bound.
+        so the :class:`~repro.observe.audit.ChunkAudit` it files in the
+        open :func:`~repro.observe.audit.call_report` record is the
+        stream's conformance and equals what ``audit_stream`` finds
+        offline.
         """
-        from repro.observe.audit import ChunkAudit, current_report, record_audit_metrics
+        from repro.observe.audit import file_audit, grade
         from repro.observe.events import emit as emit_event
-        from repro.observe.quality import ErrorHistogram, quality_enabled
 
         lemma2_ba = ba0 - max_log * eps0
-        # Digest collection costs <5% of the compress path (CI-gated).
-        hist = ErrorHistogram() if quality_enabled() else None
-        errors = measure_errors(original, final, hist=hist)
-        audit = ChunkAudit(
-            index=None,
-            codec=self.name,
-            n=errors.n,
-            bound_kind="rel",
-            bound_value=br,
-            max_rel=errors.max_rel,
-            max_abs=errors.max_abs,
-            bounded_fraction=1.0,
-            violations=0,
-            zeros=errors.zeros,
-            negatives=errors.negatives,
-            patched=patched,
-            effective_ba=ba,
-            theorem2_ba=ba0,
-            lemma2_ba=lemma2_ba,
+        audit = grade(
+            original, final, ("rel", br), self.name, patched=patched,
+            effective_ba=ba, theorem2_ba=ba0, lemma2_ba=lemma2_ba,
             lemma2_ok=bool(ba <= lemma2_ba + eps0 * (ba0 + 1.0)),
-            error_hist=hist.snapshot() if hist is not None else None,
         )
-        record_audit_metrics(audit)
-        rec = current_report()
-        if rec is not None:
-            rec.entries.append(audit)
+        file_audit(audit)
         if audit.patched:
             emit_event(
                 "patch-channel", codec=self.name, patched=audit.patched, n=audit.n
             )
 
-    def _compress_empty(self, data: np.ndarray, br: float) -> bytes:
+    def _compress_empty(self, data: np.ndarray, br: float) -> tuple[bytes, np.ndarray]:
         """Zero-element stream: no magnitudes, no inner payload to run.
 
         ``max_log_magnitude`` over nothing is 0, so the Lemma-2 adjustment
         degenerates to the plain Theorem-2 bound, which is what gets
-        recorded for the (vacuously satisfied) guarantee.
+        recorded for the (vacuously satisfied) guarantee and graded.
         """
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"expected float32/float64 data, got {data.dtype}")
         if data.ndim not in (1, 2, 3):
             raise ValueError(f"expected 1-D/2-D/3-D data, got ndim={data.ndim}")
+        ba = abs_bound_for(br, self.transform.base)
+        final = np.zeros(data.shape, data.dtype)
+        self._feed_audit(data, final, br, 0, ba, ba, machine_eps0(data.dtype), 0.0)
         box = self._new_container(self.name, data)
         box.put_f64("br", br)
-        box.put_f64("ba", abs_bound_for(br, self.transform.base))
+        box.put_f64("ba", ba)
         box.put_f64("base", self.transform.base)
         box.put_u64("all_nonneg", 1)
         box.put("signs", b"")
@@ -314,7 +275,7 @@ class TransformedCompressor(Compressor):
         put_patch_sections(
             box, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=data.dtype)
         )
-        return box.to_bytes()
+        return box.to_bytes(), final
 
     # -- decompression -----------------------------------------------------
 
@@ -388,23 +349,17 @@ class TransformedCompressor(Compressor):
         return signed.reshape(shape)
 
 
-def make_sz_t(
-    base: float = 2.0, verify: bool = True, nonfinite: str = "error"
-) -> TransformedCompressor:
+def make_sz_t(base: float = 2.0, nonfinite: str = "error") -> TransformedCompressor:
     """The paper's ``SZ_T``: SZ(abs) wrapped in the log transform."""
     from repro.compressors.sz import SZCompressor
 
-    return TransformedCompressor(
-        SZCompressor(), base=base, verify=verify, nonfinite=nonfinite
-    )
+    return TransformedCompressor(SZCompressor(), base=base, nonfinite=nonfinite)
 
 
-def make_zfp_t(
-    base: float = 2.0, verify: bool = True, nonfinite: str = "error"
-) -> TransformedCompressor:
+def make_zfp_t(base: float = 2.0, nonfinite: str = "error") -> TransformedCompressor:
     """The paper's ``ZFP_T``: ZFP(accuracy) wrapped in the log transform."""
     from repro.compressors.zfp import ZFPCompressor
 
     return TransformedCompressor(
-        ZFPCompressor("accuracy"), base=base, verify=verify, nonfinite=nonfinite
+        ZFPCompressor("accuracy"), base=base, nonfinite=nonfinite
     )

@@ -1,8 +1,9 @@
 """Point-wise error measurement: the one place a reconstruction is graded.
 
 Every comparison of a reconstruction with its original -- the compress
-path's verify audit, the offline ``audit_stream``, the quality digest,
-:func:`bounded_fraction` (the CLI compress line, Table IV),
+path's grade (``repro.observe.audit.grade``, which the CLI compress line
+reads from the call record) and the offline ``audit_stream``, the quality
+digest, :func:`bounded_fraction` (Table IV),
 :func:`relative_errors` and :func:`relative_residuals` (Fig. 4, the
 relative PSNR, error distributions) and ``quality_report`` -- goes through
 :func:`measure_errors`, one float64 pass with one convention:
@@ -21,8 +22,7 @@ relative PSNR, error distributions) and ``quality_report`` -- goes through
 * Every other point is graded by ``|x_d - x| / |x|`` against a relative
   bound, or ``|x_d - x|`` against an absolute one.
 
-:func:`max_rel_error` returns only the maximum relative error, screened
-in float32 first so the safeguard adapter's telemetry stays cheap.
+:func:`bounded_label` prints a grading as Table IV does.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "ErrorStats",
     "bounded_fraction",
-    "max_rel_error",
+    "bounded_label",
     "measure_errors",
     "relative_errors",
     "relative_residuals",
@@ -67,16 +67,22 @@ class ErrorStats:
         return self.bounded_fraction == 1.0
 
     def bounded_label(self) -> str:
-        """Table-IV style label: '100%', '~100%', '99.93%', with '*' for
-        modified zeros."""
-        f = self.bounded_fraction
-        if f == 1.0:
-            label = "100%"
-        elif f > 0.9999:
-            label = "~100%"
-        else:
-            label = f"{100 * f:.2f}%"
-        return label + ("*" if self.zeros_modified else "")
+        """:func:`bounded_label` of this grading."""
+        return bounded_label(self.violations, self.n, self.zeros_modified)
+
+
+def bounded_label(violations: int, n: int, zeros_modified: int | None) -> str:
+    """Table-IV style label of ``violations`` among ``n`` points: '100%',
+    '~100%', '99.93%', with '*' for modified zeros."""
+    # an empty reconstruction satisfies the bound vacuously
+    f = 1.0 - violations / n if n else 1.0
+    if f == 1.0:
+        label = "100%"
+    elif f > 0.9999:
+        label = "~100%"
+    else:
+        label = f"{100 * f:.2f}%"
+    return label + ("*" if zeros_modified else "")
 
 
 def _residuals(original, recon):
@@ -190,33 +196,3 @@ def relative_errors(original: np.ndarray, recon: np.ndarray) -> np.ndarray:
     """``|x - x_d| / |x|`` at the finite residuals of nonzero originals
     (flattened)."""
     return np.abs(relative_residuals(original, recon))
-
-
-def max_rel_error(original: np.ndarray, recon: np.ndarray) -> float:
-    """``measure_errors(original, recon).max_rel``, screened in float32.
-
-    For a float32 pair above 4096 points a float32 pass finds the argmax
-    neighbourhood and only those points are measured in float64.  When
-    the screen cannot vouch for its answer -- NaN/Inf ratios, or too many
-    candidates to save anything -- the full measurement runs instead.
-    """
-    x = np.ascontiguousarray(original).ravel()
-    xd = np.ascontiguousarray(recon).ravel()
-    if x.dtype == np.float32 and xd.dtype == np.float32 and x.size > 4096:
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            absx = np.abs(x)
-            nz = absx > 0
-            ratio = np.divide(np.abs(xd - x), absx, out=np.zeros_like(absx), where=nz)
-            m32 = float(ratio.max(initial=0.0))
-            if math.isfinite(m32):
-                # Keep everything float32 rounding could have demoted from
-                # the true argmax; subnormal |x| gets no such guarantee, so
-                # it is always re-measured.
-                cand = nz & (
-                    (ratio >= np.float32(m32 * (1.0 - 2e-6)))
-                    | (absx < np.float32(1.2e-38))
-                )
-                idx = np.flatnonzero(cand)
-                if idx.size <= x.size // 8:
-                    return measure_errors(x[idx], xd[idx]).max_rel
-    return measure_errors(x, xd).max_rel

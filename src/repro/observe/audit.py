@@ -6,14 +6,18 @@ bound shrunk by Lemma 2 to absorb mapping round-off, with quantization
 indices that deviate across bases by no more than Theorem 3's ceiling.
 This module continuously *watches* that guarantee:
 
-* :func:`call_report` -- the per-call record.  The verify step of
-  :class:`~repro.core.pwr.TransformedCompressor` adds one
+* :func:`grade` -- the one grading of a compressed array against its
+  original.  The layer that enforces a relative bound calls it once per
+  array (the transform wrapper's verify step, SZ_PWR, ISABELA, GZIP, or
+  the safeguards adapter when it patched or its inner codec left no
+  covering entry), and :func:`file_audit` adds the resulting
   :class:`ChunkAudit` to the innermost open record of its thread (or
-  context), wrappers fold their children's records into their own, and
-  chunk workers hand theirs back beside each chunk's result, so one
-  record covers one call whichever executor ran it.  The same pass moves
-  the cheap aggregate ``audit.*`` counters of the metrics registry, which
-  ``--metrics-out`` exports.
+  context) and moves the cheap aggregate ``audit.*`` counters of the
+  metrics registry, which ``--metrics-out`` exports.
+* :func:`call_report` -- the per-call record.  Wrappers fold their
+  children's records into their own, and chunk workers hand theirs back
+  beside each chunk's result, so one record covers one call whichever
+  executor ran it.
 * :func:`audit_stream` -- offline audit of a serialized stream: per
   chunk, the max point-wise relative error and bounded fraction against
   the original (when given), the effective ``b_a'`` actually recorded in
@@ -23,9 +27,8 @@ This module continuously *watches* that guarantee:
   :class:`AuditReport`; the CLI's ``repro-compress audit`` prints it and
   exits non-zero on any violation.
 
-Both measure point-wise errors through
-:func:`repro.metrics.error.measure_errors`, so the compress-path and the
-offline audit of one stream report the same errors, zero counts and
+Both grade through :func:`grade`, so the compress path and the offline
+audit of one stream report the same errors, violations, zero counts and
 digest.
 """
 
@@ -60,6 +63,8 @@ __all__ = [
     "audit_stream",
     "call_report",
     "current_report",
+    "file_audit",
+    "grade",
     "theorem3_check",
 ]
 
@@ -85,11 +90,11 @@ class ChunkAudit:
     violations: int | None
     zeros: int  # exact zeros in the reconstruction (sentinel-coded)
     negatives: int  # sign-bitmap-restored negative values
-    patched: int | None  # patch-channel entries (transformed streams)
-    effective_ba: float | None  # the b_a' the stream actually recorded
-    theorem2_ba: float | None  # unshrunk g(b_r) for the stream's base
-    lemma2_ba: float | None  # Lemma 2's b_a' recomputed from decoded data
-    lemma2_ok: bool | None  # effective_ba within Lemma 2's formula
+    patched: int | None = None  # patch-channel entries
+    effective_ba: float | None = None  # the b_a' the stream actually recorded
+    theorem2_ba: float | None = None  # unshrunk g(b_r) for the stream's base
+    lemma2_ba: float | None = None  # Lemma 2's b_a' recomputed from decoded data
+    lemma2_ok: bool | None = None  # effective_ba within Lemma 2's formula
     safeguards: tuple[str, ...] | None = None  # declared safeguard specs
     #: Per-spec recomputed violation counts (SAFE streams with original).
     safeguard_violations: dict[str, int] | None = None
@@ -98,6 +103,9 @@ class ChunkAudit:
     #: no original was available).  Mergeable: the aggregate report folds
     #: the per-chunk digests into ``error_summary``.
     error_hist: dict | None = None
+    #: Original zeros that no longer decode to zero (Table IV's ``*``);
+    #: None when no bound was graded.
+    zeros_modified: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -148,6 +156,8 @@ class AuditReport:
     #: bias) merged over every chunk's error digest; ``None`` when no
     #: digest was collected.  See ``repro.observe.quality``.
     error_summary: dict | None = None
+    #: Original zeros that no longer decode to zero, summed over chunks.
+    zeros_modified: int = 0
 
     @property
     def ok(self) -> bool:
@@ -280,6 +290,7 @@ class AuditReport:
             safeguards=safeguards,
             safeguard_violations=sg_viol,
             error_summary=merged.summary() if merged is not None else None,
+            zeros_modified=sum(c.zeros_modified or 0 for c in chunks),
         )
 
 
@@ -353,12 +364,59 @@ def current_report() -> CallReport | None:
     return _CALL.get()
 
 
+def grade(
+    original: np.ndarray,
+    final: np.ndarray,
+    bound: tuple[str | None, float | None],
+    codec: str,
+    index: int | None = None,
+    **facts,
+) -> ChunkAudit:
+    """Grade ``final`` -- the array decompress yields -- against ``original``.
+
+    One :func:`~repro.metrics.error.measure_errors` pass under ``bound``
+    (a ``(kind, value)`` pair) gives the errors, ``violations``,
+    ``bounded_fraction``, ``zeros_modified``, the zero and negative
+    counts and, with quality collection on, the error digest.  ``facts``
+    are the stream-side fields no measurement yields (``patched``, the
+    Lemma-2 bounds, ``safeguards``...).
+    """
+    # Digest collection costs <5% of the compress path (CI-gated).
+    hist = ErrorHistogram() if quality_enabled() else None
+    errors = measure_errors(original, final, bound, hist)
+    return ChunkAudit(
+        index=index,
+        codec=codec,
+        n=errors.n,
+        bound_kind=bound[0],
+        bound_value=bound[1],
+        max_rel=errors.max_rel,
+        max_abs=errors.max_abs,
+        bounded_fraction=errors.bounded_fraction,
+        violations=errors.violations,
+        zeros=errors.zeros,
+        negatives=errors.negatives,
+        error_hist=hist.snapshot() if hist is not None else None,
+        zeros_modified=errors.zeros_modified,
+        **facts,
+    )
+
+
+def file_audit(audit: ChunkAudit) -> None:
+    """Add ``audit`` to the open :func:`call_report` record, if any, and
+    move the ``audit.*`` counters, which always move."""
+    record_audit_metrics(audit)
+    rec = current_report()
+    if rec is not None:
+        rec.entries.append(audit)
+
+
 def record_audit_metrics(audit: ChunkAudit, registry: MetricsRegistry | None = None) -> None:
     """Move the aggregate ``audit.*`` metrics for one chunk audit.
 
-    Called from the encoder-side verify hook (cheap); these counters are
-    what ``--metrics-out`` exports, merged across thread/process pools
-    with the rest of the telemetry.
+    Called for every graded array (cheap); these counters are what
+    ``--metrics-out`` exports, merged across thread/process pools with
+    the rest of the telemetry.
     """
     reg = registry if registry is not None else _metrics()
     reg.counter("audit.points").inc(audit.n)
@@ -496,45 +554,24 @@ def _audit_one(
         theorem2_ba, lemma2_ba = lemma2_recomputed(recon, value, base, recon.dtype)
         lemma2_ok = bool(effective_ba <= lemma2_ba)
 
-    safeguards = model.safeguards
-    safeguard_violations = None
-    if safeguards is not None and original is not None:
-        safeguard_violations = _recheck_safeguards(safeguards, original, recon)
-
-    max_rel = max_abs = bf = violations = hist_snap = None
-    if original is None:
-        flat = recon.ravel()
-        zeros = int(np.count_nonzero(flat == 0))
-        negatives = int(np.count_nonzero(flat < 0))
-    else:
-        hist = ErrorHistogram() if quality_enabled() else None
-        errors = measure_errors(original, recon, model.bound, hist)
-        max_rel, max_abs = errors.max_rel, errors.max_abs
-        bf, violations = errors.bounded_fraction, errors.violations
-        zeros, negatives = errors.zeros, errors.negatives
-        if hist is not None:
-            hist_snap = hist.snapshot()
-
+    facts = dict(
+        index=index, patched=patched, effective_ba=effective_ba,
+        theorem2_ba=theorem2_ba, lemma2_ba=lemma2_ba, lemma2_ok=lemma2_ok,
+        safeguards=model.safeguards,
+    )
+    if original is not None:
+        if model.safeguards is not None:
+            facts["safeguard_violations"] = _recheck_safeguards(
+                model.safeguards, original, recon
+            )
+        return grade(original, recon, model.bound, model.codec, **facts)
+    flat = recon.ravel()
     return ChunkAudit(
-        index=index,
-        codec=model.codec,
-        n=int(recon.size),
-        bound_kind=kind,
-        bound_value=value,
-        max_rel=max_rel,
-        max_abs=max_abs,
-        bounded_fraction=bf,
-        violations=violations,
-        zeros=zeros,
-        negatives=negatives,
-        patched=patched,
-        effective_ba=effective_ba,
-        theorem2_ba=theorem2_ba,
-        lemma2_ba=lemma2_ba,
-        lemma2_ok=lemma2_ok,
-        safeguards=safeguards,
-        safeguard_violations=safeguard_violations,
-        error_hist=hist_snap,
+        codec=model.codec, n=int(recon.size), bound_kind=kind, bound_value=value,
+        max_rel=None, max_abs=None, bounded_fraction=None, violations=None,
+        zeros=int(np.count_nonzero(flat == 0)),
+        negatives=int(np.count_nonzero(flat < 0)),
+        **facts,
     )
 
 

@@ -198,10 +198,12 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
     deadline = chunked._deadline()
     n = len(chunks)
     pending = [i for i in range(n) if journal.chunk_blob(i) is None]
+    incidents = []
     for wave in _waves(pending, chunked.workers):
-        blobs, _ = chunked._run_chunks(
+        blobs, wave_incidents = chunked._run_chunks(
             [chunks[i] for i in wave], bound, False, deadline, indices=wave
         )
+        incidents += wave_incidents
         journal.record_chunks(list(zip(wave, blobs)))
     blobs = []
     for i in range(n):
@@ -210,6 +212,7 @@ def _finish_compress(journal: JobJournal, resumed: bool) -> JobResult:
             raise JournalError(f"chunk {i} missing from journal after compress")
         blobs.append(blob)
     stream = chunked._assemble(data, chunks, blobs)
+    chunked._report_resilience(n, incidents, chunked._chunk_codecs(blobs))
     reach("job.assembled", nbytes=len(stream))
     atomic_write_bytes(out_path, stream)
     reach("job.output-written", path=out_path)

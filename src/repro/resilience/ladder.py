@@ -2,8 +2,9 @@
 
 :class:`DegradationLadder` wraps an ordered chain of compressors.  Each
 compress call walks the chain: the first rung that produces a stream
-wins; a rung that raises or (with ``verify``) violates the requested
-relative bound is abandoned and the next rung tries.  The produced
+wins; a rung that raises is abandoned and the next rung tries.  Every
+rung that accepts a relative bound enforces and grades it itself, so a
+rung's stream never violates the bound it accepted.  The produced
 stream is the winning rung's own container, completely unchanged -- so
 decompression needs no knowledge of the ladder and a mixed-codec
 CHUNKED payload decodes like any other.
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Compressor, ErrorBound, RelativeBound
-from repro.metrics.error import measure_errors
+from repro.compressors.base import Compressor, ErrorBound
 from repro.observe.audit import call_report, current_report
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
@@ -46,12 +46,6 @@ class DegradationLadder(Compressor):
         Compressor instances or registry names, tried in order.  At least
         one rung is required; ending with ``"GZIP"`` makes the ladder
         total (lossless storage never fails on finite input).
-    verify:
-        With a :class:`RelativeBound`, grade each candidate on the array
-        its rung's ``compress_verified`` returns (the exact decode, without
-        running the decoder) and fall through when the achieved max
-        relative error exceeds the bound -- turning silent bound
-        violations into fallbacks.
     """
 
     name = "LADDER"
@@ -70,16 +64,11 @@ class DegradationLadder(Compressor):
                 last = rung_name
         return DegradationLadder(rungs)
 
-    def __init__(
-        self,
-        rungs=("SZ_T", "GZIP"),
-        verify: bool = False,
-    ) -> None:
+    def __init__(self, rungs=("SZ_T", "GZIP")) -> None:
         rungs = list(rungs) if not isinstance(rungs, (str, Compressor)) else [rungs]
         if not rungs:
             raise ValueError("a degradation ladder needs at least one rung")
         self._rungs = rungs
-        self.verify = bool(verify)
 
     # -- configuration -------------------------------------------------------
 
@@ -118,18 +107,6 @@ class DegradationLadder(Compressor):
 
     # -- compression ---------------------------------------------------------
 
-    def _verify(self, rung: Compressor, recon: np.ndarray, data: np.ndarray,
-                bound: RelativeBound) -> None:
-        """Raise when the candidate's decoded array violates the bound."""
-        # Grade against an eps-padded bound so float32 round-off is not
-        # misread as a violation.
-        errors = measure_errors(data, recon, ("rel", bound.value * (1 + 1e-12)))
-        if errors.violations:
-            raise ValueError(
-                f"{rung.name} stream violates rel bound {bound.value:g} at "
-                f"{errors.violations} point(s) (max rel err {errors.max_rel:.3e})"
-            )
-
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
         return self._compress_impl(data, bound, verified=False)[0]
 
@@ -146,7 +123,6 @@ class DegradationLadder(Compressor):
         fallbacks = 0
         failures: list[str] = []
         rungs = self.rungs
-        grade = self.verify and isinstance(bound, RelativeBound)
         for pos, rung in enumerate(rungs):
             try:
                 if not isinstance(bound, rung.supported_bounds):
@@ -154,12 +130,10 @@ class DegradationLadder(Compressor):
                         f"{rung.name} does not accept {type(bound).__name__}"
                     )
                 with call_report() as sub:
-                    if verified or grade:
+                    if verified:
                         blob, recon = rung.compress_verified(data, bound)
                     else:
                         blob, recon = rung.compress(data, bound), None
-                if grade:
-                    self._verify(rung, recon, data, bound)
             except Exception as exc:  # noqa: BLE001 - each rung failure is a
                 # fallback trigger by design; BaseException (kills,
                 # simulated crash points) still propagates.

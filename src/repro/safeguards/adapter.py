@@ -20,17 +20,11 @@ import numpy as np
 from repro.compressors.base import (
     Compressor,
     ErrorBound,
+    RelativeBound,
     get_compressor,
 )
 from repro.encoding.container import Container, ContainerError, peek_codec
-from repro.metrics.error import max_rel_error
-from repro.observe.audit import (
-    AuditReport,
-    ChunkAudit,
-    call_report,
-    current_report,
-    merged_digest,
-)
+from repro.observe.audit import CallReport, call_report, current_report, grade
 from repro.observe.events import emit as _emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -110,8 +104,16 @@ class SafeguardedCompressor(Compressor):
             )
         inner._check_bound(bound)
         data = np.asarray(data)
+        # The relative bound this array is graded against.
+        rel = self.declared_rel_bound
+        if rel is None and isinstance(bound, RelativeBound):
+            rel = float(bound.value)
         if data.size == 0:
-            return self._compress_empty(data), data.copy()
+            blob, stack = self._compress_empty(data)
+            final = data.copy()
+            channel = compute_patch_channel(stack, data, final)
+            self._record(data, final, rel, stack, channel, inner.name, CallReport())
+            return blob, final
         data = self._check_input(data, allow_nonfinite=True)
 
         stack = tuple(sg.resolve(data) for sg in self.safeguards)
@@ -131,7 +133,7 @@ class SafeguardedCompressor(Compressor):
         final = np.ascontiguousarray(recon.astype(data.dtype, copy=bool(channel.size)))
         if channel.size:
             final.ravel()[channel.patch_idx.astype(np.int64)] = channel.patch_val
-        self._record(data, final, stack, channel, inner.name, sub)
+        self._record(data, final, rel, stack, channel, inner.name, sub)
 
         box = self._new_container(self.name, data)
         box.put_str("safeguards", ";".join(sg.spec() for sg in stack))
@@ -140,7 +142,8 @@ class SafeguardedCompressor(Compressor):
         put_patch_sections(box, channel.patch_idx, channel.patch_val)
         return box.to_bytes(version=SAFEGUARD_VERSION), final
 
-    def _compress_empty(self, data: np.ndarray) -> bytes:
+    def _compress_empty(self, data: np.ndarray) -> tuple[bytes, tuple[Safeguard, ...]]:
+        """A zero-element stream and its resolved safeguard stack."""
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"expected float32/float64 data, got {data.dtype}")
         if data.ndim not in (1, 2, 3):
@@ -153,13 +156,17 @@ class SafeguardedCompressor(Compressor):
         put_patch_sections(
             box, np.empty(0, dtype=np.uint64), np.empty(0, dtype=data.dtype)
         )
-        return box.to_bytes(version=SAFEGUARD_VERSION)
+        return box.to_bytes(version=SAFEGUARD_VERSION), stack
 
-    def _record(self, data, final, stack, channel, inner_name, sub) -> None:
+    def _record(self, data, final, rel, stack, channel, inner_name, sub) -> None:
         """Move the ``safeguard.*`` metrics, and fold ``sub``, the inner
-        call's record, into the open one: its entries become this array's
-        one entry, with the patches of both layers and the declared rel
-        bound."""
+        call's record, into the open one as this array's one entry.
+
+        The entry relabels the inner codec's when that already graded
+        ``final``: the patch channel is empty and the inner call left one
+        entry covering the array, graded against ``rel``.  Otherwise this
+        layer grades ``final`` itself, against ``rel`` when there is one.
+        """
         reg = metrics()
         reg.counter("safeguard.points").inc(data.size)
         reg.counter("safeguard.patched").inc(channel.size)
@@ -169,26 +176,29 @@ class SafeguardedCompressor(Compressor):
             kind = spec_to_kind.get(spec_, spec_)
             by_kind[kind] = by_kind.get(kind, 0) + count
             reg.counter(f"safeguard.patched.{kind}").inc(count)
-        rel = self.declared_rel_bound
-        max_rel = None
-        if rel is not None:
-            # Post-patch: patched points are stored exactly in ``final``.
-            max_rel = max_rel_error(data, final)
-            reg.histogram("safeguard.max_rel").observe(max_rel)
+        specs = tuple(sg.spec() for sg in stack)
         rec = current_report()
-        if rec is not None:
-            entry = _fold(sub.entries, int(data.size))
-            if max_rel is not None:
-                # The patch channel has just enforced the declared bound.
+        if rec is not None or rel is not None:
+            inner = sub.entries[0] if len(sub.entries) == 1 else None
+            if (
+                not channel.size and rel is not None and inner is not None
+                and inner.n == data.size
+                and (inner.bound_kind, inner.bound_value) == ("rel", rel)
+            ):
                 entry = replace(
-                    entry, bound_kind="rel", bound_value=rel, violations=0,
-                    bounded_fraction=1.0, max_rel=max(max_rel, entry.max_rel or 0.0),
+                    inner, index=None, codec=self.name, patched=inner.patched or 0,
+                    safeguards=specs,
                 )
-            entry = replace(
-                entry, codec=self.name, patched=(entry.patched or 0) + channel.size,
-                safeguards=tuple(sg.spec() for sg in stack),
-            )
-            rec.add(replace(sub, entries=[entry]))
+            else:
+                entry = grade(
+                    data, final, ("rel", rel) if rel is not None else (None, None),
+                    self.name, safeguards=specs,
+                    patched=sum(e.patched or 0 for e in sub.entries) + channel.size,
+                )
+            if rel is not None:
+                reg.histogram("safeguard.max_rel").observe(entry.max_rel)
+            if rec is not None:
+                rec.add(replace(sub, entries=[entry]))
         if channel.size:
             _emit_event(
                 "safeguard-patch",
@@ -237,24 +247,6 @@ class SafeguardedCompressor(Compressor):
         with span("patch-apply", codec=self.name):
             apply_patch_sections(flat, box, dtype, self.name)
         return flat.reshape(shape)
-
-
-def _fold(entries: list[ChunkAudit], n: int) -> ChunkAudit:
-    """One audit entry standing for ``entries``, the inner codec's verify
-    passes over an array of ``n`` points (none: a codec that audits nothing)."""
-    if len(entries) == 1:
-        return entries[0]
-    agg = AuditReport.from_chunks(entries)
-    digest = merged_digest(entries)
-    return ChunkAudit(
-        index=None, codec=agg.codec, n=agg.n_points or n,
-        bound_kind=agg.bound_kind, bound_value=agg.bound_value,
-        max_rel=agg.max_rel, max_abs=agg.max_abs,
-        bounded_fraction=agg.bounded_fraction, violations=agg.violations,
-        zeros=agg.zeros, negatives=agg.negatives, patched=agg.patched,
-        effective_ba=None, theorem2_ba=None, lemma2_ba=None, lemma2_ok=None,
-        error_hist=digest.snapshot() if digest is not None else None,
-    )
 
 
 def read_stream_safeguards(box: Container) -> tuple[Safeguard, ...]:

@@ -16,7 +16,6 @@ from repro import (
     ChunkedCompressor,
     Compressor,
     DegradationLadder,
-    LosslessDeflate,
     PrecisionBound,
     RateBound,
     RelativeBound,
@@ -136,10 +135,6 @@ def test_transformed_preserving_nonfinite(factory, inp):
     _check_contract(factory(nonfinite="preserve"), INPUTS[inp](), BOUNDS["rel"])
 
 
-def test_transformed_without_verify_pass():
-    _check_contract(make_sz_t(verify=False), _field(np.float32), BOUNDS["rel"])
-
-
 # -- wrappers ------------------------------------------------------------------
 
 
@@ -167,27 +162,17 @@ class _Broken(Compressor):
         raise RuntimeError("broken rung")
 
 
-class _Coarse(LosslessDeflate):
-    """A GZIP stream of data rounded to one decimal: ignores any bound."""
-
-    def compress(self, data, bound=None):
-        return super().compress(np.round(data, 1), bound)
-
-
 @pytest.mark.parametrize("inp", sorted(INPUTS))
 @pytest.mark.parametrize(
-    "rungs,verify,fallbacks",
+    "rungs,fallbacks",
     [
-        (("SZ_T", "GZIP"), False, 0),
-        ((_Broken, "SZ_T"), False, 1),
-        ((_Coarse, "SZ_T"), True, 1),
+        (("SZ_T", "GZIP"), 0),
+        ((_Broken, "SZ_T"), 1),
     ],
-    ids=["primary", "broken-rung", "verify-fallback"],
+    ids=["primary", "broken-rung"],
 )
-def test_ladder(rungs, verify, fallbacks, inp):
-    ladder = DegradationLadder(
-        [r() if isinstance(r, type) else r for r in rungs], verify=verify
-    )
+def test_ladder(rungs, fallbacks, inp):
+    ladder = DegradationLadder([r() if isinstance(r, type) else r for r in rungs])
     data = INPUTS[inp]()
     with call_report() as rec:
         _check_contract(ladder, data, BOUNDS["rel"])

@@ -30,6 +30,14 @@ class TestBound:
         _, recon = roundtrip(zero_heavy_3d, 1e-2)
         np.testing.assert_array_equal(recon[zero_heavy_3d == 0], 0.0)
 
+    def test_negative_zero_sign_preserved(self):
+        # -0.0 quantizes to index 0, which rebuilds +0.0; the patch channel
+        # keeps its sign bit, as SZ_T, ZFP_T, SZ3_T, ISABELA and GZIP do.
+        data = np.tile(np.array([1.0, -0.0, 0.0, -2.5, -0.0], dtype=np.float32), 200)
+        _, recon = roundtrip(data, 1e-3)
+        np.testing.assert_array_equal(recon == 0, data == 0)
+        np.testing.assert_array_equal(np.signbit(recon), np.signbit(data))
+
     @pytest.mark.parametrize("br", [1e-2, 1e-3, 1e-4])
     def test_zeros_in_a_block_with_a_subnormal(self, br):
         # b_r * 5e-324 underflows to a zero block bound, so the block's

@@ -85,13 +85,15 @@ class TestBoundGuarantee:
         np.testing.assert_array_equal(decompress(blob), recon)
 
     def test_near_max_magnitudes_decode_finite_without_verify(self):
-        """exp2 overflow at the exponent-range edge is clipped, so even
-        verify=False streams cannot decode to inf."""
+        """exp2 overflow at the exponent-range edge is clipped, so the
+        stream decodes finite without the verify pass's patches: an
+        unclipped inverse would show up as patched points."""
         fi = np.finfo(np.float32)
         data = np.full(512, fi.max, dtype=np.float32)
         data[1::2] = fi.max * np.float32(0.999)
-        comp = make_sz_t(verify=False)
-        recon = comp.decompress(comp.compress(data, RelativeBound(1e-2)))
+        blob = make_sz_t().compress(data, RelativeBound(1e-2))
+        assert Container.from_bytes(blob).get_u64("n_patch") == 0
+        recon = decompress(blob)
         assert np.isfinite(recon).all()
         assert rel_errors(data, recon).max() <= 1e-2
 
@@ -155,13 +157,6 @@ class TestWrapperMechanics:
     def test_rejects_absolute_bound(self, smooth_positive_3d):
         with pytest.raises(UnsupportedBound):
             make_sz_t().compress(smooth_positive_3d, AbsoluteBound(1e-3))
-
-    def test_verify_off_skips_patch_channel(self, smooth_positive_3d):
-        comp = make_sz_t(verify=False)
-        blob = comp.compress(smooth_positive_3d, RelativeBound(1e-3))
-        assert Container.from_bytes(blob).get_u64("n_patch") == 0
-        recon = comp.decompress(blob)
-        assert rel_errors(smooth_positive_3d, recon).max() <= 1e-3
 
     def test_registry_dispatch(self, smooth_positive_3d):
         blob = get_compressor("SZ_T").compress(smooth_positive_3d, RelativeBound(1e-2))

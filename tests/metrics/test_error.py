@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import bounded_fraction, relative_errors
-from repro.metrics.error import max_rel_error, measure_errors
+from repro.metrics.error import measure_errors
 
 
 class TestRelativeErrors:
@@ -221,28 +221,3 @@ class TestNonFiniteEntryPoints:
         x = np.array([1.0, np.nan, 2.0, 0.0, 4.0])
         xd = np.array([1.1, np.nan, np.inf, 0.0, 4.4])
         np.testing.assert_allclose(relative_errors(x, xd), [0.1, 0.1])
-
-
-class TestMaxRelError:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1000, 20_000])
-    def test_matches_the_full_measurement(self, dtype, n):
-        rng = np.random.default_rng(n)
-        x = (rng.lognormal(0.0, 3.0, n) * rng.choice([-1, 1], n)).astype(dtype)
-        x[::97] = 0.0
-        x[5::101] = np.finfo(np.float32).tiny / 4  # subnormal in float32
-        xd = (x * (1.0 + rng.uniform(-1e-3, 1e-3, n))).astype(dtype)
-        xd[3::89] = x[3::89]  # exactly reproduced points
-        assert max_rel_error(x, xd) == measure_errors(x, xd).max_rel
-
-    @pytest.mark.parametrize("val", NONFINITE)
-    def test_nonfinite_points_stay_out_of_the_max(self, val):
-        rng = np.random.default_rng(9)
-        x = rng.lognormal(size=20_000).astype(np.float32)
-        xd = (x * (1.0 + 3e-4)).astype(np.float32)
-        x[10] = xd[10] = val
-        x[20] = 5.0
-        xd[20] = val
-        got = max_rel_error(x, xd)
-        assert got == measure_errors(x, xd).max_rel
-        assert got == pytest.approx(3e-4, rel=1e-3)

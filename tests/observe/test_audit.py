@@ -6,7 +6,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro import RelativeBound, decompress, get_compressor
+from repro import (
+    AbsoluteBound,
+    DegradationLadder,
+    PrecisionBound,
+    RelativeBound,
+    SafeguardedCompressor,
+    decompress,
+    get_compressor,
+)
 from repro.core.chunked import ChunkedCompressor
 from repro.core.pwr import make_sz_t
 from repro.metrics.error import measure_errors
@@ -263,11 +271,14 @@ class TestAuditStream:
 
 
 class TestCompressPathMatchesOffline:
-    """The verify pass and ``audit_stream`` measure one stream identically."""
+    """The compress path's record and ``audit_stream`` grade one stream
+    identically, whichever layer graded it."""
 
     @pytest.mark.parametrize("kind", [
         "zero-free", "zero-heavy", "nonfinite",
         "chunked-serial", "chunked-thread", "chunked-process",
+        "SZ2_T", "SZ3_T", "ZFP_T", "SZ_PWR", "ISABELA", "GZIP",
+        "SAFE-ZFP_P", "SAFE-ZFP_A", "SAFE-SZ_T", "ladder",
     ])
     def test_digest_and_counts_agree(self, kind):
         rng = np.random.default_rng(4)
@@ -275,6 +286,7 @@ class TestCompressPathMatchesOffline:
         x = rng.lognormal(0.0, 2.0, n).astype(np.float32)
         x[::3] *= -1
         comp = get_compressor("SZ_T")
+        bound = RelativeBound(1e-3)
         if kind == "zero-heavy":
             x[rng.random(n) < 0.5] = 0.0
         elif kind == "nonfinite":
@@ -284,12 +296,24 @@ class TestCompressPathMatchesOffline:
             # One record whichever executor ran the 10 chunks.
             comp = ChunkedCompressor("SZ_T", chunk_bytes=16 << 10, workers=2,
                                      executor=kind.split("-")[1])
+        elif kind.startswith("SAFE-"):
+            inner = kind.split("-")[1]
+            comp = SafeguardedCompressor(inner, ["rel:1e-3"])
+            bound = {"ZFP_P": PrecisionBound(20), "ZFP_A": AbsoluteBound(1e-2)}.get(
+                inner, bound
+            )
+        elif kind == "ladder":
+            comp = DegradationLadder(["ZFP_P", "GZIP"])
+        elif kind != "zero-free":
+            comp = get_compressor(kind)
         with call_report() as rec:
-            blob = comp.compress(x, RelativeBound(1e-3))
+            blob = comp.compress(x, bound)
         online = rec.audit()
         offline = audit_stream(blob, x, check_theorem3=False)
         assert (online.n_points, online.n_chunks) == (offline.n_points, offline.n_chunks)
         assert online.n_chunks == (10 if kind.startswith("chunked-") else 1)
+        assert online.violations == offline.violations == 0
+        bounded = kind not in ("GZIP", "ladder")  # GZIP streams carry no bound
         for got, want in zip(online.chunks, offline.chunks):
             assert got.index == want.index
             assert got.error_hist is not None
@@ -297,6 +321,10 @@ class TestCompressPathMatchesOffline:
             assert got.zeros == want.zeros
             assert got.negatives == want.negatives
             assert (got.max_rel, got.max_abs) == (want.max_rel, want.max_abs)
+            if bounded:
+                assert (got.bound_kind, got.bound_value) == (want.bound_kind, want.bound_value)
+                assert got.violations == want.violations
+                assert got.zeros_modified == want.zeros_modified
         if kind == "nonfinite":
             (got,) = online.chunks
             assert got.zeros == 1 and got.error_hist["nonfinite"] == 3

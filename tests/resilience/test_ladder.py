@@ -73,12 +73,6 @@ class TestFallback:
         with pytest.raises(UnsupportedBound):
             DegradationLadder(["ZFP_P"])._check_bound(RelativeBound(1e-3))
 
-    def test_verify_mode_rejects_bound_violations(self, field_2d):
-        # A very loose SZ_T stream is fine; verify must not reject it.
-        ladder = DegradationLadder(["SZ_T", "GZIP"], verify=True)
-        blob = ladder.compress(field_2d, RelativeBound(1e-2))
-        assert peek_codec(blob) == "SZ_T"
-
 
 class TestChunkedIntegration:
     def bound(self):

@@ -477,6 +477,27 @@ class TestResilienceFlags:
         assert open(journaled, "rb").read() == open(plain, "rb").read()
         assert not (tmp_path / "wal").exists()
 
+    @pytest.mark.parametrize(
+        "extra", [(), ("--compressor", "ZFP_P", "--ladder", "GZIP")],
+        ids=["SZ_T", "ladder"],
+    )
+    def test_journaled_compress_reports_like_plain(self, field, tmp_path, capsys, extra):
+        """A job that compresses every chunk prints the plain command's
+        resilience line and ``bounded …`` suffix."""
+        path, _ = field
+        argv = ["--shape", "16,16,16", "--rel-bound", "1e-3", "--chunk-size", "4K", *extra]
+        assert main(["compress", path, str(tmp_path / "p.rpz"), *argv]) == 0
+        plain = capsys.readouterr()
+        assert main(["compress", path, str(tmp_path / "j.rpz"), *argv,
+                     "--journal", str(tmp_path / "wal")]) == 0
+        journaled = capsys.readouterr()
+        suffix = plain.out[plain.out.index(", bounded "):]
+        assert journaled.out.startswith(f"{path}: completed: 4 chunks (4 compressed)")
+        assert journaled.out.endswith(suffix)
+        assert journaled.err == plain.err
+        if extra:
+            assert plain.err == "resilience: 4 chunks: 4 fell back down the codec ladder\n"
+
     def test_kill_and_resume_via_cli(self, field, tmp_path, capsys):
         from repro.testing import CrashPoint, kill_at
 

@@ -1,22 +1,28 @@
-"""``repro compress`` encodes once: no decode, one event per codec level.
+"""``repro compress`` encodes once: no decode, one event per codec level,
+one measurement per array.
 
-The compress command grades the array the verify pass returns
-(``compress_verified``) instead of decoding the stream it has just
-written, so it must succeed with every decoder disabled and print the
-same numbers a decode would give.  Every SZ- and ZFP-family codec but
-ZFP_R builds that array in ``compress_verified`` from its encoder's
-state, so it too runs with every decoder disabled.  Every
-``compress_verified`` is traced like ``compress``: one ``compress`` event
-per codec level, in the order the levels finish.
+The compress command prints the bound the enforcing layer graded into the
+call record instead of decoding the stream it has just written, so it
+must succeed with every decoder disabled, print the same numbers a decode
+would give, and measure each array (or chunk) exactly once.  Every SZ-
+and ZFP-family codec but ZFP_R, and ISABELA, builds the array
+``compress_verified`` returns from its encoder's state, so it too runs
+with every decoder disabled.  Every ``compress_verified`` is traced like
+``compress``: one ``compress`` event per codec level, in the order the
+levels finish.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 import repro
 import repro.cli
+import repro.metrics.error
 from repro import (
     AbsoluteBound,
+    ChunkedCompressor,
     Compressor,
     PrecisionBound,
     RelativeBound,
@@ -55,8 +61,20 @@ def field(tmp_path):
     return path, data
 
 
-def _compress(path, out, *extra) -> bytes:
-    assert main(["compress", path, out, "--rel-bound", repr(BR), *extra]) == 0
+@pytest.fixture()
+def small_field(tmp_path):
+    """A signed 16384-point lognormal float32 field with zeros."""
+    rng = np.random.default_rng(3)
+    data = rng.lognormal(0.0, 2.0, 16384).astype(np.float32)
+    data[::3] *= -1
+    data[::7] = 0.0
+    path = str(tmp_path / "small.npy")
+    np.save(path, data)
+    return path, data
+
+
+def _compress(path, out, *extra, bound=("--rel-bound", repr(BR))) -> bytes:
+    assert main(["compress", path, out, *bound, *extra]) == 0
     with open(out, "rb") as fh:
         return fh.read()
 
@@ -80,14 +98,14 @@ class TestCompressDecodesNothing:
     @pytest.mark.parametrize(
         "name",
         ["SZ_ABS", "SZ2_ABS", "SZ3_ABS", "SZ_PWR", "ZFP_A", "ZFP_P",
-         "SZ_T", "SZ2_T", "SZ3_T", "ZFP_T"],
+         "SZ_T", "SZ2_T", "SZ3_T", "ZFP_T", "ISABELA"],
     )
     def test_codec_derives_its_array(self, name, dtype, no_decoding):
         """These codecs' ``compress_verified`` decodes nothing.
 
         The rest still compress, then decode (the base class's default):
         ZFP_R (its bit budget cuts blocks short, so only a decode knows
-        which planes survive), FPZIP, GZIP, ISABELA and third-party codecs.
+        which planes survive), FPZIP, GZIP and third-party codecs.
         """
         data = gaussian_random_field((10, 11, 13), beta=3.0, seed=5).astype(dtype)
         data[:, :, :4] = 0.0
@@ -100,19 +118,39 @@ class TestCompressDecodesNothing:
         np.testing.assert_array_equal(recon.view(bits), decompress(blob).view(bits))
 
     @pytest.mark.parametrize(
-        "extra",
+        "size,extra",
         [
-            (),
-            ("--safeguard", "rel:1e-3"),
-            ("--ladder", "SZ_T>GZIP"),
-            ("--chunk-size", "512K", "--workers", "2"),
+            ("1M", ()),
+            ("1M", ("--safeguard", "rel:1e-3")),
+            ("1M", ("--ladder", "SZ_T>GZIP")),
+            ("1M", ("--chunk-size", "512K", "--workers", "2")),
+            *[("16K", ("--compressor", name)) for name in
+              ("ZFP_T", "SZ2_T", "SZ3_T", "SZ_PWR", "ISABELA", "GZIP")],
+            ("16K", ("--compressor", "ZFP_P", "--precision", "20",
+                     "--safeguard", "rel:1e-3")),
+            ("16K", ("--compressor", "ZFP_P", "--ladder", "GZIP")),
+            ("16K", ("--chunk-size", "4K", "--workers", "2")),
+            ("16K", ("--chunk-size", "4K", "--workers", "2", "--parity", "2")),
+            ("0", ()),
         ],
-        ids=["SZ_T", "safeguard", "ladder", "chunked"],
+        ids=["SZ_T", "safeguard", "ladder", "chunked",
+             "ZFP_T", "SZ2_T", "SZ3_T", "SZ_PWR", "ISABELA", "GZIP",
+             "ZFP_P-safeguard", "ZFP_P-ladder", "chunked-4K", "chunked-parity",
+             "empty"],
     )
-    def test_prints_the_decoded_bound(self, field, tmp_path, capsys, no_decoding, extra):
-        path, data = field
-        out = str(tmp_path / "f.rpz")
-        blob = _compress(path, out, *extra)
+    def test_prints_the_decoded_bound(self, field, small_field, tmp_path, capsys,
+                                      no_decoding, size, extra):
+        """The printed line is what grading a decode gives, and a chunked
+        compress brings no chunk's array back from the pool."""
+        if size == "0":
+            path, data = str(tmp_path / "empty.npy"), np.zeros(0, np.float32)
+            np.save(path, data)
+        else:
+            path, data = field if size == "1M" else small_field
+        if "--chunk-size" in extra:
+            no_decoding.setattr(ChunkedCompressor, "compress_verified", _refuse)
+        bound = () if "--precision" in extra else ("--rel-bound", repr(BR))
+        blob = _compress(path, str(tmp_path / "f.rpz"), *extra, bound=bound)
         line = capsys.readouterr().out.strip()
         no_decoding.undo()
         stats = bounded_fraction(data, decompress(blob), BR)
@@ -134,6 +172,46 @@ class TestCompressDecodesNothing:
         assert main(["compress", path, out, "--compressor", "FPZIP",
                      "--precision", "19"]) == 0
         assert capsys.readouterr().out.strip().endswith(" with FPZIP")
+
+
+class TestOneMeasurementPerArray:
+    """``repro compress`` measures each array, or each chunk, once: in the
+    layer that enforces the bound, never again in a wrapper or the CLI."""
+
+    @pytest.fixture()
+    def measured(self, monkeypatch):
+        """Sizes of the originals every ``measure_errors`` call grades."""
+        sizes = []
+        real = repro.metrics.error.measure_errors
+
+        def counting(original, recon, *args, **kwargs):
+            sizes.append(np.asarray(original).size)
+            return real(original, recon, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "repro" and vars(module).get("measure_errors") is real:
+                monkeypatch.setattr(module, "measure_errors", counting)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "extra,calls",
+        [
+            ((), 1),
+            (("--safeguard", "rel:1e-3"), 1),
+            (("--chunk-size", "16K", "--workers", "1"), 4),
+            (("--compressor", "SZ_PWR"), 1),
+            (("--compressor", "ZFP_P", "--precision", "20", "--safeguard", "rel:1e-3"), 1),
+        ],
+        ids=["SZ_T", "safeguard", "chunked", "SZ_PWR", "ZFP_P-safeguard"],
+    )
+    def test_compress(self, tmp_path, measured, extra, calls):
+        data = np.random.default_rng(0).lognormal(0.0, 2.0, 16384).astype(np.float32)
+        path = str(tmp_path / "field.npy")
+        np.save(path, data)
+        bound = () if "--precision" in extra else ("--rel-bound", repr(BR))
+        _compress(path, str(tmp_path / "f.rpz"), *extra, bound=bound)
+        assert len(measured) == calls
+        assert sum(measured) == data.size
 
 
 class TestCompressEvents:
