@@ -97,6 +97,11 @@ class SZPointwiseRelative(Compressor):
             (nblocks,) + (1,) * ndim
         )
         patch = (viol | risky | ((tiles == 0) & np.signbit(tiles))).reshape(-1)
+        if padded_shape != data.shape:
+            # Padding replicas of edge points are cropped by the decoder.
+            inside = np.zeros(padded_shape, dtype=bool)
+            inside[tuple(map(slice, data.shape))] = True
+            patch &= block_partition(inside, edge)[0].reshape(-1)
         patch_idx = np.flatnonzero(patch).astype(np.uint64)
         patch_val = tiles.reshape(-1)[patch_idx.astype(np.int64)]
 

@@ -63,7 +63,8 @@ class SZCompressor(Compressor):
         coded, everything else escapes to the exact side channel.
     use_stage3:
         Apply SZ's optional DEFLATE pass over the Huffman payload when it
-        shrinks the stream.
+        shrinks the stream (a payload over 64 KiB is tried only when a
+        sample of it deflates by at least 1%).
     order:
         Lorenzo prediction order (1 = classic stencil, 2 = two causal
         layers / linear extrapolation, SZ 1.4's "layer" option).
@@ -169,6 +170,28 @@ class SZCompressor(Compressor):
 
 # -- SZ's entropy stage, shared by SZ_ABS, SZ2_ABS, SZ3_ABS and SZ_PWR ---------
 
+#: Huffman payloads up to this many bytes always take the full stage-3
+#: trial; larger ones take it only when :func:`_stage3_pays`.
+_STAGE3_EXACT = 64 << 10
+#: The stage-3 sample: this many evenly spaced windows of this many bytes.
+_STAGE3_WINDOWS = 8
+_STAGE3_WINDOW = 4 << 10
+
+
+def _stage3_pays(blob: bytes) -> bool:
+    """Whether a sample of ``blob`` deflates to at most 99% of its size.
+
+    Huffman payloads are close to incompressible; DEFLATE finds what
+    redundancy is left (long runs, repeated regions) throughout the
+    payload, so evenly spaced windows predict the whole payload's gain.
+    """
+    last = len(blob) - _STAGE3_WINDOW
+    sample = b"".join(
+        blob[o : o + _STAGE3_WINDOW]
+        for o in (last * i // (_STAGE3_WINDOWS - 1) for i in range(_STAGE3_WINDOWS))
+    )
+    return len(deflate(sample)) <= 0.99 * len(sample)
+
 
 def _pack_payload(
     box: Container,
@@ -183,16 +206,19 @@ def _pack_payload(
 
     Sections, in this order: ``stage3``, ``codes`` (Huffman payload,
     DEFLATEd when ``use_stage3`` and that shrinks it), ``escq``,
-    ``n_esc``, then the patch channel.
+    ``n_esc``, then the patch channel.  A payload over
+    :data:`_STAGE3_EXACT` bytes is deflated whole only when a sample of
+    it deflates by at least 1% (:func:`_stage3_pays`).
     """
     with span("huffman-encode"):
         blob = huffman.encode(codes)
     squeezed = False
     if use_stage3:
         with span("stage3-deflate"):
-            deflated = deflate(blob)
-        if len(deflated) < len(blob):
-            blob, squeezed = deflated, True
+            if len(blob) <= _STAGE3_EXACT or _stage3_pays(blob):
+                deflated = deflate(blob)
+                if len(deflated) < len(blob):
+                    blob, squeezed = deflated, True
     box.put_u64("stage3", int(squeezed))
     box.put("codes", blob)
     box.put("escq", deflate(zigzag_encode(esc_q).tobytes()))

@@ -12,10 +12,13 @@ every per-symbol Python loop:
   Tie-breaking matches the reference heap exactly (equal counts:
   earlier-created node first, leaves in symbol order before internals),
   so code lengths and therefore blobs are byte-identical;
-* encoding gathers per-symbol code values/lengths from the canonical
-  tables and packs bits with weighted ``np.bincount`` scatters (each
-  codeword left-aligned in the 64-bit window spanning its two 32-bit
-  words; disjoint bits make the float64 sums exact scatter-ORs);
+* encoding walks the symbols in segments of whole chunks (~2**16
+  symbols), so its temporaries stay cache-sized: each segment gathers
+  its code lengths and values, takes uint32 bit cursors from its first
+  word, left-aligns each codeword in the 64-bit window at the word
+  holding its first bit, and ORs every word's windows together through
+  one XOR prefix over the segment (disjoint bits make XOR an OR); the
+  chunk offsets are read off the same cursors;
 * decoding walks all chunks in parallel, one table-driven step per
   symbol slot: each step gathers a 32-bit window at every chunk's
   cursor, resolves symbol + length from a fused first-level prefix
@@ -62,6 +65,11 @@ _MAX_DECODE_LEN = 25
 # Chunk cursors are uint32 bit offsets from their segment's first byte; a
 # payload over this many bits is walked in several segments of whole chunks.
 _SEGMENT_BITS = 1 << 29
+
+# The encoder packs bits in segments of this many symbols, rounded down to
+# whole chunks (a longer chunk is split): its per-symbol temporaries stay
+# cache-sized.
+_ENCODE_SYMBOLS = 1 << 16
 
 
 def huffman_code_lengths(counts: np.ndarray, length_limit: int = _LENGTH_LIMIT) -> np.ndarray:
@@ -290,19 +298,13 @@ class HuffmanCodec:
             header.append(write_varint(0))  # empty length table
             return b"".join(header)
 
-        lengths = huffman_code_lengths(np.bincount(symbols))
+        counts = np.bincount(symbols)
+        lengths = huffman_code_lengths(counts)
         canon = _Canon(lengths)
-
-        enc_len = lengths[symbols].astype(np.int64)
-        enc_val = canon.code_of[symbols]
-        ends = np.cumsum(enc_len)
-        starts = ends - enc_len
-        total_bits = int(ends[-1])
-        payload = _pack_codes(enc_val, enc_len, starts, total_bits)
+        words, chunk_starts, total_bits = _pack(symbols, counts, canon, self.chunk_size)
 
         # Chunk offsets stored as uint32 deltas (they delta-compress well
         # and keep the side channel tiny even at small chunk sizes).
-        chunk_starts = starts[:: self.chunk_size]
         deltas = np.diff(chunk_starts, prepend=0).astype(np.uint32)
 
         len_table = deflate(lengths.tobytes())
@@ -312,7 +314,7 @@ class HuffmanCodec:
         header.append(write_varint(len(offs)))
         header.append(offs)
         header.append(write_varint(total_bits))
-        header.append(payload)
+        header.append(words.astype(">u4", copy=False).view(np.uint8)[: (total_bits + 7) >> 3])
         return b"".join(header)
 
     # -- decoding ----------------------------------------------------------
@@ -503,31 +505,58 @@ def _walk(
     return syms.reshape(-1)[:n]
 
 
-def _pack_codes(
-    enc_val: np.ndarray, enc_len: np.ndarray, starts: np.ndarray, total_bits: int
-) -> bytes:
-    """Pack codewords MSB-first into bytes via word accumulators.
+def _pack(
+    symbols: np.ndarray, counts: np.ndarray, canon: _Canon, chunk_size: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pack the codewords of ``symbols`` MSB-first into 32-bit words.
 
-    Each codeword (<= 32 bits, starting at bit offset ``starts[i]``) is
-    left-aligned inside the 64-bit window covering its two 32-bit words.
-    Codewords never overlap, so every accumulator word is a sum of
-    bit-disjoint 32-bit values -- which makes ``np.bincount`` with float64
-    weights an exact scatter-OR (disjoint bits sum without carries and
-    stay below 2**32, inside float64's integer range), and it runs far
-    faster than ``np.bitwise_or.at``.
+    Returns ``(words, chunk_starts, total_bits)``: native uint32 words
+    (one spare at the end), every chunk's first bit, and the bit count.
+    Segments of whole chunks (a chunk longer than :data:`_ENCODE_SYMBOLS`
+    is split) keep every temporary segment-sized; inside one, uint32
+    cursors count from the word holding its first bit.  Each codeword is
+    left-aligned in the 64-bit window at its first bit's word.  Codewords
+    never overlap, so XOR ORs them: the windows of one word (a run, the
+    cursors being sorted) sum to the XOR of the prefix XORs at the ends of
+    its run and of the run before.  The high half lands in that word, the
+    low half in the next; a code of at most 32 bits starts in every word
+    it touches but the last, so the runs cover the words contiguously.
     """
-    nwords = (total_bits + 31) >> 5
-    word = starts >> 5
-    bitoff = (starts & 31).astype(np.uint64)
-    contrib = enc_val.astype(np.uint64) << (
-        np.uint64(64) - bitoff - enc_len.astype(np.uint64)
-    )
-    acc = np.bincount(
-        word, weights=(contrib >> np.uint64(32)).astype(np.float64), minlength=nwords
-    )
-    acc[1:] += np.bincount(
-        word, weights=(contrib & np.uint64(0xFFFFFFFF)).astype(np.float64),
-        minlength=nwords,
-    )[: nwords - 1]
-    nbytes = (total_bits + 7) >> 3
-    return acc.astype(np.uint32)[:nwords].astype(">u4").tobytes()[:nbytes]
+    n = symbols.size
+    lengths, code_of = canon.lengths, canon.code_of
+    total_bits = int(counts[canon.sym_sorted] @ canon._sorted_lens)
+    words = np.zeros((total_bits >> 5) + 2, dtype=np.uint32)
+    chunk_starts = np.empty(-(-n // chunk_size), dtype=np.int64)
+    step = _ENCODE_SYMBOLS // chunk_size * chunk_size or _ENCODE_SYMBOLS
+    bit = 0  # first bit of the current segment
+    c = 0  # chunks started so far
+    for a in range(0, n, step):
+        seg = symbols[a : a + step]
+        m = seg.size
+        base, off = bit >> 5, bit & 31
+        ln = lengths.take(seg)
+        cur = np.empty(m + 1, dtype=np.uint32)  # starts, then the end
+        cur[0] = off
+        cur[1:] = ln
+        np.cumsum(cur, out=cur)
+        starts = cur[:-1]
+        cs = starts[-a % chunk_size :: chunk_size]  # the chunks starting here
+        chunk_starts[c : c + cs.size] = cs
+        chunk_starts[c : c + cs.size] += base << 5
+        c += cs.size
+
+        shift = starts & np.uint32(31)
+        shift += ln
+        np.subtract(np.uint32(64), shift, out=shift)
+        window = code_of.take(seg).view(np.uint64)
+        np.left_shift(window, shift, out=window)
+        word = starts >> np.uint32(5)
+        ends = np.append(np.flatnonzero(word[1:] != word[:-1]), m - 1)
+        np.bitwise_xor.accumulate(window, out=window)
+        acc = window.take(ends)
+        acc[1:] ^= acc[:-1]
+        nw = acc.size
+        words[base : base + nw] |= (acc >> np.uint64(32)).astype(np.uint32)
+        words[base + 1 : base + nw + 1] |= acc.astype(np.uint32)
+        bit = (base << 5) + int(cur[m])
+    return words, chunk_starts, total_bits

@@ -256,12 +256,11 @@ class AuditReport:
         abss = [c.max_abs for c in chunks if c.max_abs is not None]
         n = sum(c.n for c in chunks)
         with_bf = [c for c in chunks if c.bounded_fraction is not None]
-        bf = (
-            sum(c.bounded_fraction * c.n for c in with_bf)
-            / max(1, sum(c.n for c in with_bf))
-            if with_bf
-            else None
-        )
+        bf = None
+        if with_bf:
+            n_bf = sum(c.n for c in with_bf)
+            # no points at all satisfy the bound vacuously
+            bf = sum(c.bounded_fraction * c.n for c in with_bf) / n_bf if n_bf else 1.0
         first = next((c for c in chunks if c.bound_kind is not None), None)
         safeguards: tuple[str, ...] = ()
         sg_viol: dict[str, int] = {}
@@ -485,8 +484,12 @@ def lemma2_recomputed(
     from repro.core.error_bounds import abs_bound_for, machine_eps0
     from repro.core.transform import LogTransform
 
-    tf = LogTransform(base)
     ba0 = abs_bound_for(rel_bound, base)
+    if not recon.size:
+        # An empty stream has no logs and no sentinel: the encoder records
+        # plain g(b_r).
+        return ba0, ba0
+    tf = LogTransform(base)
     eps0 = machine_eps0(dtype)
     mags = np.abs(np.asarray(recon, dtype=np.float64)).ravel()
     # The encoder takes its logs after preserved NaN/Inf became zeros.

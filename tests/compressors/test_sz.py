@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compressors import AbsoluteBound, SZCompressor
-from repro.encoding import Container
+from repro.encoding import Container, deflate, inflate
 
 
 def roundtrip(data, eb, **kw):
@@ -86,6 +86,74 @@ class TestCompressionBehaviour:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             SZCompressor(radius=0)
+
+
+class _StubHuffman:
+    """Returns a crafted payload whatever the codes."""
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+
+    def encode(self, codes) -> bytes:
+        return self.payload
+
+
+class TestStage3Rule:
+    """Stage 3 deflates a payload over 64 KiB only when a sample of it
+    deflates by at least 1%; smaller payloads always take the trial."""
+
+    @staticmethod
+    def pack(monkeypatch, payload: bytes, use_stage3: bool = True):
+        from repro.compressors.sz import sz
+
+        sizes = []  # input sizes of the entropy stage's own deflate calls
+
+        def spy(data, *args):
+            sizes.append(len(data))
+            return deflate(data, *args)
+
+        monkeypatch.setattr(sz, "deflate", spy)
+        box = Container("SZ_ABS")
+        sz._pack_payload(box, _StubHuffman(payload), np.zeros(4, np.int64),
+                         np.zeros(0, np.int64), np.zeros(0, np.uint64),
+                         np.zeros(0, np.float32), use_stage3)
+        return box, sizes
+
+    @staticmethod
+    def payload(size: int, alphabet: int) -> bytes:
+        # Bytes uniform over ``alphabet`` values: entropy log2(alphabet) bits.
+        rng = np.random.default_rng(size + alphabet)
+        return rng.integers(0, alphabet, size, dtype=np.uint8).tobytes()
+
+    def test_large_payload_deflating_under_1pct_skips_the_trial(self, monkeypatch):
+        payload = self.payload(200_000, 240)
+        assert 0.99 < len(deflate(payload)) / len(payload) < 1.0  # premise
+        box, sizes = self.pack(monkeypatch, payload)
+        assert box.get_u64("stage3") == 0
+        assert box.get("codes") == payload
+        assert len(payload) not in sizes
+        assert max(sizes) == 8 * 4096  # the sample alone
+
+    def test_large_payload_deflating_over_1pct_takes_the_trial(self, monkeypatch):
+        payload = self.payload(200_000, 200)
+        box, sizes = self.pack(monkeypatch, payload)
+        assert box.get_u64("stage3") == 1
+        assert len(payload) in sizes
+        assert inflate(box.get("codes")) == payload
+
+    def test_small_payload_keeps_the_exact_rule(self, monkeypatch):
+        payload = self.payload(60_000, 250)
+        assert 0.998 < len(deflate(payload)) / len(payload) < 1.0  # ~0.1% smaller
+        box, sizes = self.pack(monkeypatch, payload)
+        assert box.get_u64("stage3") == 1
+        assert inflate(box.get("codes")) == payload
+
+    def test_stage3_off_never_deflates_the_payload(self, monkeypatch):
+        payload = self.payload(200_000, 200)
+        box, sizes = self.pack(monkeypatch, payload, use_stage3=False)
+        assert box.get_u64("stage3") == 0
+        assert box.get("codes") == payload
+        assert max(sizes) < 8 * 4096
 
 
 class TestStreamIntegrity:

@@ -38,6 +38,26 @@ class TestBound:
         np.testing.assert_array_equal(recon == 0, data == 0)
         np.testing.assert_array_equal(np.signbit(recon), np.signbit(data))
 
+    @pytest.mark.parametrize("shape", [(1000,), (13, 17)], ids=["1d", "2d"])
+    def test_padding_replicas_not_patched(self, shape):
+        # The last 256-point block (1-D) and the ragged 16x16 edge tiles
+        # (2-D) replicate their edge points; only points inside the array
+        # are stored in the patch channel.
+        if len(shape) == 1:
+            data = np.tile(np.array([1.0, -0.0, 0.0, -2.5, -0.0], np.float32), 200)
+        else:
+            data = np.random.default_rng(5).normal(5.0, 1.0, shape).astype(np.float32)
+            data[-1, :] = -0.0
+            data[:, -1] = -0.0
+        blob, recon = roundtrip(data, 1e-3)
+        zero = data == 0
+        assert Container.from_bytes(blob).get_u64("n_patch") == np.count_nonzero(
+            zero & np.signbit(data)
+        )
+        # zeros decode bit-exactly, signs included; the rest within the bound
+        np.testing.assert_array_equal(recon.view(np.uint32)[zero], data.view(np.uint32)[zero])
+        assert (np.abs(recon - data)[~zero] <= 1e-3 * np.abs(data[~zero])).all()
+
     @pytest.mark.parametrize("br", [1e-2, 1e-3, 1e-4])
     def test_zeros_in_a_block_with_a_subnormal(self, br):
         # b_r * 5e-324 underflows to a zero block bound, so the block's

@@ -383,3 +383,85 @@ class TestReferenceEquivalence:
     )
     def test_property_byte_identical(self, raw, chunk):
         self.assert_equivalent(np.array(raw, dtype=np.int64), chunk=chunk)
+
+
+class TestSegmentedEncode:
+    """The encoder packs bits in segments of whole chunks: every segment
+    size gives the oracle's blob, and its temporaries stay segment-sized."""
+
+    @staticmethod
+    def assert_oracle(syms, chunk):
+        blob = HuffmanCodec(chunk_size=chunk).encode(syms)
+        assert blob == ReferenceHuffmanCodec(chunk_size=chunk).encode(syms)
+        return blob
+
+    @staticmethod
+    def segment_residues(blob, per):
+        """Bit offsets within their 32-bit word of the segment bases."""
+        starts = np.cumsum(_split(blob)["deltas"].astype(np.int64))
+        return set((starts[::per] % 32).tolist())
+
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 256])
+    def test_segments_of_whole_chunks_match_oracle(self, monkeypatch, chunk, per):
+        monkeypatch.setattr(huffman, "_ENCODE_SYMBOLS", per * chunk)
+        rng = np.random.default_rng(chunk * 10 + per)
+        n = 400 * per * chunk  # ~400 segments
+        syms = np.where(rng.random(n) < 0.6, 3, rng.integers(0, 900, n))
+        blob = self.assert_oracle(syms, chunk)
+        assert self.segment_residues(blob, per) == set(range(32))
+
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_24_bit_codes_match_oracle(self, monkeypatch, chunk, per):
+        monkeypatch.setattr(huffman, "_ENCODE_SYMBOLS", per * chunk)
+        syms = _fibonacci_symbols(25, seed=chunk + per)
+        assert huffman_code_lengths(np.bincount(syms)).max() == 24
+        blob = self.assert_oracle(syms, chunk)
+        assert self.segment_residues(blob, per) == set(range(32))
+
+    @pytest.mark.parametrize("segment", [1, 5, 100])
+    def test_segments_inside_long_chunks_match_oracle(self, monkeypatch, segment):
+        # Chunks longer than a segment: segments start inside chunks.
+        monkeypatch.setattr(huffman, "_ENCODE_SYMBOLS", segment)
+        rng = np.random.default_rng(segment)
+        syms = np.where(rng.random(3000) < 0.6, 3, rng.integers(0, 900, 3000))
+        for chunk in (7, 256, 1000):
+            self.assert_oracle(syms, chunk)
+
+    def test_encode_peak_memory_per_symbol(self):
+        # Quantization codes of a dense field: a peaked residual spread
+        # around the radius.  The packer's temporaries are segment-sized,
+        # so the peak is the payload and its copies, not 8-byte arrays
+        # over every symbol.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n = 1 << 20
+        spread = np.clip(np.rint(rng.laplace(0.0, 40.0, n)), -32767, 32767)
+        syms = (32768 + spread).astype(np.int64)
+        tracemalloc.start()
+        try:
+            HuffmanCodec().encode(syms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n
+
+    def test_sparse_huge_alphabet_resident_memory(self):
+        # Symbols up to 2**27: the dense per-symbol tables are calloc'd
+        # and touched only at the used symbols; a table written over the
+        # whole alphabet would make over a GiB resident.
+        import subprocess
+        import sys
+
+        code = (
+            "import resource, numpy as np\n"
+            "from repro.encoding import HuffmanCodec\n"
+            "syms = np.tile(np.array([0, 2**26, 5, 2**27 + 3], dtype=np.int64), 1000)\n"
+            "HuffmanCodec().encode(syms)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) <= 512 * 1024  # KiB

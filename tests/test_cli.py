@@ -346,6 +346,22 @@ class TestAuditCommand:
         assert doc["violations"] == 0
         assert doc["n_points"] == 16 ** 3
 
+    @pytest.mark.parametrize("original", [False, True], ids=["bare", "original"])
+    def test_empty_stream_passes(self, original, tmp_path, capsys):
+        # An empty SZ_T stream records plain g(b_r) and bounds its zero
+        # points vacuously.
+        path = str(tmp_path / "e.npy")
+        np.save(path, np.zeros(0, np.float32))
+        out = str(tmp_path / "e.rpz")
+        assert main(["compress", path, out, "--rel-bound", "1e-3"]) == 0
+        capsys.readouterr()
+        argv = ["audit", out] + (["--original", path] if original else [])
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "VIOLATION" not in text and "PASS" in text
+        if original:
+            assert "bounded: 100.0000%" in text
+
     def test_garbage_exits_2(self, tmp_path, capsys):
         bad = str(tmp_path / "garbage.rpz")
         with open(bad, "wb") as fh:
