@@ -21,38 +21,23 @@ Every compressor evaluated by the paper is available through
 
 from __future__ import annotations
 
+import importlib
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.compressors import (
+from repro._lazy import lazy_exports
+from repro.compressors.base import (
     AbsoluteBound,
     Compressor,
     ErrorBound,
-    FpzipCompressor,
-    IsabelaCompressor,
     PrecisionBound,
     RateBound,
     RelativeBound,
-    SZ2Compressor,
-    SZ3Compressor,
-    SZCompressor,
-    SZPointwiseRelative,
     UnsupportedBound,
-    ZFPCompressor,
     available_compressors,
     get_compressor,
     register_compressor,
-)
-from repro.compressors.lossless import LosslessDeflate
-from repro.core import (
-    ChunkedCompressor,
-    ChunkFailure,
-    ChunkTimeoutError,
-    LogTransform,
-    RecoveryReport,
-    TransformedCompressor,
-    make_sz_t,
-    make_zfp_t,
-    recover_array,
 )
 from repro.encoding.container import (
     ChecksumError,
@@ -62,18 +47,36 @@ from repro.encoding.container import (
     TruncatedStreamError,
     codec_of,
 )
-from repro.resilience import (
-    DegradationLadder,
-    LadderExhaustedError,
-    ResilienceError,
-    ResiliencePolicy,
-    ResilienceReport,
-    parse_policy,
-    resume_job,
-    run_compress_job,
-    run_decompress_job,
-)
-from repro.safeguards import Safeguard, SafeguardedCompressor, parse_safeguard
+
+if TYPE_CHECKING:
+    from repro.compressors.fpzip import FpzipCompressor
+    from repro.compressors.isabela import IsabelaCompressor
+    from repro.compressors.lossless import LosslessDeflate
+    from repro.compressors.sz.pwr_block import SZPointwiseRelative
+    from repro.compressors.sz.sz import SZCompressor
+    from repro.compressors.sz.sz2 import SZ2Compressor
+    from repro.compressors.sz.sz3 import SZ3Compressor
+    from repro.compressors.zfp.zfp import ZFPCompressor
+    from repro.core.chunked import (
+        ChunkedCompressor,
+        ChunkFailure,
+        ChunkTimeoutError,
+        RecoveryReport,
+        recover_array,
+    )
+    from repro.core.pwr import TransformedCompressor, make_sz_t, make_zfp_t
+    from repro.core.transform import LogTransform
+    from repro.resilience.jobs import resume_job, run_compress_job, run_decompress_job
+    from repro.resilience.ladder import DegradationLadder
+    from repro.resilience.policy import (
+        LadderExhaustedError,
+        ResilienceError,
+        ResiliencePolicy,
+        ResilienceReport,
+        parse_policy,
+    )
+    from repro.safeguards.adapter import SafeguardedCompressor
+    from repro.safeguards.kinds import Safeguard, parse_safeguard
 
 __version__ = "1.0.0"
 
@@ -129,33 +132,84 @@ __all__ = [
     "verify_stream",
 ]
 
-# -- registry ---------------------------------------------------------------
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compressors.fpzip": ("FpzipCompressor",),
+    "repro.compressors.isabela": ("IsabelaCompressor",),
+    "repro.compressors.lossless": ("LosslessDeflate",),
+    "repro.compressors.sz.pwr_block": ("SZPointwiseRelative",),
+    "repro.compressors.sz.sz": ("SZCompressor",),
+    "repro.compressors.sz.sz2": ("SZ2Compressor",),
+    "repro.compressors.sz.sz3": ("SZ3Compressor",),
+    "repro.compressors.zfp.zfp": ("ZFPCompressor",),
+    "repro.core.chunked": (
+        "ChunkedCompressor", "ChunkFailure", "ChunkTimeoutError", "RecoveryReport",
+        "recover_array",
+    ),
+    "repro.core.pwr": ("TransformedCompressor", "make_sz_t", "make_zfp_t"),
+    "repro.core.transform": ("LogTransform",),
+    "repro.resilience.jobs": ("resume_job", "run_compress_job", "run_decompress_job"),
+    "repro.resilience.ladder": ("DegradationLadder",),
+    "repro.resilience.policy": (
+        "LadderExhaustedError", "ResilienceError", "ResiliencePolicy", "ResilienceReport",
+        "parse_policy",
+    ),
+    "repro.safeguards.adapter": ("SafeguardedCompressor",),
+    "repro.safeguards.kinds": ("Safeguard", "parse_safeguard"),
+})
 
-register_compressor("SZ_ABS", SZCompressor)
-register_compressor("SZ_PWR", SZPointwiseRelative)
-register_compressor("ZFP_A", lambda: ZFPCompressor("accuracy"))
-register_compressor("ZFP_P", lambda: ZFPCompressor("precision"))
-register_compressor("ZFP_R", lambda: ZFPCompressor("rate"))
-register_compressor("FPZIP", FpzipCompressor)
-register_compressor("GZIP", LosslessDeflate)
-register_compressor("ISABELA", IsabelaCompressor)
-register_compressor("SZ_T", make_sz_t)
-register_compressor("SZ2_ABS", SZ2Compressor)
-register_compressor(
-    "SZ2_T", lambda: TransformedCompressor(SZ2Compressor())
-)
-register_compressor("SZ3_ABS", SZ3Compressor)
-register_compressor(
-    "SZ3_T", lambda: TransformedCompressor(SZ3Compressor())
-)
-register_compressor("ZFP_T", make_zfp_t)
-# Thread executor: registry instances serve generic decompress() dispatch,
-# which may run inside worker threads where forking a process pool is
-# unsafe.  Chunk streams decode identically under any executor.
-register_compressor("CHUNKED", lambda: ChunkedCompressor(executor="thread"))
-# Decode-only instance: safeguarded streams carry their declared properties
-# and patches inline, so dispatch needs no constructor arguments.
-register_compressor("SAFE", SafeguardedCompressor)
+# -- registry ---------------------------------------------------------------
+# Built-in codecs are registered by name; each imports its module on its
+# first get_compressor(), so available_compressors() imports none.
+
+
+def _builtin(target: str, *args, **kwargs):
+    """Factory calling ``module:attr(*args, **kwargs)``, importing on use."""
+    module, _, attr = target.partition(":")
+
+    def factory() -> Compressor:
+        return getattr(importlib.import_module(module), attr)(*args, **kwargs)
+
+    return factory
+
+
+def _transformed(inner: str):
+    """Factory of the registered codec ``inner`` inside the log transform."""
+
+    def factory() -> Compressor:
+        from repro.core.pwr import TransformedCompressor
+
+        return TransformedCompressor(get_compressor(inner))
+
+    return factory
+
+
+for _name, _factory in {
+    "SZ_ABS": _builtin("repro.compressors.sz.sz:SZCompressor"),
+    "SZ_PWR": _builtin("repro.compressors.sz.pwr_block:SZPointwiseRelative"),
+    "ZFP_A": _builtin("repro.compressors.zfp.zfp:ZFPCompressor", "accuracy"),
+    "ZFP_P": _builtin("repro.compressors.zfp.zfp:ZFPCompressor", "precision"),
+    "ZFP_R": _builtin("repro.compressors.zfp.zfp:ZFPCompressor", "rate"),
+    "FPZIP": _builtin("repro.compressors.fpzip:FpzipCompressor"),
+    "GZIP": _builtin("repro.compressors.lossless:LosslessDeflate"),
+    "ISABELA": _builtin("repro.compressors.isabela:IsabelaCompressor"),
+    "SZ_T": _builtin("repro.core.pwr:make_sz_t"),
+    "SZ2_ABS": _builtin("repro.compressors.sz.sz2:SZ2Compressor"),
+    "SZ2_T": _transformed("SZ2_ABS"),
+    "SZ3_ABS": _builtin("repro.compressors.sz.sz3:SZ3Compressor"),
+    "SZ3_T": _transformed("SZ3_ABS"),
+    "ZFP_T": _builtin("repro.core.pwr:make_zfp_t"),
+    # Thread executor: registry instances serve generic decompress()
+    # dispatch, which may run inside worker threads where forking a
+    # process pool is unsafe.  Chunk streams decode identically under any
+    # executor.
+    "CHUNKED": _builtin("repro.core.chunked:ChunkedCompressor", executor="thread"),
+    # Decode-only instance: safeguarded streams carry their declared
+    # properties and patches inline, so dispatch needs no constructor
+    # arguments.
+    "SAFE": _builtin("repro.safeguards.adapter:SafeguardedCompressor"),
+}.items():
+    register_compressor(_name, _factory)
+del _name, _factory
 
 
 def compress(

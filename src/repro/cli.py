@@ -37,6 +37,11 @@ policy, e.g. ``retries=3;chunk-timeout=2;ladder=SZ_T>GZIP``) and
 ``--ladder A>B`` (graceful-degradation codec chain); see
 ``docs/resilience.md``.
 
+Each command builds only its own parser and imports only what it runs,
+so a command costs about what its codec costs: ``main()`` builds the
+whole parser tree only for an argv that names no command (``--help``, no
+arguments, an unknown name).
+
 Expected failures never produce a traceback: every command prints a
 one-line ``error:`` diagnostic to stderr and exits with a meaningful
 status.  Exit 2 means bad data or environment (corrupt stream, missing
@@ -50,24 +55,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import (
+from repro import decompress
+from repro.compressors.base import (
     AbsoluteBound,
-    ChunkedCompressor,
     PrecisionBound,
     RelativeBound,
-    StreamError,
+    UnsupportedBound,
     available_compressors,
-    decompress,
 )
-from repro.compressors.base import UnsupportedBound
-from repro.data.io import load_array, save_array
-from repro.metrics.error import bounded_label
-from repro.observe.audit import CallReport, call_report
-from repro.resilience.jobs import _wrapped_compressor
-from repro.resilience.policy import ResilienceError
+from repro.encoding.container import StreamError
+from repro.resilience.policy import ResilienceError, parse_policy
+
+if TYPE_CHECKING:
+    from repro.observe.audit import CallReport
 
 __all__ = ["main"]
 
@@ -140,8 +145,6 @@ def _parse_safeguard_spec(text: str) -> str:
 
 def _parse_policy_spec(text: str) -> str:
     """Validate a ``--policy`` spec early; the string itself is kept."""
-    from repro.resilience import parse_policy
-
     try:
         parse_policy(text)
     except ValueError as exc:
@@ -170,7 +173,7 @@ def _bound_from(args) -> AbsoluteBound | RelativeBound | PrecisionBound:
         ) if b[1] is not None
     ]
     if len(chosen) != 1:
-        raise SystemExit("specify exactly one of --rel-bound / --abs-bound / --precision")
+        raise ValueError("specify exactly one of --rel-bound / --abs-bound / --precision")
     kind, value = chosen[0]
     if kind == "rel":
         return RelativeBound(value)
@@ -196,6 +199,8 @@ def _report_call(rec: CallReport, rel_value: float | None) -> str:
         print(f"resilience: {resilience.summary()}", file=sys.stderr)
     if rel_value is None:
         return ""
+    from repro.metrics.error import bounded_label
+
     audit = rec.audit()
     label = bounded_label(audit.violations, audit.n_points, audit.zeros_modified)
     # A call over no points leaves no error to report.
@@ -203,6 +208,7 @@ def _report_call(rec: CallReport, rel_value: float | None) -> str:
 
 
 def _journaled_compress(args, bound, rel_value) -> int:
+    from repro.observe.audit import call_report
     from repro.resilience import run_compress_job
 
     with call_report() as rec:
@@ -231,6 +237,10 @@ def _journaled_compress(args, bound, rel_value) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from repro.data.io import load_array
+    from repro.observe.audit import call_report
+    from repro.resilience.ladder import _wrapped_compressor
+
     bound = _bound_from(args)
     compressor, label = _wrapped_compressor(args.compressor, args.safeguard, args.ladder)
     rel_value = bound.value if isinstance(bound, RelativeBound) else None
@@ -242,7 +252,10 @@ def _cmd_compress(args) -> int:
         return _journaled_compress(args, bound, rel_value)
     data = load_array(args.input, args.shape, np.dtype(args.dtype))
     chunked_opts = (args.chunk_size, args.workers, args.parity, args.policy)
-    if any(v is not None for v in chunked_opts):
+    chunked = any(v is not None for v in chunked_opts)
+    if chunked:
+        from repro.core.chunked import ChunkedCompressor
+
         kwargs = {}
         if args.chunk_size is not None:
             kwargs["chunk_bytes"] = args.chunk_size
@@ -258,7 +271,7 @@ def _cmd_compress(args) -> int:
     # produced into the call record, which the printed bound is read from.
     with call_report() as rec:
         blob = compressor.compress(data, bound)
-    if isinstance(compressor, ChunkedCompressor):
+    if chunked:
         label = (
             f"{label} ({rec.resilience.n_chunks} chunks x "
             f"{compressor.workers} workers"
@@ -291,6 +304,8 @@ def _cmd_decompress(args) -> int:
         result = run_decompress_job(args.input, args.output, journal_dir=args.journal)
         print(f"{args.output}: {result.summary()}")
         return 0
+    from repro.data.io import save_array
+
     blob = _read_blob(args.input)
     if args.tolerate_corruption:
         from repro.core.chunked import recover_array
@@ -483,6 +498,7 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from repro.data.io import load_array
     from repro.observe.audit import audit_stream
 
     blob = _read_blob(args.input)
@@ -501,6 +517,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from repro.data.io import load_array
     from repro.observe.quality import explain_stream
 
     blob = _read_blob(args.input)
@@ -571,17 +588,37 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-# -- entry point -------------------------------------------------------------
+# -- parsers -----------------------------------------------------------------
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-compress",
-        description="Error-bounded lossy compression of binary/npy fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _trace_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", action="store_true",
+                        help="print the pipeline span tree afterwards")
+    parser.add_argument("--trace-json", default=None, metavar="PATH",
+                        help="write the span tree as JSON to PATH")
 
-    comp = sub.add_parser("compress", help="compress a field file")
+
+def _metrics_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--metrics-out", choices=["openmetrics", "jsonl"], default=None,
+        help="after the command, export the metrics this run moved "
+             "(registry diff) in the chosen format")
+    parser.add_argument(
+        "--metrics-path", default=None, metavar="PATH",
+        help="write --metrics-out output to PATH instead of stdout")
+
+
+def _original_flags(parser: argparse.ArgumentParser, report: str) -> None:
+    """``input`` plus the ``--original`` field options of audit/explain."""
+    parser.add_argument("input")
+    parser.add_argument("--original", default=None, metavar="PATH",
+                        help=f"original field file; enables the {report}")
+    parser.add_argument("--shape", type=_parse_shape, default=None,
+                        help="comma-separated dims for a raw binary --original")
+    parser.add_argument("--dtype", choices=["float32", "float64"], default="float32")
+
+
+def _args_compress(comp: argparse.ArgumentParser) -> None:
     comp.add_argument("input")
     comp.add_argument("output")
     comp.add_argument("--shape", type=_parse_shape, default=None,
@@ -628,8 +665,11 @@ def main(argv: list[str] | None = None) -> int:
                            "killed at any point and finished with "
                            "'repro-compress resume DIR', producing the same "
                            "bytes as an uninterrupted run")
+    _trace_flags(comp)
+    _metrics_flags(comp)
 
-    dec = sub.add_parser("decompress", help="reconstruct a compressed stream")
+
+def _args_decompress(dec: argparse.ArgumentParser) -> None:
     dec.add_argument("input")
     dec.add_argument("output")
     dec.add_argument("--tolerate-corruption", action="store_true",
@@ -642,35 +682,29 @@ def main(argv: list[str] | None = None) -> int:
     dec.add_argument("--journal", default=None, metavar="DIR",
                      help="write-ahead journal directory enabling crash-safe "
                           "resume via 'repro-compress resume DIR'")
+    _trace_flags(dec)
+    _metrics_flags(dec)
 
-    res = sub.add_parser(
-        "resume",
-        help="finish an interrupted journaled compress/decompress job: "
-             "re-does only chunks the journal has no valid record for and "
-             "commits the identical output an uninterrupted run produces",
-    )
+
+def _args_resume(res: argparse.ArgumentParser) -> None:
     res.add_argument("journal", help="journal directory of the interrupted job")
 
-    info = sub.add_parser("info", help="describe a compressed stream")
-    info.add_argument("input")
 
-    stats = sub.add_parser(
-        "stats",
-        help="decode a stream once and report chunk count, per-section "
-             "sizes and decode-side telemetry (CRC verification time)",
-    )
+def _args_input(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input")
+
+
+def _args_stats(stats: argparse.ArgumentParser) -> None:
     stats.add_argument("input")
     stats.add_argument("--top", type=_positive_int, default=None, metavar="N",
                        help="also print the N slowest pipeline spans by "
                             "self-time (wall and CPU), from the decode's "
                             "trace tree")
+    _trace_flags(stats)
+    _metrics_flags(stats)
 
-    prof = sub.add_parser(
-        "profile",
-        help="run another repro-compress command under the sampling "
-             "profiler and emit a span-attributed profile "
-             "(speedscope flamegraph JSON, collapsed stacks, or a table)",
-    )
+
+def _args_profile(prof: argparse.ArgumentParser) -> None:
     prof.add_argument("--hz", type=float, default=97.0,
                       help="sampling rate in Hz (default 97; prime so it "
                            "cannot phase-lock with periodic work)")
@@ -687,10 +721,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="the repro-compress command to profile, e.g. "
                            "compress in.npy out.rpz --rel-bound 1e-3")
 
-    perf = sub.add_parser(
-        "perf",
-        help="performance-ledger tooling (see docs/observability.md)",
-    )
+
+def _args_perf(perf: argparse.ArgumentParser) -> None:
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     perf_report = perf_sub.add_parser(
         "report",
@@ -705,54 +737,18 @@ def main(argv: list[str] | None = None) -> int:
     perf_report.add_argument("--out", default=None, metavar="PATH",
                              help="write the markdown here instead of stdout")
 
-    audit = sub.add_parser(
-        "audit",
-        help="audit a stream's error-bound conformance: per-chunk max "
-             "relative error vs the recorded bound, Lemma 2's b_a' check, "
-             "Theorem 3's cross-base index deviation (exit 0 = conformant, "
-             "2 = violated)",
-    )
-    audit.add_argument("input")
-    audit.add_argument("--original", default=None, metavar="PATH",
-                       help="original field file; enables the point-wise "
-                            "error audit and the Theorem 3 check")
-    audit.add_argument("--shape", type=_parse_shape, default=None,
-                       help="comma-separated dims for a raw binary --original")
-    audit.add_argument("--dtype", choices=["float32", "float64"], default="float32")
+
+def _args_audit(audit: argparse.ArgumentParser) -> None:
+    _original_flags(audit, "point-wise error audit and the Theorem 3 check")
     audit.add_argument("--json", default=None, metavar="PATH",
                        help="additionally write the full audit report as JSON")
     audit.add_argument("--no-theorem3", action="store_true",
                        help="skip the cross-base quantization-index check")
+    _metrics_flags(audit)
 
-    for traceable in (comp, dec, stats):
-        traceable.add_argument("--trace", action="store_true",
-                               help="print the pipeline span tree afterwards")
-        traceable.add_argument("--trace-json", default=None, metavar="PATH",
-                               help="write the span tree as JSON to PATH")
-    for exportable in (comp, dec, stats, audit):
-        exportable.add_argument(
-            "--metrics-out", choices=["openmetrics", "jsonl"], default=None,
-            help="after the command, export the metrics this run moved "
-                 "(registry diff) in the chosen format")
-        exportable.add_argument(
-            "--metrics-path", default=None, metavar="PATH",
-            help="write --metrics-out output to PATH instead of stdout")
 
-    expl = sub.add_parser(
-        "explain",
-        help="byte-attribution and quality report for a stream: who owns "
-             "each byte (framing, CRCs, entropy table vs payload, outliers, "
-             "safeguard patches, parity), per-chunk anomaly flags, and -- "
-             "with --original -- the point-wise error distribution "
-             "(exit 0 = intact, 2 = damaged)",
-    )
-    expl.add_argument("input")
-    expl.add_argument("--original", default=None, metavar="PATH",
-                      help="original field file; enables the point-wise "
-                           "error-quality section of the report")
-    expl.add_argument("--shape", type=_parse_shape, default=None,
-                      help="comma-separated dims for a raw binary --original")
-    expl.add_argument("--dtype", choices=["float32", "float64"], default="float32")
+def _args_explain(expl: argparse.ArgumentParser) -> None:
+    _original_flags(expl, "point-wise error-quality section of the report")
     expl.add_argument("--json", default=None, metavar="PATH",
                       help="additionally write the full explain report as JSON")
     expl.add_argument("--out", default=None, metavar="PATH",
@@ -764,27 +760,15 @@ def main(argv: list[str] | None = None) -> int:
     expl.add_argument("--depth", type=_positive_int, default=3,
                       help="attribution-tree depth in the markdown (default 3)")
 
-    ver = sub.add_parser(
-        "verify",
-        help="check checksums and structure without decompressing "
-             "(exit 0 = intact, 2 = damaged)",
-    )
-    ver.add_argument("input")
 
-    rep = sub.add_parser(
-        "repair",
-        help="rebuild damaged chunks of a parity-bearing (v3) stream from "
-             "Reed-Solomon parity (exit 0 = fully repaired, 2 = losses remain)",
-    )
+def _args_repair(rep: argparse.ArgumentParser) -> None:
     rep.add_argument("input")
     rep.add_argument("output")
     rep.add_argument("--json", default=None, metavar="PATH",
                      help="write the per-chunk RepairReport as JSON")
 
-    flt = sub.add_parser(
-        "faults",
-        help="inject a deterministic fault into a stream (testing/repro)",
-    )
+
+def _args_faults(flt: argparse.ArgumentParser) -> None:
     flt.add_argument("mode", choices=[
         "bit-flip", "truncate", "drop-section", "corrupt-section", "corrupt-chunk",
         "corrupt-safeguards",
@@ -804,21 +788,97 @@ def main(argv: list[str] | None = None) -> int:
     flt.add_argument("--index", type=int, default=0,
                      help="chunk index for corrupt-chunk (default 0)")
 
-    args = parser.parse_args(argv)
-    handler = {
-        "compress": _cmd_compress,
-        "decompress": _cmd_decompress,
-        "resume": _cmd_resume,
-        "info": _cmd_info,
-        "stats": _cmd_stats,
-        "audit": _cmd_audit,
-        "explain": _cmd_explain,
-        "verify": _cmd_verify,
-        "repair": _cmd_repair,
-        "faults": _cmd_faults,
-        "profile": _cmd_profile,
-        "perf": _cmd_perf,
-    }[args.command]
+
+#: Every command: its help line, the function adding its arguments and its
+#: handler, in the order ``--help`` lists them.
+_COMMANDS: dict[str, tuple[
+    str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]
+]] = {
+    "compress": ("compress a field file", _args_compress, _cmd_compress),
+    "decompress": ("reconstruct a compressed stream", _args_decompress, _cmd_decompress),
+    "resume": (
+        "finish an interrupted journaled compress/decompress job: "
+        "re-does only chunks the journal has no valid record for and "
+        "commits the identical output an uninterrupted run produces",
+        _args_resume, _cmd_resume,
+    ),
+    "info": ("describe a compressed stream", _args_input, _cmd_info),
+    "stats": (
+        "decode a stream once and report chunk count, per-section "
+        "sizes and decode-side telemetry (CRC verification time)",
+        _args_stats, _cmd_stats,
+    ),
+    "profile": (
+        "run another repro-compress command under the sampling "
+        "profiler and emit a span-attributed profile "
+        "(speedscope flamegraph JSON, collapsed stacks, or a table)",
+        _args_profile, _cmd_profile,
+    ),
+    "perf": (
+        "performance-ledger tooling (see docs/observability.md)",
+        _args_perf, _cmd_perf,
+    ),
+    "audit": (
+        "audit a stream's error-bound conformance: per-chunk max "
+        "relative error vs the recorded bound, Lemma 2's b_a' check, "
+        "Theorem 3's cross-base index deviation (exit 0 = conformant, "
+        "2 = violated)",
+        _args_audit, _cmd_audit,
+    ),
+    "explain": (
+        "byte-attribution and quality report for a stream: who owns "
+        "each byte (framing, CRCs, entropy table vs payload, outliers, "
+        "safeguard patches, parity), per-chunk anomaly flags, and -- "
+        "with --original -- the point-wise error distribution "
+        "(exit 0 = intact, 2 = damaged)",
+        _args_explain, _cmd_explain,
+    ),
+    "verify": (
+        "check checksums and structure without decompressing "
+        "(exit 0 = intact, 2 = damaged)",
+        _args_input, _cmd_verify,
+    ),
+    "repair": (
+        "rebuild damaged chunks of a parity-bearing (v3) stream from "
+        "Reed-Solomon parity (exit 0 = fully repaired, 2 = losses remain)",
+        _args_repair, _cmd_repair,
+    ),
+    "faults": (
+        "inject a deterministic fault into a stream (testing/repro)",
+        _args_faults, _cmd_faults,
+    ),
+}
+
+
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``only``, just that command's subparser."""
+    parser = argparse.ArgumentParser(
+        prog="repro-compress",
+        description="Error-bounded lossy compression of binary/npy fields.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # Spelled out when one subparser is built, so the usage line of an
+        # ``unrecognized arguments`` error still lists every command.
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if only in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+# -- entry point -------------------------------------------------------------
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # Any argv that names no command (--help, none, an unknown name) gets
+    # the whole tree, so every usage and error text comes out as before.
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(only).parse_args(argv)
+    handler = _COMMANDS[args.command][2]
     tracing = bool(getattr(args, "trace", False) or getattr(args, "trace_json", None))
     if tracing:
         from repro.observe import enable_tracing, get_tracer

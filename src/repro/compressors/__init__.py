@@ -18,22 +18,30 @@ turns the absolute-error compressors into point-wise-relative ones
 (``SZ_T``/``ZFP_T``) -- lives in :mod:`repro.core`.
 """
 
-from repro.compressors.base import (
-    AbsoluteBound,
-    Compressor,
-    ErrorBound,
-    PrecisionBound,
-    RateBound,
-    RelativeBound,
-    UnsupportedBound,
-    available_compressors,
-    get_compressor,
-    register_compressor,
-)
-from repro.compressors.fpzip import FpzipCompressor
-from repro.compressors.isabela import IsabelaCompressor
-from repro.compressors.sz import SZ2Compressor, SZ3Compressor, SZCompressor, SZPointwiseRelative
-from repro.compressors.zfp import ZFPCompressor
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.compressors.base import (
+        AbsoluteBound,
+        Compressor,
+        ErrorBound,
+        PrecisionBound,
+        RateBound,
+        RelativeBound,
+        UnsupportedBound,
+        available_compressors,
+        get_compressor,
+        register_compressor,
+    )
+    from repro.compressors.fpzip import FpzipCompressor
+    from repro.compressors.isabela import IsabelaCompressor
+    from repro.compressors.sz.pwr_block import SZPointwiseRelative
+    from repro.compressors.sz.sz import SZCompressor
+    from repro.compressors.sz.sz2 import SZ2Compressor
+    from repro.compressors.sz.sz3 import SZ3Compressor
+    from repro.compressors.zfp.zfp import ZFPCompressor
 
 __all__ = [
     "AbsoluteBound",
@@ -54,3 +62,18 @@ __all__ = [
     "get_compressor",
     "register_compressor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compressors.base": (
+        "AbsoluteBound", "Compressor", "ErrorBound", "PrecisionBound", "RateBound",
+        "RelativeBound", "UnsupportedBound", "available_compressors", "get_compressor",
+        "register_compressor",
+    ),
+    "repro.compressors.fpzip": ("FpzipCompressor",),
+    "repro.compressors.isabela": ("IsabelaCompressor",),
+    "repro.compressors.sz.pwr_block": ("SZPointwiseRelative",),
+    "repro.compressors.sz.sz": ("SZCompressor",),
+    "repro.compressors.sz.sz2": ("SZ2Compressor",),
+    "repro.compressors.sz.sz3": ("SZ3Compressor",),
+    "repro.compressors.zfp.zfp": ("ZFPCompressor",),
+})

@@ -16,12 +16,17 @@ paper compares against (per-block bound from the smallest magnitude in the
 block).
 """
 
-from repro.compressors.sz.predictor import lorenzo_reconstruct, lorenzo_residual
-from repro.compressors.sz.pwr_block import SZPointwiseRelative
-from repro.compressors.sz.quantizer import lattice_quantize, lattice_reconstruct
-from repro.compressors.sz.sz import SZCompressor
-from repro.compressors.sz.sz2 import SZ2Compressor
-from repro.compressors.sz.sz3 import SZ3Compressor
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.compressors.sz.predictor import lorenzo_reconstruct, lorenzo_residual
+    from repro.compressors.sz.pwr_block import SZPointwiseRelative
+    from repro.compressors.sz.quantizer import lattice_quantize, lattice_reconstruct
+    from repro.compressors.sz.sz import SZCompressor
+    from repro.compressors.sz.sz2 import SZ2Compressor
+    from repro.compressors.sz.sz3 import SZ3Compressor
 
 __all__ = [
     "SZ2Compressor",
@@ -33,3 +38,12 @@ __all__ = [
     "lorenzo_reconstruct",
     "lorenzo_residual",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compressors.sz.predictor": ("lorenzo_reconstruct", "lorenzo_residual"),
+    "repro.compressors.sz.pwr_block": ("SZPointwiseRelative",),
+    "repro.compressors.sz.quantizer": ("lattice_quantize", "lattice_reconstruct"),
+    "repro.compressors.sz.sz": ("SZCompressor",),
+    "repro.compressors.sz.sz2": ("SZ2Compressor",),
+    "repro.compressors.sz.sz3": ("SZ3Compressor",),
+})

@@ -18,16 +18,21 @@ Two modes are exposed through :class:`ZFPCompressor`:
   approximates relative-error behaviour but cannot strictly respect it).
 """
 
-from repro.compressors.zfp.embedded import decode_blocks, encode_blocks
-from repro.compressors.zfp.fixedpoint import (
-    block_exponents,
-    dequantize_blocks,
-    negabinary_decode,
-    negabinary_encode,
-    quantize_blocks,
-)
-from repro.compressors.zfp.transform import fwd_xform, inv_xform, sequency_order
-from repro.compressors.zfp.zfp import ZFPCompressor
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.compressors.zfp.embedded import decode_blocks, encode_blocks
+    from repro.compressors.zfp.fixedpoint import (
+        block_exponents,
+        dequantize_blocks,
+        negabinary_decode,
+        negabinary_encode,
+        quantize_blocks,
+    )
+    from repro.compressors.zfp.transform import fwd_xform, inv_xform, sequency_order
+    from repro.compressors.zfp.zfp import ZFPCompressor
 
 __all__ = [
     "ZFPCompressor",
@@ -42,3 +47,13 @@ __all__ = [
     "quantize_blocks",
     "sequency_order",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compressors.zfp.embedded": ("decode_blocks", "encode_blocks"),
+    "repro.compressors.zfp.fixedpoint": (
+        "block_exponents", "dequantize_blocks", "negabinary_decode", "negabinary_encode",
+        "quantize_blocks",
+    ),
+    "repro.compressors.zfp.transform": ("fwd_xform", "inv_xform", "sequency_order"),
+    "repro.compressors.zfp.zfp": ("ZFPCompressor",),
+})

@@ -17,19 +17,24 @@ problem into an *absolute*-error-bounded one:
   Lemma-4 decorrelation/coding-gain invariance).
 """
 
-from repro.core.chunked import (
-    DEFAULT_GROUP_SIZE,
-    ChunkedCompressor,
-    ChunkFailure,
-    ChunkTimeoutError,
-    RecoveryReport,
-    chunk_patch_total,
-    iter_chunk_blobs,
-    recover_array,
-)
-from repro.core.error_bounds import abs_bound_for, adjusted_abs_bound, rel_bound_from_abs
-from repro.core.pwr import TransformedCompressor, make_sz_t, make_zfp_t
-from repro.core.transform import LogTransform
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.chunked import (
+        DEFAULT_GROUP_SIZE,
+        ChunkedCompressor,
+        ChunkFailure,
+        ChunkTimeoutError,
+        RecoveryReport,
+        chunk_patch_total,
+        iter_chunk_blobs,
+        recover_array,
+    )
+    from repro.core.error_bounds import abs_bound_for, adjusted_abs_bound, rel_bound_from_abs
+    from repro.core.pwr import TransformedCompressor, make_sz_t, make_zfp_t
+    from repro.core.transform import LogTransform
 
 __all__ = [
     "ChunkFailure",
@@ -48,3 +53,13 @@ __all__ = [
     "recover_array",
     "rel_bound_from_abs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.chunked": (
+        "DEFAULT_GROUP_SIZE", "ChunkedCompressor", "ChunkFailure", "ChunkTimeoutError",
+        "RecoveryReport", "chunk_patch_total", "iter_chunk_blobs", "recover_array",
+    ),
+    "repro.core.error_bounds": ("abs_bound_for", "adjusted_abs_bound", "rel_bound_from_abs"),
+    "repro.core.pwr": ("TransformedCompressor", "make_sz_t", "make_zfp_t"),
+    "repro.core.transform": ("LogTransform",),
+})

@@ -32,6 +32,12 @@ from repro.compressors.base import (
     ErrorBound,
     RelativeBound,
 )
+from repro.compressors.sz.sz import SZCompressor
+
+# ZFP loads with SZ_T although SZ_T never runs it: the end-to-end
+# benchmark's per-layer probes (e2e_bench/layers.py) patch ZFP's embedded
+# coder by name, and fail on a module that no earlier command imported.
+from repro.compressors.zfp.zfp import ZFPCompressor
 from repro.core.error_bounds import abs_bound_for, adjusted_abs_bound, machine_eps0
 from repro.core.transform import LogTransform
 from repro.encoding import decode_sign_bitmap, encode_sign_bitmap
@@ -351,15 +357,11 @@ class TransformedCompressor(Compressor):
 
 def make_sz_t(base: float = 2.0, nonfinite: str = "error") -> TransformedCompressor:
     """The paper's ``SZ_T``: SZ(abs) wrapped in the log transform."""
-    from repro.compressors.sz import SZCompressor
-
     return TransformedCompressor(SZCompressor(), base=base, nonfinite=nonfinite)
 
 
 def make_zfp_t(base: float = 2.0, nonfinite: str = "error") -> TransformedCompressor:
     """The paper's ``ZFP_T``: ZFP(accuracy) wrapped in the log transform."""
-    from repro.compressors.zfp import ZFPCompressor
-
     return TransformedCompressor(
         ZFPCompressor("accuracy"), base=base, nonfinite=nonfinite
     )

@@ -9,14 +9,19 @@ and sign structure -- at laptop-friendly sizes.  DESIGN.md section 2
 documents the substitution argument.
 """
 
-from repro.data.datasets import (
-    APPLICATIONS,
-    Field,
-    application_names,
-    field_names,
-    load_field,
-)
-from repro.data.generators import gaussian_random_field, spectral_noise
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.data.datasets import (
+        APPLICATIONS,
+        Field,
+        application_names,
+        field_names,
+        load_field,
+    )
+    from repro.data.generators import gaussian_random_field, spectral_noise
 
 __all__ = [
     "APPLICATIONS",
@@ -27,3 +32,10 @@ __all__ = [
     "load_field",
     "spectral_noise",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.data.datasets": (
+        "APPLICATIONS", "Field", "application_names", "field_names", "load_field",
+    ),
+    "repro.data.generators": ("gaussian_random_field", "spectral_noise"),
+})

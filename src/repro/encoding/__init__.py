@@ -15,39 +15,44 @@ The subpackage provides:
   coding behind the v3 chunk-parity sections.
 """
 
-from repro.encoding.bitstream import (
-    pack_fixed_width,
-    pack_varbits,
-    unpack_fixed_width,
-    unpack_varbits,
-)
-from repro.encoding.codecs import (
-    decode_sign_bitmap,
-    deflate,
-    encode_sign_bitmap,
-    inflate,
-    read_varint,
-    write_varint,
-    zigzag_decode,
-    zigzag_encode,
-)
-from repro.encoding.container import (
-    ChecksumError,
-    Container,
-    ContainerError,
-    StreamError,
-    TruncatedStreamError,
-    section_byte_ranges,
-)
-from repro.encoding.crc import crc32c
-from repro.encoding.huffman import HuffmanCodec
-from repro.encoding.range_coder import RangeCodec
-from repro.encoding.rs import (
-    MAX_GROUP_BLOCKS,
-    InsufficientParityError,
-    decode_blocks,
-    encode_parity,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.encoding.bitstream import (
+        pack_fixed_width,
+        pack_varbits,
+        unpack_fixed_width,
+        unpack_varbits,
+    )
+    from repro.encoding.codecs import (
+        decode_sign_bitmap,
+        deflate,
+        encode_sign_bitmap,
+        inflate,
+        read_varint,
+        write_varint,
+        zigzag_decode,
+        zigzag_encode,
+    )
+    from repro.encoding.container import (
+        ChecksumError,
+        Container,
+        ContainerError,
+        StreamError,
+        TruncatedStreamError,
+        section_byte_ranges,
+    )
+    from repro.encoding.crc import crc32c
+    from repro.encoding.huffman import HuffmanCodec
+    from repro.encoding.range_coder import RangeCodec
+    from repro.encoding.rs import (
+        MAX_GROUP_BLOCKS,
+        InsufficientParityError,
+        decode_blocks,
+        encode_parity,
+    )
 
 __all__ = [
     "ChecksumError",
@@ -76,3 +81,23 @@ __all__ = [
     "zigzag_decode",
     "zigzag_encode",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.encoding.bitstream": (
+        "pack_fixed_width", "pack_varbits", "unpack_fixed_width", "unpack_varbits",
+    ),
+    "repro.encoding.codecs": (
+        "decode_sign_bitmap", "deflate", "encode_sign_bitmap", "inflate",
+        "read_varint", "write_varint", "zigzag_decode", "zigzag_encode",
+    ),
+    "repro.encoding.container": (
+        "ChecksumError", "Container", "ContainerError", "StreamError",
+        "TruncatedStreamError", "section_byte_ranges",
+    ),
+    "repro.encoding.crc": ("crc32c",),
+    "repro.encoding.huffman": ("HuffmanCodec",),
+    "repro.encoding.range_coder": ("RangeCodec",),
+    "repro.encoding.rs": (
+        "MAX_GROUP_BLOCKS", "InsufficientParityError", "decode_blocks", "encode_parity",
+    ),
+})

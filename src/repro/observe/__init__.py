@@ -39,80 +39,83 @@ instrumentation point to a no-op attribute check.  Metrics are cheap
 enough to stay on unconditionally.
 """
 
-from repro.observe.audit import (
-    AuditReport,
-    CallReport,
-    ChunkAudit,
-    Theorem3Check,
-    audit_stream,
-    call_report,
-    theorem3_check,
-)
-from repro.observe.events import (
-    EventLog,
-    emit,
-    event_log_enabled,
-    get_event_log,
-    install_event_log,
-    read_events,
-)
-from repro.observe.export import (
-    metric_name,
-    metrics_to_jsonl,
-    parse_openmetrics,
-    spans_to_jsonl,
-    to_openmetrics,
-)
-from repro.observe.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics,
-)
-from repro.observe.ledger import (
-    append_entry,
-    machine_fingerprint,
-    make_entry,
-    read_ledger,
-    render_trend_report,
-)
-from repro.observe.profile import (
-    Profile,
-    SamplingProfiler,
-    get_profiler,
-    install_profiler,
-    profiler_active,
-    profiling,
-    uninstall_profiler,
-)
-from repro.observe.propagate import TaskTelemetry, absorb, run_traced
-from repro.observe.quality import (
-    ByteNode,
-    ErrorHistogram,
-    ExplainReport,
-    attribute_bytes,
-    explain_stream,
-    mad_outliers,
-    quality_enabled,
-    record_quality_snapshot,
-    set_quality_enabled,
-)
-from repro.observe.tracer import (
-    Span,
-    Tracer,
-    current_span,
-    enable_tracing,
-    export_spans,
-    get_tracer,
-    render_spans,
-    render_top_spans,
-    span,
-    span_label,
-    spans_from_dicts,
-    top_spans,
-    tracing_enabled,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# Imported up front: the registry accessor shares its name with its
+# module, and loading a submodule binds the submodule's name on this
+# package; bound here, the name always means the function.
+from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry, metrics
+
+if TYPE_CHECKING:
+    from repro.observe.audit import (
+        AuditReport,
+        CallReport,
+        ChunkAudit,
+        Theorem3Check,
+        audit_stream,
+        call_report,
+        theorem3_check,
+    )
+    from repro.observe.events import (
+        EventLog,
+        emit,
+        event_log_enabled,
+        get_event_log,
+        install_event_log,
+        read_events,
+    )
+    from repro.observe.export import (
+        metric_name,
+        metrics_to_jsonl,
+        parse_openmetrics,
+        spans_to_jsonl,
+        to_openmetrics,
+    )
+    from repro.observe.ledger import (
+        append_entry,
+        machine_fingerprint,
+        make_entry,
+        read_ledger,
+        render_trend_report,
+    )
+    from repro.observe.profile import (
+        Profile,
+        SamplingProfiler,
+        get_profiler,
+        install_profiler,
+        profiler_active,
+        profiling,
+        uninstall_profiler,
+    )
+    from repro.observe.propagate import TaskTelemetry, absorb, run_traced
+    from repro.observe.quality import (
+        ByteNode,
+        ErrorHistogram,
+        ExplainReport,
+        attribute_bytes,
+        explain_stream,
+        mad_outliers,
+        quality_enabled,
+        record_quality_snapshot,
+        set_quality_enabled,
+    )
+    from repro.observe.tracer import (
+        Span,
+        Tracer,
+        current_span,
+        enable_tracing,
+        export_spans,
+        get_tracer,
+        render_spans,
+        render_top_spans,
+        span,
+        span_label,
+        spans_from_dicts,
+        top_spans,
+        tracing_enabled,
+    )
 
 __all__ = [
     "AuditReport",
@@ -176,3 +179,36 @@ __all__ = [
     "tracing_enabled",
     "uninstall_profiler",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.observe.audit": (
+        "AuditReport", "CallReport", "ChunkAudit", "Theorem3Check", "audit_stream",
+        "call_report", "theorem3_check",
+    ),
+    "repro.observe.events": (
+        "EventLog", "emit", "event_log_enabled", "get_event_log", "install_event_log",
+        "read_events",
+    ),
+    "repro.observe.export": (
+        "metric_name", "metrics_to_jsonl", "parse_openmetrics", "spans_to_jsonl",
+        "to_openmetrics",
+    ),
+    "repro.observe.ledger": (
+        "append_entry", "machine_fingerprint", "make_entry", "read_ledger",
+        "render_trend_report",
+    ),
+    "repro.observe.profile": (
+        "Profile", "SamplingProfiler", "get_profiler", "install_profiler", "profiler_active",
+        "profiling", "uninstall_profiler",
+    ),
+    "repro.observe.propagate": ("TaskTelemetry", "absorb", "run_traced"),
+    "repro.observe.quality": (
+        "ByteNode", "ErrorHistogram", "ExplainReport", "attribute_bytes", "explain_stream",
+        "mad_outliers", "quality_enabled", "record_quality_snapshot", "set_quality_enabled",
+    ),
+    "repro.observe.tracer": (
+        "Span", "Tracer", "current_span", "enable_tracing", "export_spans", "get_tracer",
+        "render_spans", "render_top_spans", "span", "span_label", "spans_from_dicts",
+        "top_spans", "tracing_enabled",
+    ),
+})

@@ -14,20 +14,25 @@ supercomputer at 1024-4096 cores.  Without that machine we provide:
   regenerate Figure 6's dump/load breakdowns at any rank count.
 """
 
-from repro.parallel.cluster import (
-    CompressorProfile,
-    DumpLoadBreakdown,
-    SimulatedCluster,
-    measure_profile,
-)
-from repro.parallel.comm import FakeComm, run_spmd
-from repro.parallel.io_model import GPFSModel
-from repro.parallel.runner import (
-    DumpSummary,
-    RankTiming,
-    dump_file_per_process,
-    load_file_per_process,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.cluster import (
+        CompressorProfile,
+        DumpLoadBreakdown,
+        SimulatedCluster,
+        measure_profile,
+    )
+    from repro.parallel.comm import FakeComm, run_spmd
+    from repro.parallel.io_model import GPFSModel
+    from repro.parallel.runner import (
+        DumpSummary,
+        RankTiming,
+        dump_file_per_process,
+        load_file_per_process,
+    )
 
 __all__ = [
     "CompressorProfile",
@@ -42,3 +47,14 @@ __all__ = [
     "measure_profile",
     "run_spmd",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.cluster": (
+        "CompressorProfile", "DumpLoadBreakdown", "SimulatedCluster", "measure_profile",
+    ),
+    "repro.parallel.comm": ("FakeComm", "run_spmd"),
+    "repro.parallel.io_model": ("GPFSModel",),
+    "repro.parallel.runner": (
+        "DumpSummary", "RankTiming", "dump_file_per_process", "load_file_per_process",
+    ),
+})

@@ -18,29 +18,34 @@ Three layers (see ``docs/resilience.md``):
   the chaos harness in :mod:`repro.testing.chaos` enumerates.
 """
 
-from repro.resilience.crashpoints import crash_hook, reach
-from repro.resilience.journal import JobJournal
-from repro.resilience.jobs import (
-    JobResult,
-    build_job_compressor,
-    resume_job,
-    run_compress_job,
-    run_decompress_job,
-)
-from repro.resilience.ladder import DegradationLadder
-from repro.resilience.policy import (
-    ChunkIncident,
-    CircuitBreaker,
-    CircuitOpenError,
-    JobDeadlineError,
-    JournalError,
-    LadderExhaustedError,
-    MemoryBudgetError,
-    ResilienceError,
-    ResiliencePolicy,
-    ResilienceReport,
-    parse_policy,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.crashpoints import crash_hook, reach
+    from repro.resilience.journal import JobJournal
+    from repro.resilience.jobs import (
+        JobResult,
+        build_job_compressor,
+        resume_job,
+        run_compress_job,
+        run_decompress_job,
+    )
+    from repro.resilience.ladder import DegradationLadder
+    from repro.resilience.policy import (
+        ChunkIncident,
+        CircuitBreaker,
+        CircuitOpenError,
+        JobDeadlineError,
+        JournalError,
+        LadderExhaustedError,
+        MemoryBudgetError,
+        ResilienceError,
+        ResiliencePolicy,
+        ResilienceReport,
+        parse_policy,
+    )
 
 __all__ = [
     "ChunkIncident",
@@ -64,3 +69,18 @@ __all__ = [
     "run_compress_job",
     "run_decompress_job",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.crashpoints": ("crash_hook", "reach"),
+    "repro.resilience.journal": ("JobJournal",),
+    "repro.resilience.jobs": (
+        "JobResult", "build_job_compressor", "resume_job", "run_compress_job",
+        "run_decompress_job",
+    ),
+    "repro.resilience.ladder": ("DegradationLadder",),
+    "repro.resilience.policy": (
+        "ChunkIncident", "CircuitBreaker", "CircuitOpenError", "JobDeadlineError",
+        "JournalError", "LadderExhaustedError", "MemoryBudgetError", "ResilienceError",
+        "ResiliencePolicy", "ResilienceReport", "parse_policy",
+    ),
+})

@@ -30,14 +30,13 @@ from repro.compressors.base import (
     ErrorBound,
     PrecisionBound,
     RelativeBound,
-    get_compressor,
 )
 from repro.data.io import load_array
 from repro.encoding.crc import crc32c
 from repro.parallel.runner import atomic_write_bytes
 from repro.resilience.crashpoints import reach
 from repro.resilience.journal import JobJournal
-from repro.resilience.ladder import DegradationLadder
+from repro.resilience.ladder import _wrapped_compressor
 from repro.resilience.policy import JournalError, as_policy
 
 __all__ = [
@@ -94,22 +93,6 @@ class JobResult:
             f"{how}: {self.n_chunks} chunks ({self.redone} compressed{reuse}) "
             f"-> {self.output} ({self.nbytes} bytes)"
         )
-
-
-def _wrapped_compressor(name: str, safeguards=None, ladder=None):
-    """``(compressor, label)``: codec ``name`` inside its safeguards, then
-    its ladder -- the one wrapping of every CLI compress and journaled job."""
-    inner = get_compressor(name)
-    label = name
-    if safeguards:
-        from repro.safeguards import SafeguardedCompressor
-
-        inner = SafeguardedCompressor(inner, list(safeguards))
-        label = f"SAFE({label}; {'; '.join(safeguards)})"
-    if ladder:
-        inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
-        label = ">".join([label, *inner.rung_names[1:]])
-    return inner, label
 
 
 def build_job_compressor(header: dict):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Compressor, ErrorBound
+from repro.compressors.base import Compressor, ErrorBound, get_compressor
 from repro.observe.audit import call_report, current_report
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
@@ -75,8 +75,6 @@ class DegradationLadder(Compressor):
     @property
     def rungs(self) -> tuple[Compressor, ...]:
         """Rung instances, resolving registry names on first use."""
-        from repro.compressors.base import get_compressor
-
         self._rungs = [
             get_compressor(r) if isinstance(r, str) else r for r in self._rungs
         ]
@@ -166,3 +164,19 @@ class DegradationLadder(Compressor):
         from repro import decompress
 
         return decompress(blob)
+
+
+def _wrapped_compressor(name: str, safeguards=None, ladder=None):
+    """``(compressor, label)``: codec ``name`` inside its safeguards, then
+    its ladder -- the one wrapping of every CLI compress and journaled job."""
+    inner = get_compressor(name)
+    label = name
+    if safeguards:
+        from repro.safeguards.adapter import SafeguardedCompressor
+
+        inner = SafeguardedCompressor(inner, list(safeguards))
+        label = f"SAFE({label}; {'; '.join(safeguards)})"
+    if ladder:
+        inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
+        label = ">".join([label, *inner.rung_names[1:]])
+    return inner, label

@@ -11,29 +11,34 @@ See ``docs/safeguards.md``.  The subsystem has three layers:
 * :mod:`repro.safeguards.adapter` — :class:`SafeguardedCompressor`, the
   blackbox wrapper registered as codec ``SAFE``.
 """
-from .kinds import (
-    SAFEGUARD_KINDS,
-    AbsErrorSafeguard,
-    bit_view,
-    MonotoneSafeguard,
-    NonFiniteSafeguard,
-    RangeSafeguard,
-    RelErrorSafeguard,
-    Safeguard,
-    SignSafeguard,
-    UlpSafeguard,
-    ZeroSafeguard,
-    parse_safeguard,
-    parse_safeguards,
-)
-from .engine import (
-    PatchChannel,
-    apply_patch_sections,
-    compute_patch_channel,
-    put_patch_sections,
-    read_patch_sections,
-)
-from .adapter import SafeguardedCompressor, read_stream_safeguards
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.safeguards.kinds import (
+        SAFEGUARD_KINDS,
+        AbsErrorSafeguard,
+        bit_view,
+        MonotoneSafeguard,
+        NonFiniteSafeguard,
+        RangeSafeguard,
+        RelErrorSafeguard,
+        Safeguard,
+        SignSafeguard,
+        UlpSafeguard,
+        ZeroSafeguard,
+        parse_safeguard,
+        parse_safeguards,
+    )
+    from repro.safeguards.engine import (
+        PatchChannel,
+        apply_patch_sections,
+        compute_patch_channel,
+        put_patch_sections,
+        read_patch_sections,
+    )
+    from repro.safeguards.adapter import SafeguardedCompressor, read_stream_safeguards
 
 __all__ = [
     "Safeguard",
@@ -57,3 +62,16 @@ __all__ = [
     "SafeguardedCompressor",
     "read_stream_safeguards",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.safeguards.kinds": (
+        "SAFEGUARD_KINDS", "AbsErrorSafeguard", "bit_view", "MonotoneSafeguard",
+        "NonFiniteSafeguard", "RangeSafeguard", "RelErrorSafeguard", "Safeguard",
+        "SignSafeguard", "UlpSafeguard", "ZeroSafeguard", "parse_safeguard", "parse_safeguards",
+    ),
+    "repro.safeguards.engine": (
+        "PatchChannel", "apply_patch_sections", "compute_patch_channel", "put_patch_sections",
+        "read_patch_sections",
+    ),
+    "repro.safeguards.adapter": ("SafeguardedCompressor", "read_stream_safeguards"),
+})

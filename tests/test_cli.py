@@ -1,5 +1,6 @@
 """File-level CLI (repro-compress) end-to-end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -44,14 +45,16 @@ class TestCompressCommand:
         assert main(["compress", path, out, "--shape", "16,16,16",
                      "--precision", "19", "--compressor", "FPZIP"]) == 0
 
-    def test_exactly_one_bound_required(self, field, tmp_path):
+    def test_exactly_one_bound_required(self, field, tmp_path, capsys):
         path, _ = field
         out = str(tmp_path / "f.rpz")
-        with pytest.raises(SystemExit):
-            main(["compress", path, out, "--shape", "16,16,16"])
-        with pytest.raises(SystemExit):
-            main(["compress", path, out, "--shape", "16,16,16",
-                  "--rel-bound", "1e-2", "--abs-bound", "1.0"])
+        for prefix in ((), ("profile",)):
+            for bounds in ((), ("--rel-bound", "1e-2", "--abs-bound", "1.0")):
+                argv = [*prefix, "compress", path, out, "--shape", "16,16,16", *bounds]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr().err.splitlines()[-1] == (
+                    "error: specify exactly one of --rel-bound / --abs-bound / --precision"
+                ), argv
 
     def test_chunked_flags_roundtrip(self, field, tmp_path, capsys):
         path, data = field
@@ -665,3 +668,61 @@ class TestNoScipy:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_LOADED_SCRIPT = """
+import json, sys
+from repro.cli import main
+
+try:
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "repro")]))
+"""
+#: Machinery no plain compress, decompress or read of a stream runs.
+_NOT_LOADED = ("repro.observe.profile", "repro.observe.ledger", "repro.parallel.cluster",
+               "repro.resilience.jobs", "repro.experiments")
+_CODECS = ("repro.compressors.sz", "repro.compressors.zfp", "repro.compressors.fpzip",
+           "repro.compressors.isabela")
+
+
+def _within(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+class TestImportBoundary:
+    """A command imports what it runs: a fresh process running one command
+    loads none of the subsystems that command does not use."""
+
+    @staticmethod
+    def _loaded(cwd, *argv: str) -> list[str]:
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_SCRIPT, *argv], cwd=cwd,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr[-2000:]
+        return loaded
+
+    @pytest.mark.parametrize("argv", [(), ("compress", "--help")],
+                             ids=["import", "compress-help"])
+    def test_cli_loads_no_codec_until_one_runs(self, tmp_path, argv):
+        # compress --help lists every registered codec by name.
+        loaded = self._loaded(tmp_path, *argv)
+        assert [m for m in loaded if _within(m, _CODECS)] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("compress", "field.npy", "new.rpz", "--rel-bound", "1e-3"),
+        ("decompress", "field.rpz", "back.npy"),
+        ("verify", "field.rpz"),
+        ("info", "field.rpz"),
+    ], ids=lambda argv: argv[0])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv):
+        data = np.exp(np.random.default_rng(0).normal(0, 1, (16, 16, 16))).astype(np.float32)
+        np.save(tmp_path / "field.npy", data)
+        (tmp_path / "field.rpz").write_bytes(repro.compress(data, repro.RelativeBound(1e-3)))
+        loaded = self._loaded(tmp_path, *argv)
+        assert [m for m in loaded if _within(m, _NOT_LOADED)] == []
