@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Seeded fault-injection gate: repair round-trips over corrupted v3 streams.
+"""Seeded fault-injection gate: repair round-trips over corrupted parity-bearing streams.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_repair_roundtrip.py \
         [--seed 0] [--trials 25] [--report repair-report.json]
 
-Each trial compresses a random field into a parity-bearing (v3) CHUNKED
+Each trial compresses a random field into a parity-bearing CHUNKED
 stream, injects a random fault pattern whose per-group losses stay
 within the parity budget -- chunk bit flips, tail truncation, parity
 damage, or chunk headers whose codec-name length byte is zeroed -- and
@@ -39,7 +39,7 @@ BOUND = RelativeBound(1e-2)
 
 
 def make_stream(rng: np.random.Generator, parity: int, group_size: int):
-    """A fresh v3 stream over a random lognormal field."""
+    """A fresh parity-bearing stream over a random lognormal field."""
     n_chunks = int(rng.integers(3, 13))
     elems_per_chunk = 1000
     data = rng.lognormal(0.0, 1.0, size=n_chunks * elems_per_chunk)

@@ -334,7 +334,7 @@ def _cmd_resume(args) -> int:
 
 def _cmd_info(args) -> int:
     from repro.inspection import inspect_stream
-    from repro.observe.quality import attribute_model, section_kind_map
+    from repro.observe.attribution import attribute_model, section_kind_map
 
     blob = _read_blob(args.input)
     model = inspect_stream(blob)
@@ -647,7 +647,7 @@ def _args_compress(comp: argparse.ArgumentParser) -> None:
                            "implies --chunk-size 4M when set alone)")
     comp.add_argument("--parity", type=_positive_int, default=None, metavar="K",
                       help="store K Reed-Solomon parity blocks per chunk group "
-                           "(writes a v3 stream; implies chunking)")
+                           "(implies chunking)")
     comp.add_argument("--group-size", type=_positive_int, default=8, metavar="M",
                       help="data chunks per parity group (default 8)")
     comp.add_argument("--policy", type=_parse_policy_spec, default=None,
@@ -839,7 +839,7 @@ _COMMANDS: dict[str, tuple[
         _args_input, _cmd_verify,
     ),
     "repair": (
-        "rebuild damaged chunks of a parity-bearing (v3) stream from "
+        "rebuild damaged chunks of a parity-bearing stream from "
         "Reed-Solomon parity (exit 0 = fully repaired, 2 = losses remain)",
         _args_repair, _cmd_repair,
     ),

@@ -36,13 +36,12 @@ from collections.abc import Iterator
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.compressors.base import Compressor, ErrorBound
+from repro.core.chunk_table import chunked_meta_box, read_chunk_table
 from repro.encoding.container import (
-    ChecksumError,
     Container,
     ContainerError,
     StreamError,
@@ -68,16 +67,12 @@ from repro.utils.blocking import chunk_spans
 
 __all__ = [
     "ChunkFailure",
-    "ChunkTable",
     "ChunkTimeoutError",
     "ChunkedCompressor",
     "DEFAULT_GROUP_SIZE",
-    "ParityGeometry",
     "RecoveryReport",
     "chunk_patch_total",
     "iter_chunk_blobs",
-    "read_chunk_table",
-    "read_parity_geometry",
     "recover_array",
 ]
 
@@ -90,10 +85,6 @@ DEFAULT_CHUNK_BYTES = 4 * 2**20
 DEFAULT_GROUP_SIZE = 8
 
 _EXECUTORS = ("auto", "serial", "thread", "process")
-
-#: CHUNKED metadata sections whose per-section CRCs must hold before any
-#: recovery or repair can be attempted.
-_CHUNKED_META = ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems")
 
 #: Named fill policies for unrecoverable chunk spans (a float is also
 #: accepted anywhere a fill is).
@@ -761,16 +752,14 @@ class ChunkedCompressor(Compressor):
         # Parity sections precede the payload on purpose: a tail
         # truncation then erases trailing *chunks* -- exactly the erasure
         # pattern the parity can repair -- instead of the parity itself.
-        version = None
         if self.parity and blobs:
             with span("parity-encode", k=self.parity, m=self.group_size):
                 self._put_parity_sections(box, blobs)
-            version = 3
         box.put_nested("payload", *blobs)
-        return box.to_bytes(version=version)
+        return box.to_bytes()
 
     def _put_parity_sections(self, box: Container, blobs: list[bytes]) -> None:
-        """Append the v3 parity sections for ``blobs`` (see docs/formats.md)."""
+        """Append the parity sections for ``blobs`` (see docs/formats.md)."""
         t0 = time.perf_counter()
         m, k = self.group_size, self.parity
         parity_blocks: list[bytes] = []
@@ -830,7 +819,9 @@ class ChunkedCompressor(Compressor):
         # repair by older releases stored a fresh hash of damaged chunks).
         # Then the chunks skip their own CRCs; otherwise, and in v1
         # streams, each is checked.
-        trusted = box.checksummed and box.stored_crc(blob, "payload") == nested_crc(*chunks)
+        trusted = box.checksummed and box.stored_crc(blob, "payload") == nested_crc(
+            *chunks, version=box.version
+        )
         return shape, dtype, chunks, elems, trusted
 
     def decompress_partial(
@@ -838,9 +829,9 @@ class ChunkedCompressor(Compressor):
     ) -> tuple[np.ndarray, RecoveryReport]:
         """Decode every intact chunk of a damaged CHUNKED stream.
 
-        Damaged chunks that the stream's Reed-Solomon parity (a v3 record)
-        covers are first rebuilt as :func:`repro.integrity.repair_stream`
-        rebuilds them.  Lost chunks are replaced by ``fill`` across their
+        Damaged chunks that the stream's Reed-Solomon parity covers are
+        first rebuilt as :func:`repro.integrity.repair_stream` rebuilds
+        them.  Lost chunks are replaced by ``fill`` across their
         span -- a float, or ``"nan"``/``"zero"``/``"nearest"`` (nearest
         surviving element) -- and reported in the returned
         :class:`RecoveryReport`.  Raises :class:`StreamError` only when the
@@ -851,104 +842,10 @@ class ChunkedCompressor(Compressor):
         return _recover_chunked(inspect_stream(blob), fill)
 
 
-# -- stream geometry ---------------------------------------------------------
-
-
-class ChunkTable(NamedTuple):
-    """Validated chunk table of a CHUNKED container (int64 arrays)."""
-
-    offs: np.ndarray
-    lens: np.ndarray
-    elems: np.ndarray
-
-
-class ParityGeometry(NamedTuple):
-    """Validated v3 parity geometry: ``k`` blocks per group of ``group_size``."""
-
-    k: int
-    group_size: int
-    #: Parity block length of every group.
-    lens: np.ndarray
-
-    def spans(self) -> list[list[tuple[int, int]]]:
-        """Each group's ``k`` block byte ranges within the parity section."""
-        out, base = [], 0
-        for size in self.lens.tolist():
-            out.append([(base + j * size, base + (j + 1) * size) for j in range(self.k)])
-            base += self.k * size
-        return out
-
-    def blocks(self, parity: bytes) -> list[list[bytes | None]]:
-        """Each group's ``k`` blocks cut from ``parity`` (None where bytes are missing)."""
-        return [
-            [bytes(parity[a:b]) if b <= len(parity) else None for a, b in group]
-            for group in self.spans()
-        ]
-
-
-def read_chunk_table(box: Container) -> ChunkTable:
-    """The chunk table of a CHUNKED container; the one validator behind
-    decompress, partial decompress, repair and verify.
-
-    Raises :class:`ContainerError` unless entry counts, cumulative offsets
-    and element counts describe ``shape``.  Whether the payload holds every
-    byte the table spans is left to the caller (recovery reads cut ones).
-    """
-    shape = box.get_shape("shape")
-    n = box.get_u64("n_chunks")
-    offs = box.get_array("offs").astype(np.int64)
-    lens = box.get_array("lens").astype(np.int64)
-    elems = box.get_array("elems").astype(np.int64)
-    if not (offs.size == lens.size == elems.size == n):
-        raise ContainerError(
-            f"corrupt CHUNKED chunk table: n_chunks={n} but "
-            f"{offs.size}/{lens.size}/{elems.size} table entries"
-        )
-    if n and (
-        (lens < 0).any() or (offs != np.concatenate([[0], np.cumsum(lens)[:-1]])).any()
-    ):
-        raise ContainerError(
-            "corrupt CHUNKED chunk table: offsets are not the cumulative sum of lengths"
-        )
-    if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
-        raise ContainerError(
-            f"corrupt CHUNKED chunk table: element counts sum to "
-            f"{int(elems.sum())}, shape needs {math.prod(shape)}"
-        )
-    return ChunkTable(offs, lens, elems)
-
-
 def _check_chunk_sizes(counts: list[int], elems: np.ndarray) -> None:
     """Raise unless every decoded chunk holds the elements its table entry says."""
     if any(count != want for count, want in zip(counts, elems)):
         raise ContainerError("corrupt CHUNKED stream: chunk element mismatch")
-
-
-def read_parity_geometry(box: Container, table: ChunkTable) -> ParityGeometry:
-    """The v3 parity geometry of a CHUNKED container, checked against its table.
-
-    Raises :class:`ContainerError` on an impossible ``k``/group size, a
-    group count the table disagrees with, or a block length other than the
-    group's longest chunk.  The ``parity`` bytes themselves are not read.
-    """
-    k = int(box.get_u64("parity_k"))
-    m = int(box.get_u64("group_size"))
-    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
-        raise ContainerError(f"impossible parity geometry: k={k} per group of {m}")
-    plens = box.get_array("parity_lens").astype(np.int64)
-    n_groups = -(-table.lens.size // m)
-    if plens.size != n_groups or (plens < 0).any():
-        raise ContainerError(
-            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
-        )
-    for g in range(n_groups):
-        want = int(table.lens[g * m : (g + 1) * m].max())
-        if int(plens[g]) != want:
-            raise ContainerError(
-                f"parity group {g}: block length {int(plens[g])}, "
-                f"longest member chunk is {want}"
-            )
-    return ParityGeometry(k, m, plens)
 
 
 # -- stream introspection ----------------------------------------------------
@@ -974,25 +871,10 @@ def chunk_patch_total(blob: bytes) -> int:
 # -- damage-tolerant loading -------------------------------------------------
 
 
-def _chunked_meta_box(model, mismatch: str, extra: tuple = ()) -> Container:
-    """The container of an inspected, damaged CHUNKED stream whose metadata
-    sections (and ``extra`` ones) hold their CRCs -- what recovery and repair
-    need.  Another codec raises a :class:`ContainerError` ending in ``mismatch``."""
-    box = model.box
-    if box is None:
-        raise model.header_error
-    if box.codec != ChunkedCompressor.name:
-        raise ContainerError(f"stream was produced by {box.codec!r}{mismatch}")
-    for key in _CHUNKED_META + extra:
-        if key in box and not model.crc_ok(key):
-            raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
-    return box
-
-
 def _recover_chunked(model, fill: float | str) -> tuple[np.ndarray, RecoveryReport]:
     """:meth:`ChunkedCompressor.decompress_partial` of an inspected stream."""
     fill_value, fill_mode = _fill_scalar(fill)
-    box = _chunked_meta_box(model, f", expected {ChunkedCompressor.name!r}")
+    box = chunked_meta_box(model, f", expected {ChunkedCompressor.name!r}")
     shape, dtype = box.get_shape("shape"), box.get_dtype("dtype")
     total = math.prod(shape)
     if model.table is None:

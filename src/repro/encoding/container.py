@@ -4,22 +4,24 @@ Every compressor in the library serializes to a :class:`Container` so the
 compression ratios reported by the experiment harness are measured on real
 byte streams, not on in-memory object sizes.
 
-Version-2 layout (written by default)::
+Checksummed layout, written as version 5::
 
     magic  b"RPRC"                 4 bytes
-    version                        1 byte (0x02)
+    version                        1 byte (0x05)
     codec name length + utf-8      varint + bytes
     n_sections                     varint
     repeat n_sections times:
         key length + utf-8 key     varint + bytes
         payload length + payload   varint + bytes
-        payload CRC-32C            4 bytes little-endian
-    stream CRC-32C                 4 bytes little-endian (all prior bytes)
+        payload CRC                4 bytes little-endian
+    stream CRC                     4 bytes little-endian (all prior bytes)
 
-Version-1 streams (no checksums, no trailer) still parse; checksum
-verification is simply skipped for them.  Sections preserve insertion
-order.  Metadata convenience accessors store small scalars as
-UTF-8/struct-packed sections.
+The version byte selects the CRC (:func:`checksum_for`): CRC-32, zlib's
+polynomial, from v5 on; CRC-32C in the v2-v4 streams earlier releases
+wrote, which still parse and verify.  Version-1 streams (no checksums, no
+trailer) still parse; checksum verification is simply skipped for them.
+Sections preserve insertion order.  Metadata convenience accessors store
+small scalars as UTF-8/struct-packed sections.
 
 Parsing raises the :class:`StreamError` hierarchy: :class:`ContainerError`
 for malformed structure, :class:`TruncatedStreamError` when the bytes end
@@ -31,20 +33,23 @@ from __future__ import annotations
 import struct
 import time
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.encoding.codecs import read_varint, write_varint
-from repro.encoding.crc import crc32c, crc32c_combine
+from repro.encoding.crc import crc32, crc32_combine, crc32c, crc32c_combine
 from repro.observe.metrics import metrics as _metrics
 
 __all__ = [
+    "Checksum",
     "Container",
     "ContainerError",
     "ChecksumError",
     "StreamError",
     "TruncatedStreamError",
+    "checksum_for",
     "codec_of",
     "nested_crc",
     "peek_codec",
@@ -52,16 +57,34 @@ __all__ = [
 ]
 
 _MAGIC = b"RPRC"
-_VERSION = 2
-#: v3 marks parity-bearing records (chunk-level erasure coding) and v4
-#: safeguard-bearing ones (codec ``SAFE``); both keep the v2 framing.  The
-#: bumps make older readers fail loudly instead of silently ignoring
-#: sections they cannot honour (see ``docs/formats.md``).
-_KNOWN_VERSIONS = (1, 2, 3, 4)
+#: The version every checksummed stream is written as.  v2-v4 keep the
+#: same framing with CRC-32C: v3 marked parity-bearing records and v4
+#: safeguard-bearing ones, only so that older readers failed loudly on
+#: them; v5 moves every CRC to CRC-32 (see ``docs/formats.md``).
+_VERSION = 5
+_KNOWN_VERSIONS = (1, 2, 3, 4, 5)
 _CRC_BYTES = 4
-#: CRC-32C of any bytes followed by their own CRC-32C (little-endian): the
-#: code's residue, the same whatever the bytes.
-_CRC_RESIDUE = 0x48674BC7
+
+
+class Checksum(NamedTuple):
+    """The CRC one container version carries."""
+
+    #: ``crc(data, value=0)``, chainable like :func:`zlib.crc32`.
+    crc: Callable[..., int]
+    #: ``combine(crc1, crc2, len2)``: the CRC of a concatenation.
+    combine: Callable[[int, int, int], int]
+    #: CRC of any bytes followed by their own CRC (little-endian), the
+    #: same whatever the bytes.
+    residue: int
+
+
+def checksum_for(version: int) -> Checksum:
+    """The CRC of a version-``version`` container: CRC-32 (zlib's
+    polynomial) from v5 on, CRC-32C before.  The one place the version
+    picks the polynomial."""
+    if version >= 5:
+        return Checksum(crc32, crc32_combine, 0x2144DF1C)
+    return Checksum(crc32c, crc32c_combine, 0x48674BC7)
 
 # dtype tokens are fixed so streams are portable across numpy versions.
 _DTYPE_TOKENS = {
@@ -94,7 +117,7 @@ class TruncatedStreamError(ContainerError):
 
 
 class ChecksumError(StreamError):
-    """Raised when a stored CRC-32C disagrees with the bytes it covers."""
+    """Raised when a stored CRC disagrees with the bytes it covers."""
 
 
 class Container:
@@ -105,8 +128,9 @@ class Container:
             raise ValueError("codec name must be non-empty")
         self.codec = codec
         self._sections: OrderedDict[str, bytes] = OrderedDict()
-        #: Section CRCs known without hashing (see :meth:`put_nested`).
-        self._nested_crcs: dict[str, int] = {}
+        #: Streams whose section CRC is known without hashing (see
+        #: :meth:`put_nested`).
+        self._nested: dict[str, tuple[bytes, ...]] = {}
         #: Format version this container was parsed from (or will be
         #: written as).  Version 1 streams carry no checksums.
         self.version = _VERSION
@@ -144,7 +168,7 @@ class Container:
         written are the same as :meth:`put`'s.
         """
         self.put(key, b"".join(streams))
-        self._nested_crcs[key] = nested_crc(*streams)
+        self._nested[key] = streams
 
     def get(self, key: str) -> bytes:
         try:
@@ -246,9 +270,10 @@ class Container:
     def to_bytes(self, checksums: bool = True, version: int | None = None) -> bytes:
         """Serialize; ``checksums=False`` emits the legacy v1 framing.
 
-        ``version`` overrides the version byte (3 marks parity-bearing
-        records; same checksummed framing as v2).  v1 cannot be combined
-        with checksums and vice versa.
+        ``version`` overrides the version byte, and with it the CRC
+        (:func:`checksum_for`): a stream rewritten as its own version (a
+        repair, a fault injector) keeps its polynomial.  v1 cannot be
+        combined with checksums and vice versa.
         """
         t0 = time.perf_counter()
         if version is None:
@@ -267,24 +292,25 @@ class Container:
         if checksums:
             # The stream CRC is assembled incrementally: framing bytes are
             # hashed as they are emitted and each payload's own CRC (which
-            # the v2 format stores anyway) is folded in with
-            # crc32c_combine, so payload bytes are read once, not twice --
-            # and nested streams not at all (put_nested).
-            stream_crc = crc32c(b"".join(parts))
+            # the format stores anyway) is folded in with the combine, so
+            # payload bytes are read once, not twice -- and nested streams
+            # not at all (put_nested).
+            crc, combine, _ = checksum_for(version)
+            stream_crc = crc(b"".join(parts))
             for key, payload in self._sections.items():
                 k = key.encode("utf-8")
                 head = b"".join(
                     (write_varint(len(k)), k, write_varint(len(payload)))
                 )
-                sec_crc = self._nested_crcs.get(key)
-                if sec_crc is None:
-                    sec_crc = crc32c(payload)
+                nested = self._nested.get(key)
+                if nested is None:
+                    sec_crc = crc(payload)
+                else:
+                    sec_crc = nested_crc(*nested, version=version)
                 tail = struct.pack("<I", sec_crc)
                 parts.extend((head, payload, tail))
-                stream_crc = crc32c_combine(
-                    crc32c(head, stream_crc), sec_crc, len(payload)
-                )
-                stream_crc = crc32c(tail, stream_crc)
+                stream_crc = combine(crc(head, stream_crc), sec_crc, len(payload))
+                stream_crc = crc(tail, stream_crc)
             parts.append(struct.pack("<I", stream_crc))
             blob = b"".join(parts)
         else:
@@ -309,7 +335,7 @@ class Container:
     ) -> "Container":
         """Parse container bytes.
 
-        ``verify_checksums`` (default on) checks the whole-stream CRC of v2
+        ``verify_checksums`` (default on) checks the whole-stream CRC of v2+
         streams before anything else, so any single corrupted bit raises
         :class:`ChecksumError` instead of decoding wrong data; v1 streams
         have no checksums and skip the check.  ``partial=True`` is the
@@ -322,10 +348,12 @@ class Container:
         version = _header_version(data)
         if version >= 2 and verify_checksums and not partial:
             if len(data) < 5 + _CRC_BYTES:
-                raise TruncatedStreamError("v2 stream shorter than its CRC trailer")
+                raise TruncatedStreamError(
+                    f"v{version} stream shorter than its CRC trailer"
+                )
             t0 = time.perf_counter()
             (stored,) = struct.unpack("<I", data[-_CRC_BYTES:])
-            actual = crc32c(data[:-_CRC_BYTES])
+            actual = checksum_for(version).crc(data[:-_CRC_BYTES])
             reg = _metrics()
             reg.counter("crc.verify_s").inc(time.perf_counter() - t0)
             reg.counter("crc.bytes_verified").inc(len(data))
@@ -455,23 +483,32 @@ def _header_version(data) -> int:
     return data[4]
 
 
-def nested_crc(*streams: bytes) -> int:
-    """CRC-32C of the concatenated ``streams`` as it is when each is intact.
+def nested_crc(*streams: bytes, version: int) -> int:
+    """CRC of the concatenated ``streams`` as it is when each is intact,
+    under the CRC of a version-``version`` parent.
 
     A v2+ stream ends in the CRC of every byte before it, so an intact one
-    has the CRC residue as its own CRC and nothing is hashed; streams
-    without a trailer (v1, empty) are hashed in full.  The result matches
-    the CRC of the actual bytes only when every stream's trailer matches
-    its body.
+    whose version uses the parent's polynomial has the CRC residue as its
+    own CRC and nothing is hashed.  Other streams -- without a trailer (v1,
+    empty) or under the other polynomial (a v2-v4 child of a v5 parent) --
+    are hashed in full.  The result matches the CRC of the actual bytes
+    only when every residue-taken stream's trailer matches its body.
     """
-    crc = 0
+    checksum = checksum_for(version)
+    crc, combine, residue = checksum
+    out = 0
     for blob in streams:
-        if len(blob) >= 5 + _CRC_BYTES and blob[:4] == _MAGIC and blob[4] >= 2:
-            own = _CRC_RESIDUE
+        if (
+            len(blob) >= 5 + _CRC_BYTES
+            and blob[:4] == _MAGIC
+            and blob[4] >= 2
+            and checksum_for(blob[4]) == checksum
+        ):
+            own = residue
         else:
-            own = crc32c(blob)
-        crc = crc32c_combine(crc, own, len(blob))
-    return crc
+            own = crc(blob)
+        out = combine(out, own, len(blob))
+    return out
 
 
 def _read_varint(view: memoryview, pos: int, end: int) -> tuple[int, int]:

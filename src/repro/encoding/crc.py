@@ -1,11 +1,17 @@
-"""CRC-32C (Castagnoli) in pure numpy, fast enough for MB-scale streams.
+"""The container format's checksums: CRC-32 through zlib, and CRC-32C in
+pure numpy for reading legacy streams.
 
-The container format (v2, see ``docs/formats.md``) checksums every
-section and the whole stream, so the hash runs on every compress *and*
-every parse -- mostly on sections of a few hundred bytes to a few
-hundred KB, which makes the *fixed* cost per call matter as much as the
-throughput.  A byte-at-a-time Python loop tops out around 5 MB/s; this
-module instead exploits the GF(2)-linearity of CRC three times over:
+Every checksummed container (see ``docs/formats.md``) stores a CRC per
+section and one for the whole stream.  v5 streams use CRC-32, zlib's
+reflected polynomial 0xEDB88320, so :func:`crc32` is :func:`zlib.crc32`.
+v2-v4 streams use CRC-32C (Castagnoli), which the standard library lacks;
+:func:`crc32c` computes it in numpy, ~18x slower than zlib's CRC-32, for
+legacy streams and the job journal only.  Its tables are built on its
+first use, never at import, so a process that meets only v5 streams
+builds none of them.
+
+Both codes are GF(2)-linear, which the CRC-32C hot path exploits three
+times over:
 
 * slice-by-16: the contribution of a 16-byte group to the final register
   is sixteen 256-entry table gathers XORed together, turning the message
@@ -24,8 +30,12 @@ module instead exploits the GF(2)-linearity of CRC three times over:
   single 256-element gather plus an XOR reduction: entry
   ``[4*j + lane][b]`` is the final-register effect of byte ``b`` in lane
   ``lane`` of row position ``j`` (i.e. advanced through ``16*(63-j)``
-  trailing zero bytes).  The table (256 KB) and the per-distance advance
-  tables are built once per process.
+  trailing zero bytes).  The table is 256 KB.
+
+The same "advance by D zero bytes" tables, one set per polynomial, give
+:func:`crc32_combine` and :func:`crc32c_combine`: the CRC of a
+concatenation from the CRCs of its parts in O(log D) lookups, so writers
+and readers never hash a byte twice.
 
 ``crc32c(data, value=0)`` mirrors :func:`zlib.crc32`'s signature so
 checksums can be computed incrementally over stream parts.
@@ -34,47 +44,60 @@ checksums can be computed incrementally over stream parts.
 from __future__ import annotations
 
 import threading
+from zlib import crc32
 
 import numpy as np
 
-__all__ = ["crc32c", "crc32c_combine"]
+__all__ = ["crc32", "crc32_combine", "crc32c", "crc32c_combine"]
 
-_POLY = 0x82F63B78  # reflected Castagnoli polynomial
+_POLY = 0x82F63B78  # reflected Castagnoli polynomial (CRC-32C)
+_POLY_CRC32 = 0xEDB88320  # reflected zlib polynomial (CRC-32)
 
 
-def _byte_table() -> np.ndarray:
+def _byte_table(poly: int) -> np.ndarray:
     """The classic 256-entry table: register after one byte from state 0."""
     values = np.arange(256, dtype=np.uint32)
     for _ in range(8):
         odd = values & np.uint32(1)
-        values = (values >> np.uint32(1)) ^ (np.uint32(_POLY) * odd)
+        values = (values >> np.uint32(1)) ^ (np.uint32(poly) * odd)
     return values
 
 
-_TABLE0 = _byte_table()
-_TABLE0_LIST = _TABLE0.tolist()  # python ints: cheap scalar lookups
+# poly -> (byte table, the same as python ints for cheap scalar lookups).
+_BYTE_TABLES: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+
+def _table(poly: int) -> tuple[np.ndarray, list[int]]:
+    """``poly``'s byte table, built on first use."""
+    tables = _BYTE_TABLES.get(poly)
+    if tables is None:
+        table = _byte_table(poly)
+        tables = _BYTE_TABLES.setdefault(poly, (table, table.tolist()))
+    return tables
+
 
 # Bytes per contribution group of the sliced hot path.
 _GROUP = 16
 
-# Slice tables: _WORD_TABLES[j][b] = contribution of byte value b
-# followed by j more message bytes, from register 0.
-_WORD_TABLES: list[np.ndarray] = [_TABLE0]
-for _ in range(_GROUP - 1):
-    _prev = _WORD_TABLES[-1]
-    _WORD_TABLES.append(_TABLE0[_prev & np.uint32(0xFF)] ^ (_prev >> np.uint32(8)))
-_WT_LISTS = [t.tolist() for t in _WORD_TABLES]
+# CRC-32C slice tables, built by _word_tables on the first sliced hash:
+# _WORD_TABLES[j][b] = contribution of byte value b followed by j more
+# message bytes, from register 0; _WT_LISTS holds them as python ints.
+_WORD_TABLES: list[np.ndarray] = []
+_WT_LISTS: list[list[int]] = []
 
 #: Groups per row in the folding stage; must match the position table.
 _ROW = 64
 
-# _ADVANCE[k]: four (256,) tables expressing register advance through
-# 4 << k zero bytes; entry [i][b] is advance(b << 8i).  Built lazily as
-# larger messages are seen, under _ADVANCE_LOCK: each entry is derived
-# from the last one, so two threads extending the list at once would
-# misplace entries and corrupt every later CRC in the process.
-_ADVANCE: list[np.ndarray] = []
-_ADVANCE_LOCK = threading.Lock()
+# Advance tables per polynomial, _ADVANCE for CRC-32C: entry k is
+# ``(tables, flat)`` for register advance through 4 << k zero bytes, where
+# tables[i][b] (shape (4, 256)) is advance(b << 8i) and flat holds the same
+# 1024 values as python ints.  Built lazily as larger distances are seen,
+# under _LOCK: each entry is derived from the last one, so two threads
+# extending a list at once would misplace entries and corrupt every later
+# CRC in the process.
+_ADVANCE: list[tuple[np.ndarray, list[int]]] = []
+_ADVANCE_CRC32: list[tuple[np.ndarray, list[int]]] = []
+_LOCK = threading.Lock()
 
 # Combined position table, (256, 256): row 4*j + lane maps a byte in
 # lane `lane` of row position j to its final-register effect.
@@ -92,37 +115,57 @@ def _apply(tables: np.ndarray, reg: np.ndarray) -> np.ndarray:
     )
 
 
-def _advance_tables(k: int) -> np.ndarray:
-    """Advance tables for distance ``4 << k`` bytes, built on demand."""
-    if len(_ADVANCE) <= k:
-        with _ADVANCE_LOCK:
-            while len(_ADVANCE) <= k:
-                if not _ADVANCE:
-                    basis = np.arange(256, dtype=np.uint32)[None, :] << (
-                        np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
-                    )
-                    reg = basis
+def _lane_basis() -> np.ndarray:
+    """(4, 256) registers ``b << 8i``: one byte value in each lane."""
+    return np.arange(256, dtype=np.uint32)[None, :] << (
+        np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
+    )
+
+
+def _levels(poly: int, count: int) -> list[tuple[np.ndarray, list[int]]]:
+    """``poly``'s advance tables, extended on demand to at least ``count`` levels."""
+    levels = _ADVANCE if poly == _POLY else _ADVANCE_CRC32
+    if len(levels) < count:
+        with _LOCK:
+            while len(levels) < count:
+                if not levels:
+                    table = _table(poly)[0]
+                    reg = _lane_basis()
                     for _ in range(4):  # four zero bytes, one table step each
-                        reg = _TABLE0[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
-                    _ADVANCE.append(reg)
+                        reg = table[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
                 else:
-                    prev = _ADVANCE[-1]
-                    _ADVANCE.append(_apply(prev, prev.reshape(-1)).reshape(4, 256))
-    return _ADVANCE[k]
+                    prev = levels[-1][0]
+                    reg = _apply(prev, prev.reshape(-1)).reshape(4, 256)
+                levels.append((reg, reg.reshape(-1).tolist()))
+    return levels
+
+
+def _word_tables() -> list[np.ndarray]:
+    """The CRC-32C slice tables, built on first use."""
+    if not _WORD_TABLES:
+        with _LOCK:
+            if not _WORD_TABLES:
+                table = _table(_POLY)[0]
+                tables = [table]
+                for _ in range(_GROUP - 1):
+                    prev = tables[-1]
+                    tables.append(table[prev & np.uint32(0xFF)] ^ (prev >> np.uint32(8)))
+                _WT_LISTS[:] = [t.tolist() for t in tables]
+                _WORD_TABLES[:] = tables
+    return _WORD_TABLES
 
 
 def _pos64_table() -> np.ndarray:
     """Build (lazily) the combined 64-position x 4-lane x 256 table."""
     global _POS64
     if _POS64 is None:
+        table = _table(_POLY)[0]
         t = np.empty((_ROW, 4, 256), dtype=np.uint32)
-        reg = np.arange(256, dtype=np.uint32)[None, :] << (
-            np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
-        )
+        reg = _lane_basis()
         t[_ROW - 1] = reg  # last group: zero trailing bytes, identity
         for j in range(_ROW - 2, -1, -1):
             for _ in range(_GROUP):  # advance one more group of zero bytes
-                reg = _TABLE0[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
+                reg = table[reg & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
             t[j] = reg
         _POS64 = t.reshape(_ROW * 4, 256)
     return _POS64
@@ -137,6 +180,40 @@ def _fold_row(row: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(_pos64_table()[_IDX256, lanes]))
 
 
+def _combine(poly: int, crc1: int, crc2: int, len2: int) -> int:
+    """CRC of a concatenation under ``poly`` (see :func:`crc32c_combine`)."""
+    register = crc1 & 0xFFFFFFFF
+    nwords, rem = divmod(len2, 4)
+    if nwords:
+        levels = _levels(poly, nwords.bit_length())
+        k = 0
+        while nwords:
+            if nwords & 1:
+                t = levels[k][1]
+                register = (
+                    t[register & 0xFF]
+                    ^ t[256 + ((register >> 8) & 0xFF)]
+                    ^ t[512 + ((register >> 16) & 0xFF)]
+                    ^ t[768 + (register >> 24)]
+                )
+            nwords >>= 1
+            k += 1
+    if rem:
+        table = _table(poly)[1]
+        for _ in range(rem):
+            register = table[register & 0xFF] ^ (register >> 8)
+    return register ^ (crc2 & 0xFFFFFFFF)
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of a concatenation from the CRCs of its halves.
+
+    ``crc32(a + b) == crc32_combine(crc32(a), crc32(b), len(b))``, as
+    :func:`crc32c_combine` is for CRC-32C.
+    """
+    return _combine(_POLY_CRC32, crc1, crc2, len2)
+
+
 def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:
     """CRC-32C of a concatenation from the CRCs of its halves.
 
@@ -145,23 +222,7 @@ def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:
     table lookups), so joining already-hashed parts costs O(log len2)
     instead of re-reading them.
     """
-    register = crc1 & 0xFFFFFFFF
-    nwords, rem = divmod(len2, 4)
-    k = 0
-    while nwords:
-        if nwords & 1:
-            t = _advance_tables(k)
-            register = (
-                int(t[0][register & 0xFF])
-                ^ int(t[1][(register >> 8) & 0xFF])
-                ^ int(t[2][(register >> 16) & 0xFF])
-                ^ int(t[3][register >> 24])
-            )
-        nwords >>= 1
-        k += 1
-    for _ in range(rem):
-        register = _TABLE0_LIST[register & 0xFF] ^ (register >> 8)
-    return register ^ (crc2 & 0xFFFFFFFF)
+    return _combine(_POLY, crc1, crc2, len2)
 
 
 def crc32c(data: bytes, value: int = 0) -> int:
@@ -171,16 +232,18 @@ def crc32c(data: bytes, value: int = 0) -> int:
     if n == 0:
         return value & 0xFFFFFFFF
     if n < 64:  # table setup costs more than a short scalar loop
+        table = _table(_POLY)[1]
         for b in data:
-            register = _TABLE0_LIST[(register ^ b) & 0xFF] ^ (register >> 8)
+            register = table[(register ^ b) & 0xFF] ^ (register >> 8)
         return register ^ 0xFFFFFFFF
 
+    word_tables = _word_tables()
     buf = np.frombuffer(data, dtype=np.uint8)
     ngroups = n // _GROUP
     groups = buf[: ngroups * _GROUP].reshape(ngroups, _GROUP)
-    contrib = _WORD_TABLES[_GROUP - 1][groups[:, 0]]
+    contrib = word_tables[_GROUP - 1][groups[:, 0]]
     for j in range(1, _GROUP):
-        contrib ^= _WORD_TABLES[_GROUP - 1 - j][groups[:, j]]
+        contrib ^= word_tables[_GROUP - 1 - j][groups[:, j]]
     # Fold the initial register into the first group's contribution; the
     # slice tables are GF(2)-linear, so XORing the register's per-byte
     # effects here is the same as XORing its bytes into the data.
@@ -209,7 +272,7 @@ def crc32c(data: bytes, value: int = 0) -> int:
         while rows.shape[0] > 1:
             half = rows.reshape(-1, 2, _ROW)
             rows = (
-                _apply(_advance_tables(k), half[:, 0, :].reshape(-1)).reshape(
+                _apply(_levels(_POLY, k + 1)[k][0], half[:, 0, :].reshape(-1)).reshape(
                     -1, _ROW
                 )
                 ^ half[:, 1, :]
@@ -218,6 +281,7 @@ def crc32c(data: bytes, value: int = 0) -> int:
         row = rows[0]
 
     register = _fold_row(row)
+    table = _table(_POLY)[1]
     for b in data[ngroups * _GROUP :]:
-        register = _TABLE0_LIST[(register ^ b) & 0xFF] ^ (register >> 8)
+        register = table[(register ^ b) & 0xFF] ^ (register >> 8)
     return register ^ 0xFFFFFFFF

@@ -13,9 +13,11 @@ and render the :class:`StreamModel` it returns.  A stream is read once:
   stream of the ``*_T`` and ``SAFE`` wrappers, ``chunk[i]`` of ``CHUNKED``
   payloads and ``field:*`` of ``ARCHIVE`` streams;
 * every byte is hashed once: a section holding child containers gets its
-  CRC from theirs with :func:`crc32c_combine`, the same way
+  CRC from theirs with the combine of the container's CRC, the same way
   :meth:`Container.to_bytes` assembles the stream CRC, and every stored
-  CRC is compared against exactly the bytes it covers;
+  CRC is compared against exactly the bytes it covers.  The one exception
+  is a child whose version uses the other polynomial (a v2-v4 stream
+  inside a v5 one), which is hashed once under each;
 * section payloads are referenced (memoryview slices), never copied.
 
 Building the model never raises on bad bytes; every defect is recorded.
@@ -28,7 +30,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.chunked import (
+from repro.core.chunk_table import (
     ChunkTable,
     ParityGeometry,
     read_chunk_table,
@@ -37,14 +39,16 @@ from repro.core.chunked import (
 from repro.encoding.container import (
     _CRC_BYTES,
     _MAGIC,
+    _VERSION,
     ChecksumError,
+    Checksum,
     Container,
     StreamError,
     TruncatedStreamError,
     _header_version,
+    checksum_for,
     peek_codec,
 )
-from repro.encoding.crc import crc32c, crc32c_combine
 
 __all__ = ["Section", "StreamModel", "inspect_stream"]
 
@@ -97,7 +101,8 @@ class StreamModel:
     #: Stored vs computed stream CRC (v2+ containers of >= 9 bytes).
     stored_crc: int | None = None
     actual_crc: int | None = None
-    #: CRC-32C of all of this container's bytes.
+    #: CRC of all of this container's bytes, under the polynomial of the
+    #: container that holds it (its own at the top level).
     crc: int = 0
     table: ChunkTable | None = None
     table_error: StreamError | None = None
@@ -130,7 +135,9 @@ class StreamModel:
             return self.error
         if self.version >= 2:
             if self.nbytes < 5 + _CRC_BYTES:
-                return TruncatedStreamError("v2 stream shorter than its CRC trailer")
+                return TruncatedStreamError(
+                    f"v{self.version} stream shorter than its CRC trailer"
+                )
             if not self.stream_crc_ok:
                 return ChecksumError(
                     f"stream checksum mismatch (corrupted or truncated bytes): "
@@ -330,10 +337,14 @@ class StreamModel:
 def inspect_stream(blob: bytes) -> StreamModel:
     """Read ``blob`` once into a :class:`StreamModel`; never raises on bad bytes."""
     view = memoryview(blob)
-    return _inspect(view, 0, len(view), "stream")
+    return _inspect(view, 0, len(view), "stream", None)
 
 
-def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
+def _inspect(
+    view: memoryview, start: int, stop: int, name: str, outer: Checksum | None
+) -> StreamModel:
+    """Model of ``view[start:stop]``; ``outer`` is the CRC of the container
+    holding it (None at the top), the one ``model.crc`` is taken under."""
     data = view[start:stop]
     model = StreamModel(name, start, stop)
     n = len(data)
@@ -347,13 +358,21 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
             Container.from_bytes(data, verify_checksums=False)
         except StreamError as strict:
             model.error = strict
+    # The CRC this container's own sections and trailer carry.  One that
+    # carries none (v1, or an unreadable header) is hashed as its parent
+    # hashes it, or as new streams are at the top.
+    if model.checksummed:
+        own = checksum_for(model.version)
+    else:
+        own = outer or checksum_for(_VERSION)
+    crc, combine, _ = own
     box = model.box
     if box is None:
-        model.crc = crc32c(data)
+        model.crc = crc(data)
         if model.checksummed and n >= 5 + _CRC_BYTES:
             model.stored_crc = struct.unpack_from("<I", data, n - _CRC_BYTES)[0]
-            model.actual_crc = crc32c(data[: n - _CRC_BYTES])
-        return model
+            model.actual_crc = crc(data[: n - _CRC_BYTES])
+        return _crc_for_parent(model, data, own, outer)
     model.error = box.error
     if model.codec == "CHUNKED":
         try:
@@ -368,7 +387,7 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
 
     # Hash the framing, fold in each payload's CRC (taken from its child
     # containers where it has any), then compare against the stored CRCs.
-    running = crc32c(data[: box.header_end])
+    running = crc(data[: box.header_end])
     hashed_to = box.header_end
     trailer = _CRC_BYTES if model.checksummed else 0
     for key, (s, ps, pe) in box.spans.items():
@@ -378,26 +397,26 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
         if model.codec == "CHUNKED" and key == "payload":
             # Chunks are read even from a cut payload: repair and recovery
             # keep the ones that survived.
-            payload_crc = _chunks(model, view, start + ps, shown - ps)
+            payload_crc = _chunks(model, view, start + ps, shown - ps, own)
         elif not cut:
             if (key == "inner" and bytes(data[ps : ps + 4]) == _MAGIC) or (
                 model.codec == "ARCHIVE" and key.startswith("field:")
             ):
-                child = _inspect(view, start + ps, start + pe, key)
-            payload_crc = child.crc if child is not None else crc32c(data[ps:pe])
+                child = _inspect(view, start + ps, start + pe, key, own)
+            payload_crc = child.crc if child is not None else crc(data[ps:pe])
         crc_ok = None
         if cut:
             crc_ok = False if trailer else None
         elif trailer:
             stored = struct.unpack_from("<I", data, pe)[0]
             crc_ok = stored == payload_crc
-            running = crc32c(
+            running = crc(
                 data[pe : pe + trailer],
-                crc32c_combine(crc32c(data[s:ps], running), payload_crc, pe - ps),
+                combine(crc(data[s:ps], running), payload_crc, pe - ps),
             )
             hashed_to = pe + trailer
         else:
-            running = crc32c_combine(crc32c(data[s:ps], running), payload_crc, pe - ps)
+            running = combine(crc(data[s:ps], running), payload_crc, pe - ps)
             hashed_to = pe
         model.sections.append(
             Section(key, start + s, start + ps, start + shown, start + pe, crc_ok, child)
@@ -407,28 +426,42 @@ def _inspect(view: memoryview, start: int, stop: int, name: str) -> StreamModel:
     if trailer and n >= 5 + trailer:
         model.stored_crc = struct.unpack_from("<I", data, body_end)[0]
         if hashed_to <= body_end:
-            model.actual_crc = crc32c(data[hashed_to:body_end], running)
+            model.actual_crc = crc(data[hashed_to:body_end], running)
         else:
-            model.actual_crc = crc32c(data[:body_end])
-        model.crc = crc32c(data[body_end:], model.actual_crc)
+            model.actual_crc = crc(data[:body_end])
+        model.crc = crc(data[body_end:], model.actual_crc)
     else:
-        model.crc = crc32c(data[hashed_to:], running)
+        model.crc = crc(data[hashed_to:], running)
+    return _crc_for_parent(model, data, own, outer)
+
+
+def _crc_for_parent(
+    model: StreamModel, data: memoryview, own: Checksum, outer: Checksum | None
+) -> StreamModel:
+    """``model`` with ``crc`` under ``outer``: a container nested under the
+    other polynomial (a v2-v4 stream in a v5 one) is hashed again in full."""
+    if outer is not None and outer != own:
+        model.crc = outer.crc(data)
     return model
 
 
-def _chunks(model: StreamModel, view: memoryview, base: int, size: int) -> int:
+def _chunks(
+    model: StreamModel, view: memoryview, base: int, size: int, own: Checksum
+) -> int:
     """Read every chunk of a CHUNKED payload; returns the payload's CRC."""
     table = model.table
     if table is None:
-        return crc32c(view[base : base + size])
+        return own.crc(view[base : base + size])
     for i, (o, ln) in enumerate(zip(table.offs.tolist(), table.lens.tolist())):
         if o + ln > size:
             model.chunks.append(None)
         else:
-            model.chunks.append(_inspect(view, base + o, base + o + ln, f"chunk[{i}]"))
+            model.chunks.append(
+                _inspect(view, base + o, base + o + ln, f"chunk[{i}]", own)
+            )
     if any(c is None for c in model.chunks) or int(table.lens.sum()) != size:
-        return crc32c(view[base : base + size])
+        return own.crc(view[base : base + size])
     crc = 0
     for chunk in model.chunks:
-        crc = crc32c_combine(crc, chunk.crc, chunk.nbytes)
+        crc = own.combine(crc, chunk.crc, chunk.nbytes)
     return crc

@@ -1,13 +1,13 @@
 """Stream verification and repair: ``verify_stream`` / ``repair_stream``.
 
 ``verify_stream`` answers "are these bytes trustworthy?" cheaply:
-structure, the v2 stream CRC, every per-section CRC, CHUNKED chunk-table
-consistency (including v3 parity geometry), and a recursive pass over
+structure, the stream CRC, every per-section CRC, CHUNKED chunk-table
+consistency (including the parity geometry), and a recursive pass over
 the per-chunk / per-field sub-streams -- all without running any decoder.
 This is what ``repro-compress verify`` runs, and what an HPC restart
 path would run on every rank file before committing to a load.
 
-``repair_stream`` goes one step further on parity-bearing (v3) CHUNKED
+``repair_stream`` goes one step further on parity-bearing CHUNKED
 streams: chunks whose bytes fail their own checksums -- or are missing
 outright after a truncation -- are rebuilt byte-exactly from the
 surviving members of their Reed-Solomon parity group, and a fully
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.chunked import _chunked_meta_box
+from repro.core.chunk_table import chunked_meta_box
 from repro.encoding.container import Container, ContainerError
 from repro.encoding.rs import InsufficientParityError, decode_blocks, encode_parity
 from repro.inspection import StreamModel, inspect_stream
@@ -41,7 +41,7 @@ __all__ = [
     "verify_stream",
 ]
 
-#: v3 parity metadata (the ``parity`` payload itself may be damaged --
+#: Parity metadata (the ``parity`` payload itself may be damaged --
 #: rebuilt chunks are validated by their own stream CRCs instead).
 _PARITY_META = ("parity_k", "group_size", "parity_lens")
 
@@ -86,7 +86,7 @@ class VerifyReport:
 def verify_stream(blob: bytes) -> VerifyReport:
     """Verify structure and checksums of ``blob`` without decompressing.
 
-    Checks, in order: container framing parses; the v2 whole-stream CRC
+    Checks, in order: container framing parses; the whole-stream CRC
     matches; every per-section CRC matches; for ``CHUNKED`` streams the
     chunk table is self-consistent, every per-chunk sub-stream verifies in
     turn and the parity matches a re-encode; for ``ARCHIVE`` streams every
@@ -240,7 +240,7 @@ def repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
         chunks, report = _rebuild_chunks(model)
         box = model.box
         k, m, plens = model.parity
-        # Reassemble in the canonical v3 section order, copying metadata
+        # Reassemble in the canonical section order, copying metadata
         # section bytes verbatim.  With every chunk recovered the parity is
         # re-encoded (deterministic, so it equals -- and if damaged, heals
         # -- the original); with losses the original parity bytes are kept
@@ -261,17 +261,19 @@ def repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
         # fresh hash when every chunk is whole, while a lost chunk's kept
         # bytes disagree with it, so the output still fails verification as
         # a damaged stream (strict decoders trust chunks the outer CRC covers).
+        # The input's own version keeps its polynomial, so a repaired legacy
+        # stream is byte-identical to the one originally written.
         out.put_nested("payload", *chunks)
-        return out.to_bytes(version=3), report
+        return out.to_bytes(version=box.version), report
 
 
 def _rebuild_chunks(model: StreamModel) -> tuple[list[bytes], RepairReport]:
-    """Every chunk of an inspected v3 stream, rebuilt where its group's
-    parity reaches, else damaged and zero-padded to its table length: the
-    one repair behind :func:`repair_stream` and recovery.  Raises as
-    :func:`repair_stream` does."""
+    """Every chunk of an inspected parity-bearing stream, rebuilt where its
+    group's parity reaches, else damaged and zero-padded to its table
+    length: the one repair behind :func:`repair_stream` and recovery.
+    Raises as :func:`repair_stream` does."""
     t0 = time.perf_counter()
-    box = _chunked_meta_box(model, "; only CHUNKED streams carry parity", _PARITY_META)
+    box = chunked_meta_box(model, "; only CHUNKED streams carry parity", _PARITY_META)
     if "parity_k" not in box:
         raise ContainerError("stream carries no parity sections (not a v3 record)")
     if model.table is None:

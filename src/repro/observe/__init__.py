@@ -28,10 +28,10 @@ Eight parts (see ``docs/observability.md``):
   markdown trend report behind ``repro perf report``;
 * :mod:`repro.observe.quality` -- point-wise error analytics: a
   streaming, mergeable :class:`ErrorHistogram` (log-binned rel/abs
-  error with signed bias and percentiles) fed by the verify hooks,
-  :func:`attribute_bytes` decomposing any stream into an exhaustive
-  byte-attribution tree, and :func:`explain_stream` behind
-  ``repro-compress explain``.
+  error with signed bias and percentiles) fed by the verify hooks, and
+  :func:`explain_stream` behind ``repro-compress explain``;
+* :mod:`repro.observe.attribution` -- :func:`attribute_bytes`, decomposing
+  any stream into an exhaustive byte-attribution tree.
 
 Tracing is on by default; ``REPRO_TRACE=off`` (or
 :func:`enable_tracing(False) <enable_tracing>`) reduces every
@@ -90,11 +90,10 @@ if TYPE_CHECKING:
         uninstall_profiler,
     )
     from repro.observe.propagate import TaskTelemetry, absorb, run_traced
+    from repro.observe.attribution import ByteNode, attribute_bytes
     from repro.observe.quality import (
-        ByteNode,
         ErrorHistogram,
         ExplainReport,
-        attribute_bytes,
         explain_stream,
         mad_outliers,
         quality_enabled,
@@ -202,9 +201,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "profiling", "uninstall_profiler",
     ),
     "repro.observe.propagate": ("TaskTelemetry", "absorb", "run_traced"),
+    "repro.observe.attribution": ("ByteNode", "attribute_bytes"),
     "repro.observe.quality": (
-        "ByteNode", "ErrorHistogram", "ExplainReport", "attribute_bytes", "explain_stream",
-        "mad_outliers", "quality_enabled", "record_quality_snapshot", "set_quality_enabled",
+        "ErrorHistogram", "ExplainReport", "explain_stream", "mad_outliers",
+        "quality_enabled", "record_quality_snapshot", "set_quality_enabled",
     ),
     "repro.observe.tracer": (
         "Span", "Tracer", "current_span", "enable_tracing", "export_spans", "get_tracer",

@@ -168,7 +168,7 @@ class StreamStats:
     sections: dict[str, int]
     n_chunks: int | None
     inner_codec: str | None
-    #: ``(k, group_size)`` of a parity-bearing (v3) stream, else None.
+    #: ``(k, group_size)`` of a parity-bearing stream, else None.
     parity: tuple[int, int] | None
     decode_s: float
     crc_verify_s: float
@@ -181,7 +181,7 @@ class StreamStats:
     patched: int | None = None
     #: Bytes per attribution kind (entropy table vs payload, outliers,
     #: patches, parity, framing, CRCs ...) from the byte-attribution tree
-    #: (``repro.observe.quality.attribute_bytes``); None when attribution
+    #: (``repro.observe.attribution.attribute_bytes``); None when attribution
     #: was unavailable.  Leaf kinds sum exactly to ``nbytes``.
     kind_totals: dict[str, int] | None = None
     #: Dominant payload kind per top-level section, same source.
@@ -269,7 +269,7 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
 
     With ``tolerate_corruption`` a damaged stream is decoded best-effort
     via :func:`repro.core.chunked.recover_array` -- intact chunks of a
-    CHUNKED v2 stream are kept, lost spans are filled -- and the
+    CHUNKED stream are kept, lost spans are filled -- and the
     :class:`~repro.core.chunked.RecoveryReport` lands in
     :attr:`StreamStats.recovery` (None when the stream decoded fully).
     A stream whose geometry is itself unreadable still raises.
@@ -298,7 +298,7 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
     delta = reg.diff(before)
 
     from repro.inspection import inspect_stream
-    from repro.observe.quality import attribute_model, section_kind_map
+    from repro.observe.attribution import attribute_model, section_kind_map
 
     model = inspect_stream(blob)
     parity = (model.parity.k, model.parity.group_size) if model.parity else None

@@ -3,7 +3,7 @@
 Wraps any registered compressor as an untrusted blackbox: compress, decode
 the codec's own output, evaluate every declared :class:`Safeguard`
 vectorized, and store bit-exact patches for each violating point in the
-stream (container format v4, codec ``SAFE``).  Decoding applies the patches
+stream (codec ``SAFE``).  Decoding applies the patches
 after the inner decode, so the declared properties hold no matter what the
 wrapped codec did.
 
@@ -39,9 +39,6 @@ from .kinds import (
 )
 
 __all__ = ["SafeguardedCompressor"]
-
-#: Container format version for safeguard-bearing streams (see docs/formats.md).
-SAFEGUARD_VERSION = 4
 
 
 def _as_safeguard(sg: "Safeguard | str") -> Safeguard:
@@ -140,7 +137,7 @@ class SafeguardedCompressor(Compressor):
         box.put_str("inner_codec", inner.name)
         box.put_nested("inner", inner_blob)
         put_patch_sections(box, channel.patch_idx, channel.patch_val)
-        return box.to_bytes(version=SAFEGUARD_VERSION), final
+        return box.to_bytes(), final
 
     def _compress_empty(self, data: np.ndarray) -> tuple[bytes, tuple[Safeguard, ...]]:
         """A zero-element stream and its resolved safeguard stack."""
@@ -156,7 +153,7 @@ class SafeguardedCompressor(Compressor):
         put_patch_sections(
             box, np.empty(0, dtype=np.uint64), np.empty(0, dtype=data.dtype)
         )
-        return box.to_bytes(version=SAFEGUARD_VERSION), stack
+        return box.to_bytes(), stack
 
     def _record(self, data, final, rel, stack, channel, inner_name, sub) -> None:
         """Move the ``safeguard.*`` metrics, and fold ``sub``, the inner

@@ -141,3 +141,37 @@ class TestCorruption:
         box = Container("T")
         box.put("a", b"abc")
         assert box.nbytes == len(box.to_bytes())
+
+
+class TestVersionSelectsPolynomial:
+    """v5 streams carry CRC-32, v2-v4 ones CRC-32C; the version byte says
+    which, so a stream relabeled across that boundary fails its checksum."""
+
+    @pytest.fixture(scope="class")
+    def v5(self):
+        box = Container("T")
+        box.put("a", bytes(range(256)) * 4)
+        box.put("b", b"meta")
+        return box.to_bytes()
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_v5_relabeled_as_legacy_raises(self, v5, version):
+        assert v5[4] == 5
+        with pytest.raises(ChecksumError):
+            Container.from_bytes(v5[:4] + bytes([version]) + v5[5:])
+
+    def test_legacy_relabeled_as_v5_raises(self):
+        from tests.test_legacy_corpus import legacy_streams
+
+        for label, blob in legacy_streams().items():
+            if blob[4] >= 2:
+                Container.from_bytes(blob)
+                with pytest.raises(ChecksumError):
+                    Container.from_bytes(blob[:4] + b"\x05" + blob[5:])
+
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    def test_every_checksummed_version_round_trips(self, version):
+        box = Container("T")
+        box.put("a", b"0123456789" * 10)
+        out = Container.from_bytes(box.to_bytes(version=version))
+        assert out.version == version and out.get("a") == b"0123456789" * 10

@@ -1,10 +1,13 @@
 """CRC-32C implementation: known vectors, incrementality, and the
-vectorized path vs a bitwise reference."""
+vectorized path vs a bitwise reference; the CRC-32 combine against zlib."""
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.encoding.crc import crc32c, crc32c_combine
+from repro.encoding.crc import crc32_combine, crc32c, crc32c_combine
 
 
 def crc32c_reference(data: bytes, value: int = 0) -> int:
@@ -134,3 +137,34 @@ class TestThreadSafety:
                 t.join()
             assert got == [want] * nthreads
             assert crc32c_combine(crc_a, crc_b, len(b)) == want
+
+
+class TestCrc32Combine:
+    """The CRC-32 (zlib polynomial) combine on TestCombine's cases."""
+
+    @pytest.mark.parametrize("len_a, len_b", [
+        (0, 0), (0, 100), (100, 0), (1, 1), (3, 61),
+        (63, 64), (64, 65), (500, 1024), (1025, 4096), (10_000, 7),
+    ])
+    def test_combine_equals_zlib_of_the_concatenation(self, len_a, len_b):
+        rng = np.random.default_rng(len_a * 131 + len_b)
+        a = rng.integers(0, 256, len_a, np.uint8).tobytes()
+        b = rng.integers(0, 256, len_b, np.uint8).tobytes()
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    def test_three_way_combine(self):
+        rng = np.random.default_rng(42)
+        parts = [rng.integers(0, 256, n, np.uint8).tobytes() for n in (200, 3000, 77)]
+        crc = zlib.crc32(parts[0])
+        for part in parts[1:]:
+            crc = crc32_combine(crc, zlib.crc32(part), len(part))
+        assert crc == zlib.crc32(b"".join(parts))
+
+    @pytest.mark.parametrize("hash_fn, residue", [
+        (zlib.crc32, 0x2144DF1C), (crc32c, 0x48674BC7),
+    ], ids=["crc32", "crc32c"])
+    def test_residue(self, hash_fn, residue):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 9, 300, 5000):
+            data = rng.integers(0, 256, n, np.uint8).tobytes()
+            assert hash_fn(data + struct.pack("<I", hash_fn(data))) == residue

@@ -22,19 +22,20 @@ from repro import (
 from repro.archive import compress_dataset, decompress_dataset
 from repro.data.generators import gaussian_random_field
 from repro.encoding import ChecksumError, Container
-from repro.encoding.crc import crc32c
+from repro.encoding.crc import crc32
 
 
 @pytest.fixture()
 def hashed(monkeypatch):
-    """Bytes passed to the container's ``crc32c`` while the test runs."""
+    """Bytes passed to the container's ``crc32`` (the v5 hasher) while the
+    test runs."""
     seen = [0]
 
     def counting(data, value=0):
         seen[0] += len(data)
-        return crc32c(data, value)
+        return crc32(data, value)
 
-    monkeypatch.setattr(container_mod, "crc32c", counting)
+    monkeypatch.setattr(container_mod, "crc32", counting)
     return seen
 
 
@@ -109,7 +110,7 @@ class TestStrictDecode:
         )
         data = _field((32, 64, 64))
         blob = comp.compress(data, RelativeBound(1e-3))
-        assert blob[4] == (3 if request.param else 2)
+        assert blob[4] == 5
         return blob, decompress(blob)
 
     def test_each_byte_hashed_once(self, chunked, hashed):
@@ -153,3 +154,69 @@ class TestStrictDecode:
         _, start, stop = Container.from_bytes(blob).spans["field:a"]
         with pytest.raises(ChecksumError):
             decompress_dataset(_flip(blob, (start + stop) // 2))
+
+
+class TestMixedPolynomials:
+    """A v5 parent of v2-v4 children, as a journal resumed across releases
+    writes: the children's CRC-32C residue does not apply under CRC-32, so
+    they are hashed in full, and the parent still verifies and decodes."""
+
+    @staticmethod
+    def _rebuild(legacy: bytes, nested: dict[str, list[bytes]]) -> bytes:
+        box = Container.from_bytes(legacy)
+        out = Container(box.codec)
+        for key in box.keys():
+            if key in nested:
+                out.put_nested(key, *nested[key])
+            else:
+                out.put(key, box.get(key))
+        return out.to_bytes()
+
+    @pytest.fixture(scope="class")
+    def parents(self):
+        from repro.core.chunked import iter_chunk_blobs
+        from tests.test_legacy_corpus import legacy_streams
+
+        legacy = legacy_streams()
+        chunked = legacy["chunked_v2"]
+        archive = legacy["archive_v2"]
+        fields = {
+            key: [Container.from_bytes(archive).get(key)]
+            for key in Container.from_bytes(archive).keys()
+            if key.startswith("field:")
+        }
+        return {
+            "CHUNKED": (chunked, self._rebuild(
+                chunked, {"payload": list(iter_chunk_blobs(chunked))}
+            )),
+            "ARCHIVE": (archive, self._rebuild(archive, fields)),
+        }
+
+    @pytest.mark.parametrize("codec", ["CHUNKED", "ARCHIVE"])
+    def test_verifies_decodes_and_inspects_clean(self, parents, codec):
+        from repro.inspection import inspect_stream
+        from repro.integrity import verify_stream
+        from tests.test_legacy_corpus import decode
+
+        legacy, mixed = parents[codec]
+        assert mixed[4] == 5 and len(mixed) == len(legacy)
+        assert verify_stream(mixed).ok
+        model = inspect_stream(mixed)
+        assert model.damage() is None and model.problems == ()
+        children = model.chunks or [s.child for s in model.sections if s.child]
+        assert children and all(c.version == 2 for c in children)
+        got, want = decode(mixed), decode(legacy)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    @pytest.mark.parametrize("codec", ["CHUNKED", "ARCHIVE"])
+    def test_flipped_child_bit_is_caught(self, parents, codec):
+        from repro.integrity import verify_stream
+        from tests.test_legacy_corpus import decode
+
+        _, mixed = parents[codec]
+        key = "payload" if codec == "CHUNKED" else "field:b"
+        _, start, stop = Container.from_bytes(mixed).spans[key]
+        bad = _flip(mixed, stop - 40)
+        with pytest.raises(ChecksumError):
+            decode(bad)
+        assert not verify_stream(bad).ok

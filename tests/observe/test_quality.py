@@ -140,7 +140,8 @@ def _v1(blob):
 
 
 def _streams(field):
-    """{label: blob} covering container versions 1-4 and the key codecs."""
+    """{label: blob} of the key codecs, as v5 and (SZ_T) v1 streams; the
+    legacy corpus (tests/test_legacy_corpus.py) holds v2-v4 ones."""
     sz = compress(field, RelativeBound(BOUND), "SZ_T")
     chunked = ChunkedCompressor("SZ_T", chunk_bytes=1 << 14, executor="serial")
     parity = ChunkedCompressor(
@@ -148,18 +149,20 @@ def _streams(field):
     )
     safe = SafeguardedCompressor("SZ_T", ["rel:1e-3"])
     return {
-        "sz_v2": sz,
+        "sz_v5": sz,
         "sz_v1": _v1(sz),
-        "chunked_v2": chunked.compress(field, RelativeBound(BOUND)),
-        "parity_v3": parity.compress(field, RelativeBound(BOUND)),
-        "safe_v4": safe.compress(field, RelativeBound(BOUND)),
-        "zfp_v2": compress(field, RelativeBound(BOUND), "ZFP_T"),
+        "chunked_v5": chunked.compress(field, RelativeBound(BOUND)),
+        "parity_v5": parity.compress(field, RelativeBound(BOUND)),
+        "safe_v5": safe.compress(field, RelativeBound(BOUND)),
+        "zfp_v5": compress(field, RelativeBound(BOUND), "ZFP_T"),
     }
 
 
 class TestByteAttribution:
     def test_exhaustive_for_every_codec_and_version(self, field):
-        for label, blob in _streams(field).items():
+        from tests.test_legacy_corpus import legacy_streams
+
+        for label, blob in {**_streams(field), **legacy_streams()}.items():
             tree = attribute_bytes(blob)
             tree.check_exhaustive()
             assert sum(leaf.nbytes for leaf in tree.leaves()) == len(blob), label

@@ -127,7 +127,7 @@ class TestAdapter:
         safe = SafeguardedCompressor(EvilCodec("faithful"), ["rel:1e-3", "sign"])
         blob = safe.compress(data, BOUND)
         box = Container.from_bytes(blob)
-        assert box.version == 4
+        assert box.version == 5
         assert box.get_u64("n_patch") == 0
         assert box.get_str("inner_codec") == "EVIL"
 

@@ -674,15 +674,31 @@ _LOADED_SCRIPT = """
 import json, sys
 from repro.cli import main
 
+runs = [[]]
+for arg in sys.argv[1:]:
+    if arg == "+":
+        runs.append([])
+    else:
+        runs[-1].append(arg)
 try:
-    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+    code = max(main(argv) for argv in runs) if sys.argv[1:] else 0
 except SystemExit as exc:  # --help
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "repro")]))
+crc = sys.modules.get("repro.encoding.crc")
+crc32c_built = crc is not None and (
+    crc._POS64 is not None or bool(crc._WORD_TABLES) or bool(crc._ADVANCE)
+    or crc._POLY in crc._BYTE_TABLES
+)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "repro"),
+                  crc32c_built]))
 """
 #: Machinery no plain compress, decompress or read of a stream runs.
 _NOT_LOADED = ("repro.observe.profile", "repro.observe.ledger", "repro.parallel.cluster",
                "repro.resilience.jobs", "repro.experiments")
+#: The chunk pipeline and the error measurement it imports, which reading an
+#: unchunked stream without decoding it does not need.
+_CHUNK_PIPELINE = ("repro.core.chunked", "repro.observe.audit", "repro.observe.quality",
+                   "repro.observe.propagate", "repro.metrics.error")
 _CODECS = ("repro.compressors.sz", "repro.compressors.zfp", "repro.compressors.fpzip",
            "repro.compressors.isabela")
 
@@ -696,16 +712,31 @@ class TestImportBoundary:
     loads none of the subsystems that command does not use."""
 
     @staticmethod
-    def _loaded(cwd, *argv: str) -> list[str]:
+    def _fresh(cwd, *argv: str) -> tuple[list[str], bool]:
+        """The ``repro`` modules a fresh process loaded running ``argv`` (one
+        command, or several joined by ``+``), and whether it built any
+        CRC-32C table."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_SCRIPT, *argv], cwd=cwd,
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, crc32c_built = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr[-2000:]
-        return loaded
+        return loaded, crc32c_built
+
+    @classmethod
+    def _loaded(cls, cwd, *argv: str) -> list[str]:
+        return cls._fresh(cwd, *argv)[0]
+
+    @pytest.fixture()
+    def streams(self, tmp_path):
+        """``field.npy`` and its unchunked SZ_T stream ``field.rpz``."""
+        data = np.exp(np.random.default_rng(0).normal(0, 1, (16, 16, 16))).astype(np.float32)
+        np.save(tmp_path / "field.npy", data)
+        (tmp_path / "field.rpz").write_bytes(repro.compress(data, repro.RelativeBound(1e-3)))
+        return tmp_path
 
     @pytest.mark.parametrize("argv", [(), ("compress", "--help")],
                              ids=["import", "compress-help"])
@@ -720,9 +751,24 @@ class TestImportBoundary:
         ("verify", "field.rpz"),
         ("info", "field.rpz"),
     ], ids=lambda argv: argv[0])
-    def test_command_loads_only_what_it_runs(self, tmp_path, argv):
-        data = np.exp(np.random.default_rng(0).normal(0, 1, (16, 16, 16))).astype(np.float32)
-        np.save(tmp_path / "field.npy", data)
-        (tmp_path / "field.rpz").write_bytes(repro.compress(data, repro.RelativeBound(1e-3)))
-        loaded = self._loaded(tmp_path, *argv)
+    def test_command_loads_only_what_it_runs(self, streams, argv):
+        loaded = self._loaded(streams, *argv)
         assert [m for m in loaded if _within(m, _NOT_LOADED)] == []
+
+    @pytest.mark.parametrize("command", ["verify", "info"])
+    def test_reading_a_stream_loads_no_chunk_pipeline(self, streams, command):
+        loaded = self._loaded(streams, command, "field.rpz")
+        assert "repro.core.chunk_table" in loaded
+        assert [m for m in loaded if _within(m, _CHUNK_PIPELINE)] == []
+
+    def test_v5_round_trip_builds_no_crc32c_table(self, streams):
+        loaded, crc32c_built = self._fresh(
+            streams, "compress", "field.npy", "new.rpz", "--rel-bound", "1e-3",
+            "+", "decompress", "new.rpz", "back.npy", "+", "verify", "new.rpz",
+        )
+        assert (streams / "new.rpz").read_bytes()[4] == 5
+        assert "repro.encoding.crc" in loaded and not crc32c_built
+        # A v2 stream does build them: the check can fail.
+        from tests.test_legacy_corpus import CORPUS
+
+        assert self._fresh(streams, "verify", str(CORPUS / "sz_v2.rpz"))[1]

@@ -433,8 +433,10 @@ class TestDropSectionVersions:
     def test_drop_section_preserves_v3(self, field):
         from repro.encoding.container import Container
 
+        from tests.test_legacy_corpus import reframe
+
         cc = ChunkedCompressor(chunk_bytes=4000, parity=1, executor="serial")
-        blob = cc.compress(field, BOUND)
+        blob = reframe(cc.compress(field, BOUND), 3)
         assert Container.from_bytes(blob).version == 3
         out = drop_section(blob, "parity_lens")
         box = Container.from_bytes(out, partial=True)

@@ -3,10 +3,11 @@
 ``info``, ``stats``, ``verify``, ``explain --json``, ``audit --json`` and
 ``repair --json`` all read a compressed stream without an original.  This
 module pins what each command prints, writes and exits with for the v1-v4
-fixtures of :func:`tests.observe.test_quality._streams` (plus a two-field
-ARCHIVE), each clean, truncated at a seeded offset, and with four seeded
-bit flips.  A refactor of the readers behind these commands must leave every
-output unchanged.
+streams of the legacy corpus (:mod:`tests.test_legacy_corpus`, written by
+the v1-v4 writer, whose goldens that writer's readers produced) and their
+v5 counterparts written now from the same field, each clean, truncated at a
+seeded offset, and with four seeded bit flips.  A refactor of the readers
+behind these commands must leave every output unchanged.
 
 ``stats`` output drops its timing line and the decode-metrics block, which
 vary from run to run.  Floats inside the JSON outputs compare with a
@@ -31,34 +32,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import RelativeBound
-from repro.archive import compress_dataset
 from repro.cli import main
 from repro.testing import faults
 
-from tests.observe.test_quality import BOUND, _streams
+from tests.test_legacy_corpus import corpus_field, legacy_streams, write_streams
 
 GOLDEN = Path(__file__).parent / "golden" / "inspect_golden.json"
 COMMANDS = ("info", "stats", "verify", "explain", "audit", "repair")
 
 
-def _field() -> np.ndarray:
-    # Same field as the ``field`` fixture of tests/observe/test_quality.py.
-    rng = np.random.default_rng(7)
-    return (rng.standard_normal(20000) * np.exp(rng.uniform(-3, 3, 20000))).astype(
-        np.float32
-    )
-
-
 def fixtures() -> dict[str, bytes]:
     """``{label: blob}``: every fixture clean, truncated and bit-flipped."""
-    field = _field()
-    clean = _streams(field)
-    clean["archive_v2"] = compress_dataset(
-        {"a": field[:12000], "b": field[12000:]},
-        RelativeBound(BOUND),
-        {"a": "SZ_T", "b": "ZFP_T"},
-    )
+    clean = {**legacy_streams(), **write_streams(corpus_field())}
     out: dict[str, bytes] = {}
     for seed, (label, blob) in enumerate(clean.items()):
         keep = int(np.random.default_rng(seed).integers(6, len(blob) - 1))

@@ -1,13 +1,14 @@
 """The stream model every inspection command renders: ``inspect_stream``."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-import repro.inspection as inspection
+import repro.encoding.container as container
 from repro import Container, RelativeBound, compress, decompress
 from repro.core.chunked import ChunkedCompressor
 from repro.encoding.container import ContainerError
-from repro.encoding.crc import crc32c
 from repro.inspection import inspect_stream
 from repro.integrity import repair_stream, verify_stream
 from repro.testing import faults
@@ -28,13 +29,13 @@ def test_every_byte_is_hashed_once(parity_blob, monkeypatch):
 
     def counting(data, value=0):
         hashed.append(len(data))
-        return crc32c(data, value)
+        return zlib.crc32(data, value)
 
-    monkeypatch.setattr(inspection, "crc32c", counting)
+    monkeypatch.setattr(container, "crc32", counting)
     model = inspect_stream(parity_blob)
     assert sum(hashed) == len(parity_blob)
-    assert model.crc == crc32c(parity_blob)
-    assert model.actual_crc == model.stored_crc == crc32c(parity_blob[:-4])
+    assert model.crc == zlib.crc32(parity_blob)
+    assert model.actual_crc == model.stored_crc == zlib.crc32(parity_blob[:-4])
 
 
 def test_clean_stream_model(parity_blob):

@@ -224,10 +224,13 @@ class TestParityStats:
 
         rng = np.random.default_rng(0)
         data = rng.lognormal(size=4000).astype(np.float32)
+        from tests.test_legacy_corpus import reframe
+
         blob = ChunkedCompressor(
             chunk_bytes=4000, parity=2, group_size=4, executor="serial"
         ).compress(data, RelativeBound(1e-2))
-        stats = build_report(blob)
+        assert build_report(blob).version == 5
+        stats = build_report(reframe(blob, 3))
         assert stats.version == 3
         assert stats.parity == (2, 4)
         assert "k=2 per group of 4" in stats.format()

@@ -287,13 +287,19 @@ class TestDecompressPartialRepairs:
         assert repair_stream(bytes(damaged))[0] == parity_blob
 
     def test_v2_and_v1_streams_still_parse(self, field):
-        v2 = ChunkedCompressor(chunk_bytes=4000, executor="serial").compress(
-            field, BOUND
-        )
-        assert decompress(v2).shape == field.shape
         from repro import Container
 
-        assert Container.from_bytes(v2).version == 2
+        from tests.test_legacy_corpus import reframe
+
+        v5 = ChunkedCompressor(chunk_bytes=4000, executor="serial").compress(
+            field, BOUND
+        )
+        want = decompress(v5)
+        v2 = reframe(v5, 2)
+        v1 = Container.from_bytes(v5).to_bytes(checksums=False)  # v5 chunks inside
+        for legacy, version in ((v2, 2), (v1, 1)):
+            assert Container.from_bytes(legacy).version == version
+            np.testing.assert_array_equal(decompress(legacy), want)
 
 
 class TestWatchdog:
@@ -445,7 +451,7 @@ class TestRepairCli:
         src.write_bytes(damaged)
         assert main(["repair", str(src), str(dst)]) == 2
 
-    def test_compress_parity_flag_writes_v3(self, field, tmp_path):
+    def test_compress_parity_flag_writes_parity(self, field, tmp_path):
         from repro import Container
         from repro.cli import main
 
@@ -458,7 +464,7 @@ class TestRepairCli:
         ])
         assert rc == 0
         box = Container.from_bytes(out.read_bytes())
-        assert box.version == 3 and box.get_u64("parity_k") == 2
+        assert box.version == 5 and box.get_u64("parity_k") == 2
 
     def test_decompress_fill_zero(self, field, tmp_path):
         from repro.cli import main
