@@ -1,20 +1,11 @@
-"""Safeguards bench: the compliant-codec overhead budget, enforced.
+"""Safeguards bench: the non-compliant direction, bound-checked.
 
-The safeguards layer's design promise is *near-zero overhead when the
-wrapped codec complies*: the verify pass's reconstruction is reused, each
-safeguard costs one vectorized mask pass, and the patch channel is empty.
-This module puts a number on that promise and wires it into CI:
-
-* ``szt-roundtrip`` pair -- raw ``SZ_T`` vs ``SAFE(SZ_T, rel)`` round
-  trips over the same field.  Both records carry ``overhead_pair`` /
-  ``overhead_role`` extra-info; ``scripts/check_bench_regression.py``
-  pairs them and **fails when the safeguarded round trip exceeds the
-  baseline by more than ``overhead_budget``** (10%).  The gate is
-  baseline-file-independent, so it also runs on fresh reports.
-* ``SAFE(ZFP_P, rel)`` -- the non-compliant direction: a precision codec
-  made rel-bounded by patching.  The record carries ``max_rel_err`` /
-  ``rel_bound`` so the existing bound-conformance gate proves the wrap
-  delivers the bound ZFP_P alone cannot.
+``SAFE(ZFP_P, rel)`` makes a precision codec rel-bounded by patching.
+The record carries ``max_rel_err`` / ``rel_bound`` so the
+bound-conformance gate (``scripts/check_bench_regression.py``) proves
+the wrap delivers the bound ZFP_P alone cannot.  The compliant
+direction's overhead budget (``SAFE(SZ_T)`` vs ``SZ_T``) is timed by
+``scripts/check_overhead.py``.
 """
 
 from __future__ import annotations
@@ -22,61 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Container, PrecisionBound, RelativeBound, decompress
-from repro.compressors.base import get_compressor
+from repro import Container, PrecisionBound, decompress
 from repro.safeguards import SafeguardedCompressor
 
 BOUND = 1e-3
-
-#: Allowed round-trip slowdown of SAFE(SZ_T) over raw SZ_T.
-OVERHEAD_BUDGET = 0.10
-
-
-@pytest.fixture(scope="module")
-def field() -> np.ndarray:
-    """4 MB float32 smooth positive field (compresses the SZ_T happy path)."""
-    n = 2**20
-    x = np.linspace(0.0, 40.0 * np.pi, n)
-    data = 2.0 + np.sin(x) + 0.1 * np.sin(5.7 * x)
-    return data.astype(np.float32)
-
-
-@pytest.mark.benchmark(group="safeguards-overhead", min_rounds=5)
-def test_szt_roundtrip_baseline(benchmark, field):
-    sz_t = get_compressor("SZ_T")
-    bound = RelativeBound(BOUND)
-
-    def roundtrip():
-        blob = sz_t.compress(field, bound)
-        decompress(blob)
-        return blob
-
-    blob = benchmark(roundtrip)
-    benchmark.extra_info["nbytes"] = field.nbytes
-    benchmark.extra_info["out_bytes"] = len(blob)
-    benchmark.extra_info["overhead_pair"] = "szt-roundtrip"
-    benchmark.extra_info["overhead_role"] = "baseline"
-
-
-@pytest.mark.benchmark(group="safeguards-overhead", min_rounds=5)
-def test_szt_roundtrip_safeguarded(benchmark, field):
-    safe = SafeguardedCompressor("SZ_T", [f"rel:{BOUND!r}"])
-    bound = RelativeBound(BOUND)
-
-    def roundtrip():
-        blob = safe.compress(field, bound)
-        decompress(blob)
-        return blob
-
-    blob = benchmark(roundtrip)
-    box = Container.from_bytes(blob)
-    assert box.get_u64("n_patch") == 0, "SZ_T must comply with its own bound"
-    benchmark.extra_info["nbytes"] = field.nbytes
-    benchmark.extra_info["out_bytes"] = len(blob)
-    benchmark.extra_info["overhead_pair"] = "szt-roundtrip"
-    benchmark.extra_info["overhead_role"] = "safeguarded"
-    benchmark.extra_info["overhead_budget"] = OVERHEAD_BUDGET
-    benchmark.extra_info["n_patch"] = 0
 
 
 @pytest.mark.benchmark(group="safeguards-zfp", min_rounds=3)

@@ -85,85 +85,3 @@ def test_sz_t_roundtrip_traced(benchmark, nyx_vx):
     # the record so the ledger trend and the quality gate see drift in
     # typical-point accuracy, not just the hard max-error bound.
     benchmark.extra_info.update(_emit.quality_info(audit))
-
-
-@pytest.mark.benchmark(group="table3-quality-overhead", min_rounds=1)
-def test_quality_collection_overhead(benchmark, nyx_vx_full):
-    """Error-digest collection must cost <5% on the SZ_T compress path.
-
-    Each round compresses twice -- collection off, then on -- and the
-    per-config timings are emitted as an ``overhead_pair`` (same gate
-    mechanism as the safeguard-overhead budget), so the regression gate
-    compares them within the same run on the same host: no committed
-    baseline needed.  Interleaving the two configs inside one round is
-    what makes the pair trustworthy: run sequentially, slow machine
-    drift (thermal, noisy neighbors) lands entirely on whichever config
-    runs second and reads as fake overhead.  The streams themselves are
-    byte-identical either way; only the collection time may differ.
-    Runs on the full-scale 64^3 field: at half scale, fixed per-call
-    costs (metric folds, snapshot dicts) dominate and the per-point
-    budget loses its meaning.
-    """
-    from time import perf_counter
-
-    from repro import RelativeBound, compress
-    from repro.observe.quality import set_quality_enabled
-
-    times: dict[str, list[float]] = {"off": [], "on": []}
-    blobs: dict[str, bytes] = {}
-
-    def pair():
-        for quality in ("off", "on"):
-            set_quality_enabled(quality == "on")
-            try:
-                t0 = perf_counter()
-                blobs[quality] = compress(
-                    nyx_vx_full, RelativeBound(BOUND), compressor="SZ_T"
-                )
-                times[quality].append(perf_counter() - t0)
-            finally:
-                set_quality_enabled(None)
-
-    benchmark.pedantic(pair, rounds=20, warmup_rounds=2)
-    assert blobs["off"] == blobs["on"]  # collection never alters the stream
-    benchmark.extra_info["nbytes"] = 2 * nyx_vx_full.nbytes
-
-    # The collection cost is far below the round-to-round noise of a full
-    # compress, so comparing each side's own min/mean would gate on two
-    # independent noise draws.  The paired design measures the *delta*
-    # inside every round, where slow drift cancels; the gate compares the
-    # explicit ``overhead_time_s`` estimates built from the medians.
-    def median(vals):
-        vals = sorted(vals)
-        mid = len(vals) // 2
-        return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
-
-    offs = times["off"][2:]  # drop the warmup rounds
-    ons = times["on"][2:]
-    base = median(offs)
-    delta = median([on - off for off, on in zip(offs, ons)])
-    for role, quality, est in (
-        ("baseline", "off", base),
-        ("safeguarded", "on", base + delta),
-    ):
-        samples = times[quality][2:]
-        mean_s = sum(samples) / len(samples)
-        rec = {
-            "test": f"test_quality_collection_overhead[{quality}]",
-            "group": "table3-quality-overhead",
-            "mean_s": mean_s,
-            "min_s": min(samples),
-            "rounds": len(samples),
-            "overhead_time_s": est,
-            "MB_per_s": round(nyx_vx_full.nbytes / mean_s / 1e6, 3),
-            "nbytes": nyx_vx_full.nbytes,
-            "out_bytes": len(blobs[quality]),
-            "ratio": round(nyx_vx_full.nbytes / len(blobs[quality]), 3),
-            "overhead_pair": "quality_collection",
-            "overhead_role": role,
-            "codec_path": _emit._codec_path(),
-        }
-        if quality == "on":
-            rec["overhead_budget"] = 0.05
-            rec["delta_median_s"] = delta
-        _emit.record("table3", rec)

@@ -46,18 +46,6 @@ def nyx_vx() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
-def nyx_vx_full() -> np.ndarray:
-    """Full-scale NYX velocity (64^3): for per-point overhead budgets.
-
-    Half-scale fields are small enough that fixed per-call costs (metric
-    folds, snapshot dicts) dominate any per-point overhead being
-    measured; budgets expressed as a fraction of compress time only mean
-    something once the work is throughput-bound.
-    """
-    return load_field("NYX", "velocity_x", scale=1.0)
-
-
-@pytest.fixture(scope="session")
 def cesm_cld() -> np.ndarray:
     return load_field("CESM-ATM", "CLDHGH", scale=SCALE)
 

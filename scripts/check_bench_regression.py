@@ -33,12 +33,6 @@ same name and fails (exit 1) on:
   while typical-point accuracy quietly degrades; this gate catches
   that.  Baselines recorded before quality stamping lack the keys and
   are skipped, so the gate bootstraps cleanly.
-* **safeguard overhead** -- fresh records paired via ``overhead_pair`` /
-  ``overhead_role`` extra-info (``benchmarks/bench_safeguards.py``): the
-  ``safeguarded`` member failing to stay within its declared
-  ``overhead_budget`` of its same-run ``baseline`` partner fails.  Like
-  the bound check this needs no committed baseline, so it also gates
-  fresh reports that lack one.
 * **coverage** -- a baseline test missing from the fresh report, or a
   baseline file with no fresh counterpart (a silently skipped benchmark
   reads as "no regression" otherwise).
@@ -256,66 +250,6 @@ def check_quality(
     return failures, notes
 
 
-def check_safeguard_overhead(fresh: dict[str, dict]) -> tuple[list[str], list[str]]:
-    """(failures, notes) for declared baseline/safeguarded overhead pairs.
-
-    Records tagged ``overhead_pair`` + ``overhead_role`` are compared
-    within the same fresh report: the ``safeguarded`` member may not run
-    more than ``overhead_budget`` (declared on it) slower than its
-    ``baseline`` partner.  Both members come from the same run on the same
-    host, so the comparison is baseline-file-independent -- like the bound
-    check, it gates fresh reports that have no committed baseline yet.
-    """
-    pairs: dict[str, dict[str, dict]] = {}
-    for test, rec in fresh.items():
-        pair, role = rec.get("overhead_pair"), rec.get("overhead_role")
-        if isinstance(pair, str) and role in ("baseline", "safeguarded"):
-            pairs.setdefault(pair, {})[role] = dict(rec, test=test)
-    failures, notes = [], []
-    for pair, members in sorted(pairs.items()):
-        if set(members) != {"baseline", "safeguarded"}:
-            failures.append(
-                f"overhead pair {pair!r} is incomplete: have "
-                f"{sorted(members)} (both roles must run)"
-            )
-            continue
-        # A record may carry an explicit ``overhead_time_s`` -- a
-        # paired-design estimate (e.g. median off-round plus the median
-        # of per-round deltas) for pairs whose true delta is far below
-        # the round-to-round noise, where independent min-of-rounds per
-        # side would just compare two noise draws.  Otherwise
-        # min-of-rounds when available: the overhead is a ~10% effect,
-        # and the mean soaks up GC/scheduler noise that the min does not.
-        def _time(rec: dict):
-            for key in ("overhead_time_s", "min_s", "mean_s"):
-                if isinstance(rec.get(key), (int, float)):
-                    return rec[key]
-            return None
-
-        base_s = _time(members["baseline"])
-        safe_s = _time(members["safeguarded"])
-        budget = members["safeguarded"].get("overhead_budget")
-        if not all(isinstance(v, (int, float)) for v in (base_s, safe_s, budget)) \
-                or base_s <= 0:
-            failures.append(
-                f"overhead pair {pair!r}: missing "
-                f"overhead_time_s/min_s/mean_s/overhead_budget"
-            )
-            continue
-        overhead = safe_s / base_s - 1.0
-        notes.append(
-            f"safeguard overhead {pair!r}: {overhead * 100:+.1f}% "
-            f"(budget {budget * 100:.0f}%)"
-        )
-        if overhead > budget:
-            failures.append(
-                f"safeguard overhead regression in {pair!r}: safeguarded run "
-                f"is {overhead * 100:.1f}% slower than its baseline "
-                f"(budget {budget * 100:.0f}%)"
-            )
-    return failures, notes
-
-
 def check_codec_path(base: dict[str, dict], fresh: dict[str, dict]) -> list[str]:
     """Fail tests whose entropy-coder variant differs from the baseline's.
 
@@ -501,9 +435,6 @@ def compare_file(
     failures.extend(check_ratio(base, fresh, ratio_tol))
     failures.extend(check_codec_path(base, fresh))
     failures.extend(check_bounds(fresh))
-    fails, extra = check_safeguard_overhead(fresh)
-    failures.extend(fails)
-    notes.extend(extra)
     if min_speedup > 0 and os.path.basename(fresh_path) == _PREVEC_REFERENCE["report"]:
         fails, extra = check_speedup(fresh, min_speedup)
         failures.extend(fails)
@@ -615,15 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         name = os.path.basename(path)
         if os.path.exists(os.path.join(args.baseline_dir, name)):
             continue
-        # No committed baseline yet -- the baseline-independent gates
-        # (bound conformance, safeguard overhead pairs) still apply.
+        # No committed baseline yet -- the baseline-independent gate
+        # (bound conformance) still applies.
         print(f"== {name}\n   note: no baseline (run --update-baselines)")
-        fresh = load_report(path)
-        failures = check_bounds(fresh)
-        fails, notes = check_safeguard_overhead(fresh)
-        failures.extend(fails)
-        for note in notes:
-            print(f"   note: {note}")
+        failures = check_bounds(load_report(path))
         for failure in failures:
             print(f"   FAIL: {failure}")
         all_failures.extend(f"{name}: {f}" for f in failures)

@@ -239,7 +239,7 @@ def _journaled_compress(args, bound, rel_value) -> int:
 def _cmd_compress(args) -> int:
     from repro.data.io import load_array
     from repro.observe.audit import call_report
-    from repro.resilience.ladder import _wrapped_compressor
+    from repro.resilience.ladder import _chain_label, _wrapped_compressor
 
     bound = _bound_from(args)
     compressor, label = _wrapped_compressor(args.compressor, args.safeguard, args.ladder)
@@ -271,10 +271,12 @@ def _cmd_compress(args) -> int:
     # produced into the call record, which the printed bound is read from.
     with call_report() as rec:
         blob = compressor.compress(data, bound)
+    # The chain the stream records: a chunked inner also carries the
+    # policy's ladder rungs.
+    label = _chain_label(compressor.inner if chunked else compressor, label)
     if chunked:
-        label = (
-            f"{label} ({rec.resilience.n_chunks} chunks x "
-            f"{compressor.workers} workers"
+        label += (
+            f" ({rec.resilience.n_chunks} chunks x {compressor.workers} workers"
             + (f", k={compressor.parity} parity" if compressor.parity else "")
             + ")"
         )

@@ -40,6 +40,7 @@ from repro.encoding import (
     zigzag_encode,
 )
 from repro.observe.audit import file_audit, grade
+from repro.safeguards.engine import apply_patch_sections, put_patch_sections
 
 __all__ = ["IsabelaCompressor"]
 
@@ -140,9 +141,7 @@ class IsabelaCompressor(Compressor):
         box.put("coeffs", deflate(coeffs.tobytes()))
         box.put("index", pack_fixed_width(order.ravel().astype(np.uint64), index_bits))
         box.put("codes", self._huffman.encode(zigzag_encode(codes.ravel())))
-        box.put("patch_idx", deflate(patch_idx.tobytes()))
-        box.put("patch_val", deflate(np.ascontiguousarray(patch_val).tobytes()))
-        box.put_u64("n_patch", patch_idx.size)
+        put_patch_sections(box, patch_idx, patch_val)
 
         # The decoder's array: the verified reconstruction (already in the
         # output dtype's values) with the patches applied, unsorted and
@@ -173,13 +172,7 @@ class IsabelaCompressor(Compressor):
         log_step = math.log1p(2.0 * eb)
         codes = zigzag_decode(self._huffman.decode(box.get("codes"))).reshape(nwin, w)
         recon = approx * np.exp(codes * log_step)
-
-        patch_idx = np.frombuffer(inflate(box.get("patch_idx")), dtype=np.uint64)
-        patch_val = np.frombuffer(inflate(box.get("patch_val")), dtype=dtype)
-        if patch_idx.size != box.get_u64("n_patch") or patch_val.size != patch_idx.size:
-            raise ValueError("corrupt ISABELA stream: patch channel size mismatch")
-        flat_sorted = recon.reshape(-1)
-        flat_sorted[patch_idx.astype(np.int64)] = patch_val.astype(np.float64)
+        flat_sorted = apply_patch_sections(recon.reshape(-1), box, dtype, self.name)
 
         index_bits = int(math.log2(w))
         order = unpack_fixed_width(box.get("index"), index_bits, nwin * w)

@@ -281,8 +281,9 @@ class ChunkedCompressor(Compressor):
         ``serial`` runs then go through a single-slot pool so the
         deadline is enforceable.  The policy also sets the whole-job
         deadline and memory-budgeted worker cap, arms the failure-rate
-        circuit breaker, and may wrap ``inner`` in a
-        :class:`~repro.resilience.DegradationLadder` of fallback codecs.
+        circuit breaker, and may add fallback codecs: ``inner`` then
+        becomes one :class:`~repro.resilience.DegradationLadder` of its
+        own rungs (an inner ladder's, in order) followed by the policy's.
         See ``docs/resilience.md``.
 
     A worker failure that is not a :class:`StreamError` (a crashed
@@ -335,10 +336,7 @@ class ChunkedCompressor(Compressor):
         if self.policy.ladder:
             from repro.resilience.ladder import DegradationLadder
 
-            if not isinstance(self._inner, DegradationLadder):
-                self._inner = DegradationLadder.with_fallbacks(
-                    self._inner, self.policy.ladder
-                )
+            self._inner = DegradationLadder.with_fallbacks(self._inner, self.policy.ladder)
         #: Chunk count of the most recent compress() call.  Per-instance
         #: state, kept only because the end-to-end benchmark reads it; it
         #: goes away in the change that moves the benchmark onto

@@ -267,29 +267,23 @@ class Container:
 
     # -- serialization -----------------------------------------------------
 
-    def to_bytes(self, checksums: bool = True, version: int | None = None) -> bytes:
-        """Serialize; ``checksums=False`` emits the legacy v1 framing.
+    def to_bytes(self, version: int = _VERSION) -> bytes:
+        """Serialize as container ``version`` (default: the current one).
 
-        ``version`` overrides the version byte, and with it the CRC
-        (:func:`checksum_for`): a stream rewritten as its own version (a
-        repair, a fault injector) keeps its polynomial.  v1 cannot be
-        combined with checksums and vice versa.
+        Version 1 is the legacy framing without CRCs.  Every later version
+        checksums with its own CRC (:func:`checksum_for`), so a stream
+        rewritten as its own version (a repair, a fault injector) keeps
+        its polynomial.
         """
         t0 = time.perf_counter()
-        if version is None:
-            version = _VERSION if checksums else 1
         if version not in _KNOWN_VERSIONS:
             raise ContainerError(f"unsupported container version {version}")
-        if (version >= 2) != checksums:
-            raise ContainerError(
-                f"container version {version} requires checksums={version >= 2}"
-            )
         parts = [_MAGIC, bytes([version])]
         codec = self.codec.encode("utf-8")
         parts.append(write_varint(len(codec)))
         parts.append(codec)
         parts.append(write_varint(len(self._sections)))
-        if checksums:
+        if version >= 2:
             # The stream CRC is assembled incrementally: framing bytes are
             # hashed as they are emitted and each payload's own CRC (which
             # the format stores anyway) is folded in with the combine, so

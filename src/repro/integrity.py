@@ -275,7 +275,7 @@ def _rebuild_chunks(model: StreamModel) -> tuple[list[bytes], RepairReport]:
     t0 = time.perf_counter()
     box = chunked_meta_box(model, "; only CHUNKED streams carry parity", _PARITY_META)
     if "parity_k" not in box:
-        raise ContainerError("stream carries no parity sections (not a v3 record)")
+        raise ContainerError("stream carries no parity sections")
     if model.table is None:
         raise model.table_error
     if model.parity is None:

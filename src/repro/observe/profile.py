@@ -25,7 +25,7 @@ each span was innermost (:attr:`Profile.memory`).
 The profiler is stdlib-only and observational: it never touches the
 pipeline's data path, so compressed streams are byte-identical with and
 without it (tested), and CI enforces a <5% wall-clock overhead budget at
-the default rate (``scripts/check_trace_overhead.py --profile-hz``).
+the default rate (``scripts/check_overhead.py``).
 
 Process pools: :func:`install_profiler` exports ``REPRO_PROFILE=<hz>``
 into the environment, worker processes see it inside

@@ -36,7 +36,7 @@ from repro.encoding.crc import crc32c
 from repro.parallel.runner import atomic_write_bytes
 from repro.resilience.crashpoints import reach
 from repro.resilience.journal import JobJournal
-from repro.resilience.ladder import _wrapped_compressor
+from repro.resilience.ladder import _chain_label, _wrapped_compressor
 from repro.resilience.policy import JournalError, as_policy
 
 __all__ = [
@@ -116,7 +116,8 @@ def build_job_compressor(header: dict):
         # Journals started with the retired --chunk-timeout flag keep the
         # watchdog deadline in a header key of its own; resume with it.
         policy = replace(policy, chunk_timeout_s=float(header["chunk_timeout"]))
-    return ChunkedCompressor(inner, policy=policy, **kwargs), label
+    chunked = ChunkedCompressor(inner, policy=policy, **kwargs)
+    return chunked, _chain_label(chunked.inner, label)
 
 
 def _waves(indices: list[int], width: int):

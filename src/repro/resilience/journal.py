@@ -36,6 +36,7 @@ import os
 import shutil
 
 from repro.encoding.crc import crc32c
+from repro.parallel.runner import _fsync_parent_dir, atomic_write_bytes
 from repro.resilience.crashpoints import reach
 from repro.resilience.policy import JournalError
 
@@ -46,22 +47,6 @@ MANIFEST = "manifest.jsonl"
 
 def _part_name(index: int) -> str:
     return f"chunk_{index:05d}.bin"
-
-
-def _fsync_dir(path: str) -> None:
-    """Flush a directory's entry table to disk (POSIX only, best-effort)."""
-    if os.name != "posix":
-        return
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass  # some filesystems refuse fsync on directories
-    finally:
-        os.close(fd)
 
 
 class JobJournal:
@@ -86,7 +71,7 @@ class JobJournal:
         os.makedirs(root, exist_ok=True)
         journal = cls(root, dict(header), {}, committed=False)
         journal._append([{"rec": "job", **header}])
-        _fsync_dir(os.path.dirname(os.path.abspath(root)) or ".")
+        _fsync_parent_dir(root)
         reach("journal.created", root=root)
         return journal
 
@@ -142,8 +127,6 @@ class JobJournal:
     def record_chunks(self, items: list[tuple[int, bytes]]) -> None:
         """Persist a wave of finished chunks: part files, then one fsynced
         batch of manifest records."""
-        from repro.parallel.runner import atomic_write_bytes
-
         records = []
         for index, blob in items:
             atomic_write_bytes(os.path.join(self.root, _part_name(index)), blob)

@@ -52,11 +52,12 @@ class DegradationLadder(Compressor):
 
     @staticmethod
     def with_fallbacks(primary, fallbacks) -> "DegradationLadder":
-        """``primary`` plus ``fallbacks``, dropping consecutive duplicate
-        names (a primary re-listed as its own first fallback adds
-        nothing -- same-codec retries belong to the retry policy)."""
-        rungs: list = [primary]
-        last = primary if isinstance(primary, str) else primary.name
+        """``primary`` -- a codec, or a ladder whose rungs come first --
+        plus ``fallbacks``, dropping consecutive duplicate names (a rung
+        re-listed as its own first fallback adds nothing -- same-codec
+        retries belong to the retry policy)."""
+        rungs = list(primary._rungs) if isinstance(primary, DegradationLadder) else [primary]
+        last = rungs[-1] if isinstance(rungs[-1], str) else rungs[-1].name
         for rung in fallbacks:
             rung_name = rung if isinstance(rung, str) else rung.name
             if rung_name != last:
@@ -168,7 +169,8 @@ class DegradationLadder(Compressor):
 
 def _wrapped_compressor(name: str, safeguards=None, ladder=None):
     """``(compressor, label)``: codec ``name`` inside its safeguards, then
-    its ladder -- the one wrapping of every CLI compress and journaled job."""
+    its ladder -- the one wrapping of every CLI compress and journaled job.
+    ``label`` names the primary rung; see :func:`_chain_label`."""
     inner = get_compressor(name)
     label = name
     if safeguards:
@@ -178,5 +180,12 @@ def _wrapped_compressor(name: str, safeguards=None, ladder=None):
         label = f"SAFE({label}; {'; '.join(safeguards)})"
     if ladder:
         inner = DegradationLadder.with_fallbacks(inner, [str(r) for r in ladder])
-        label = ">".join([label, *inner.rung_names[1:]])
     return inner, label
+
+
+def _chain_label(compressor: Compressor, label: str) -> str:
+    """``label``, the primary rung's, then ``compressor``'s fallback rungs
+    when it is a ladder: the chain its streams record."""
+    if not isinstance(compressor, DegradationLadder):
+        return label
+    return ">".join([label, *compressor.rung_names[1:]])

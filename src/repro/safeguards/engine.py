@@ -39,14 +39,12 @@ class PatchChannel:
     """Result of a safeguard evaluation pass.
 
     ``counts`` maps each safeguard spec to the number of points it flagged
-    (first round it flagged them); ``masks`` keeps the first-round raveled
-    violation mask per spec for audit reuse.
+    (first round it flagged them).
     """
 
     patch_idx: np.ndarray
     patch_val: np.ndarray
     counts: dict[str, int] = field(default_factory=dict)
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -77,15 +75,11 @@ def compute_patch_channel(
     same = (bit_view(x) == bit_view(xd)).ravel()
     mask = np.zeros(x.size, dtype=bool)
     counts: dict[str, int] = {}
-    masks: dict[str, np.ndarray] = {}
     cur = xd
-    for round_no in range(x.size + 1):
+    for _ in range(x.size + 1):
         fresh_any = False
         for sg in safeguards:
-            m = sg.violation_mask(x, cur).ravel() & ~same
-            if round_no == 0:
-                masks[sg.spec()] = m
-            fresh = m & ~mask
+            fresh = sg.violation_mask(x, cur).ravel() & ~same & ~mask
             n_fresh = int(np.count_nonzero(fresh))
             if n_fresh:
                 counts[sg.spec()] = counts.get(sg.spec(), 0) + n_fresh
@@ -96,7 +90,7 @@ def compute_patch_channel(
         cur = np.where(mask.reshape(x.shape), x, xd)
     patch_idx = np.flatnonzero(mask).astype(np.uint64)
     patch_val = x.ravel()[patch_idx.astype(np.int64)]
-    return PatchChannel(patch_idx=patch_idx, patch_val=patch_val, counts=counts, masks=masks)
+    return PatchChannel(patch_idx=patch_idx, patch_val=patch_val, counts=counts)
 
 
 def put_patch_sections(box, patch_idx: np.ndarray, patch_val: np.ndarray) -> None:

@@ -116,7 +116,7 @@ def drop_section(blob: bytes, key: str) -> bytes:
     for k in box.keys():
         if k != key:
             out.put(k, box.get(k))
-    return out.to_bytes(checksums=box.version >= 2, version=box.version)
+    return out.to_bytes(version=box.version)
 
 
 def corrupt_section(blob: bytes, key: str, n_bits: int = 1, seed: int = 0) -> bytes:

@@ -97,7 +97,7 @@ class TestCorruption:
     def test_truncated_section_v1(self):
         box = Container("T")
         box.put("a", b"0123456789")
-        blob = box.to_bytes(checksums=False)[:-5]
+        blob = box.to_bytes(version=1)[:-5]
         with pytest.raises(ContainerError, match="truncated"):
             Container.from_bytes(blob)
 

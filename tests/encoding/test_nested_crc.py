@@ -67,7 +67,7 @@ class TestWritePath:
     def test_streams_without_trailer_are_hashed(self):
         v1 = Container("X")
         v1.put("a", b"payload")
-        streams = [v1.to_bytes(checksums=False), b"not a stream", *_streams()[:1]]
+        streams = [v1.to_bytes(version=1), b"not a stream", *_streams()[:1]]
         plain, nested = Container("T"), Container("T")
         plain.put("p", b"".join(streams))
         nested.put_nested("p", *streams)
@@ -137,7 +137,7 @@ class TestStrictDecode:
             out = Container(box.codec)
             for key in box.keys():
                 out.put(key, payload if key == "payload" else box.get(key))
-            return out.to_bytes(checksums=False)
+            return out.to_bytes(version=1)
 
         np.testing.assert_array_equal(decompress(v1(box.get("payload"))), want)
         with pytest.raises(ChecksumError):

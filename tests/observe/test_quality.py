@@ -136,7 +136,7 @@ class TestQualityGate:
 
 
 def _v1(blob):
-    return Container.from_bytes(blob).to_bytes(checksums=False, version=1)
+    return Container.from_bytes(blob).to_bytes(version=1)
 
 
 def _streams(field):

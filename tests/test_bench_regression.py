@@ -416,50 +416,3 @@ class TestQualityGate:
         base, fresh = dirs
         with pytest.raises(SystemExit):
             run(base, fresh, "--quality-tolerance", "1.5")
-
-
-class TestOverheadPairGate:
-    def pair(self, base_extra, safe_extra):
-        return [
-            rec("ov[off]", overhead_pair="p", overhead_role="baseline",
-                **base_extra),
-            rec("ov[on]", overhead_pair="p", overhead_role="safeguarded",
-                overhead_budget=0.05, **safe_extra),
-        ]
-
-    def test_within_budget_passes(self, dirs, capsys):
-        base, fresh = dirs
-        write_report(base, FIVE)
-        records = FIVE + self.pair({"min_s": 1.0}, {"min_s": 1.03})
-        write_report(fresh, records)
-        assert run(base, fresh) == 0
-        assert "safeguard overhead" in capsys.readouterr().out
-
-    def test_over_budget_fails(self, dirs, capsys):
-        base, fresh = dirs
-        write_report(base, FIVE)
-        write_report(fresh, FIVE + self.pair({"min_s": 1.0}, {"min_s": 1.2}))
-        assert run(base, fresh) == 1
-        assert "overhead regression" in capsys.readouterr().out
-
-    def test_overhead_time_s_preferred_over_min_s(self, dirs):
-        """A paired-design estimate outranks each side's own min.
-
-        The mins here disagree with the paired deltas by design: trusting
-        min_s would fail the budget, the explicit estimate passes.
-        """
-        base, fresh = dirs
-        write_report(base, FIVE)
-        records = FIVE + self.pair(
-            {"min_s": 1.0, "overhead_time_s": 1.0},
-            {"min_s": 1.2, "overhead_time_s": 1.02},
-        )
-        write_report(fresh, records)
-        assert run(base, fresh) == 0
-
-    def test_incomplete_pair_fails(self, dirs, capsys):
-        base, fresh = dirs
-        write_report(base, FIVE)
-        write_report(fresh, FIVE + self.pair({"min_s": 1.0}, {})[:1])
-        assert run(base, fresh) == 1
-        assert "incomplete" in capsys.readouterr().out

@@ -552,6 +552,34 @@ class TestResilienceFlags:
         recon = load_array(back, (16, 16, 16))
         assert np.all(np.abs(recon - data) <= 1e-2 * np.abs(data))
 
+    @pytest.mark.parametrize(
+        "flags, chain",
+        [(("--ladder", "SZ_T>GZIP", "--policy", "ladder=ZFP_T"), "SZ_T>GZIP>ZFP_T"),
+         (("--policy", "ladder=ZFP_T"), "SZ_T>ZFP_T")],
+        ids=["ladder-and-policy", "policy"],
+    )
+    def test_policy_ladder_joins_the_chain(self, tmp_path, capsys, flags, chain):
+        """The policy's rungs follow the --ladder's in one chain, which the
+        compress line prints; a journaled job with both resumes to the
+        same bytes."""
+        from repro.testing import CrashPoint, kill_at
+
+        path = str(tmp_path / "f.npy")
+        x = np.linspace(0.0, 4 * np.pi, 64 * 64).reshape(64, 64)
+        np.save(path, (2.0 + np.sin(x)).astype(np.float32))
+        plain = str(tmp_path / "p.rpz")
+        assert main(["compress", path, plain, "--rel-bound", "1e-3", *flags]) == 0
+        assert f" with {chain} (1 chunks x " in capsys.readouterr().out
+        assert main(["info", plain]) == 0
+        assert f"ladder: {chain}\n" in capsys.readouterr().out
+        journaled, jdir = str(tmp_path / "j.rpz"), str(tmp_path / "wal")
+        with pytest.raises(CrashPoint):
+            with kill_at(6):
+                main(["compress", path, journaled, "--rel-bound", "1e-3", *flags,
+                      "--journal", jdir])
+        assert main(["resume", jdir]) == 0
+        assert open(journaled, "rb").read() == open(plain, "rb").read()
+
     def test_journaled_decompress(self, field, tmp_path):
         path, data = field
         out = str(tmp_path / "f.rpz")

@@ -344,7 +344,7 @@ class TestVerifyStream:
 
         blob = compress(field[:100], BOUND)
         box = Container.from_bytes(blob)
-        v1 = box.to_bytes(checksums=False)
+        v1 = box.to_bytes(version=1)
         report = verify_stream(v1)
         assert report.ok and not report.checksummed
         assert any("no checksums" in n for n in report.notes)

@@ -67,7 +67,7 @@ def write_streams(field: np.ndarray) -> dict[str, bytes]:
     sz = repro.compress(field, bound, "SZ_T")
     streams = {
         "sz_v2": sz,
-        "sz_v1": Container.from_bytes(sz).to_bytes(checksums=False, version=1),
+        "sz_v1": Container.from_bytes(sz).to_bytes(version=1),
         "chunked_v2": ChunkedCompressor(
             "SZ_T", chunk_bytes=1 << 12, executor="serial"
         ).compress(field, bound),

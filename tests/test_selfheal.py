@@ -296,7 +296,7 @@ class TestDecompressPartialRepairs:
         )
         want = decompress(v5)
         v2 = reframe(v5, 2)
-        v1 = Container.from_bytes(v5).to_bytes(checksums=False)  # v5 chunks inside
+        v1 = Container.from_bytes(v5).to_bytes(version=1)  # v5 chunks inside
         for legacy, version in ((v2, 2), (v1, 1)):
             assert Container.from_bytes(legacy).version == version
             np.testing.assert_array_equal(decompress(legacy), want)
