@@ -54,11 +54,11 @@ class ParityGeometry(NamedTuple):
             base += self.k * size
         return out
 
-    def blocks(self, parity: bytes) -> list[list[bytes | None]]:
-        """Each group's ``k`` blocks cut from ``parity`` (None where bytes are missing)."""
+    def blocks(self, parity: bytes) -> list[list[memoryview | None]]:
+        """Each group's ``k`` blocks viewed in ``parity`` (None where bytes are missing)."""
+        view = memoryview(parity)
         return [
-            [bytes(parity[a:b]) if b <= len(parity) else None for a, b in group]
-            for group in self.spans()
+            [view[a:b] if b <= len(view) else None for a, b in group] for group in self.spans()
         ]
 
 

@@ -295,10 +295,10 @@ class StreamModel:
             return []
         # Chunks and geometry are intact: the parity bytes must equal a
         # deterministic re-encode (the same check repair relies on).
-        out, m = [], geo.group_size
+        out, m, payload = [], geo.group_size, memoryview(payload)
         for g, stored in enumerate(geo.blocks(parity)):
             blobs = [
-                bytes(payload[o : o + ln])
+                payload[o : o + ln]
                 for o, ln in zip(
                     table.offs[g * m : (g + 1) * m].tolist(),
                     table.lens[g * m : (g + 1) * m].tolist(),

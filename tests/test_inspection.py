@@ -7,10 +7,12 @@ import pytest
 
 import repro.encoding.container as container
 from repro import Container, RelativeBound, compress, decompress
+from repro.cli import main
 from repro.core.chunked import ChunkedCompressor
 from repro.encoding.container import ContainerError
 from repro.inspection import inspect_stream
 from repro.integrity import repair_stream, verify_stream
+from repro.observe.quality import explain_stream
 from repro.testing import faults
 
 
@@ -80,6 +82,28 @@ def test_one_chunk_table_validator(parity_blob):
         repair_stream(blob)
     assert str(decoded.value) == str(repaired.value)
     assert verify_stream(blob).problems == (str(decoded.value),)
+
+
+def test_parity_that_disagrees_with_its_chunks(parity_blob, tmp_path, capsys):
+    """One flipped parity byte under freshly computed CRCs: only the
+    re-encode of the intact chunks can tell, and every verdict says so."""
+    box = Container.from_bytes(parity_blob)
+    tampered = Container(box.codec)
+    for key in box.keys():
+        data = bytes(box.get(key))
+        if key == "parity":
+            data = bytes([data[0] ^ 1]) + data[1:]
+        tampered.put(key, data)
+    blob = tampered.to_bytes(version=box.version)
+    problem = "parity group 0: bytes do not match recomputed parity"
+    assert inspect_stream(blob).stream_crc_ok
+    assert verify_stream(blob).problems == (problem,)
+    path = tmp_path / "bad.rpz"
+    path.write_bytes(blob)
+    assert main(["verify", str(path)]) == 2
+    assert problem in capsys.readouterr().out
+    report = explain_stream(blob)
+    assert f"StreamError: {problem}" in report.notes and not report.ok
 
 
 def test_header_damage_never_raises():
